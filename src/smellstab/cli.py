@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .io_utils import read_csv, write_json
 from .manifest import filter_manifest, load_manifest
-from .pipeline import PipelineConfig, run_pipeline, run_stats
+from .pipeline import PipelineConfig, run_pipeline, run_stats, selection_doc
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
@@ -41,11 +41,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     accepted, rejections = filter_manifest(load_manifest(config.manifest), config.project_limit)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "selection.json", {
-        "accepted": [e.repo for e in accepted],
-        "rejected": [{"repo": r.repo, "reason": r.reason} for r in rejections],
-        "config": config.echo(),
-    })
+    write_json(out / "selection.json", selection_doc(config, accepted, rejections))
     print(f"accepted {len(accepted)} projects, rejected {len(rejections)}")
     for r in rejections:
         print(f"  rejected {r.repo}: {r.reason}")

@@ -28,6 +28,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .bodyscan import BodyFacts, scan_expression, scan_initializer, scan_member_body
+from .io_utils import atomic_writer
 from .model import (
     ArtifactId,
     ArtifactKind,
@@ -73,7 +74,7 @@ class DependencyGraph:
         return [e for e in self.edges if not e.external]
 
     def write_csv(self, path: str | Path) -> None:
-        with open(path, "w", newline="") as fh:
+        with atomic_writer(path) as fh:
             w = csv.writer(fh)
             w.writerow(["relation", "source_kind", "source", "target_kind", "target", "site_count"])
             for e in self.edges:

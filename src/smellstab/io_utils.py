@@ -1,9 +1,17 @@
-"""Deterministic CSV/JSON writers with config-echo sidecars."""
+"""Deterministic CSV/JSON writers with config-echo sidecars.
+
+Every writer replaces its target atomically: a crash mid-write leaves the
+previous file intact, never a truncated one.
+"""
 
 from __future__ import annotations
 
 import csv
 import json
+import os
+import threading
+from collections.abc import Iterable
+from contextlib import contextmanager
 from pathlib import Path
 
 CSV_SCHEMA_VERSION = 1
@@ -17,8 +25,27 @@ def format_value(v) -> str:
     return str(v)
 
 
-def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
-    with open(path, "w", newline="") as fh:
+@contextmanager
+def atomic_writer(path: str | Path):
+    """Text handle on a temp file beside ``path``, moved over it on success."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        with open(tmp, "w", newline="") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
+def write_text(path: str | Path, text: str) -> None:
+    with atomic_writer(path) as fh:
+        fh.write(text)
+
+
+def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
+    with atomic_writer(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
         w.writerow(header)
         for row in rows:
@@ -26,16 +53,15 @@ def write_csv(path: str | Path, header: list[str], rows: list[list]) -> None:
 
 
 def write_meta(path: str | Path, *, config_echo: dict, extra: dict | None = None) -> None:
-    """Provenance sidecar for ``path``: schema version + full config echo."""
+    """Provenance sidecar for ``path``: schema version + config echo."""
     meta = {"csv_schema_version": CSV_SCHEMA_VERSION, "config": config_echo}
     if extra:
         meta.update(extra)
-    sidecar = Path(str(path) + ".meta.json")
-    sidecar.write_text(json.dumps(meta, indent=1, sort_keys=True) + "\n")
+    write_json(str(path) + ".meta.json", meta)
 
 
 def write_json(path: str | Path, doc: dict) -> None:
-    Path(path).write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n")
+    write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[dict[str, str]]]:

@@ -111,6 +111,13 @@ def _line_churn(before: list[str], after: list[str]) -> tuple[int, int]:
     return added, deleted
 
 
+def _gained_lines(before: list[str], after: list[str]) -> list[str]:
+    """Lines of ``after`` that are not carried over from ``before``."""
+    sm = SequenceMatcher(a=before, b=after, autojunk=False)
+    return [line for tag, _i1, _i2, j1, j2 in sm.get_opcodes()
+            if tag in ("replace", "insert") for line in after[j1:j2]]
+
+
 @dataclass
 class MiningResult:
     window: ObservationWindow
@@ -189,17 +196,19 @@ def mine_window(
             if continuing >= 2:
                 split_now.add(p)
 
-        # merge: >= 2 tracked sources each contribute >= threshold of one target
+        # merge: >= 2 tracked sources each contribute >= threshold of one target;
+        # another source reaches a modified target only through its new lines
         merge_now: set[str] = set()
         for target in adds + tracked_mods:
             after = after_cache[target]
             if not after:
                 continue
+            gained = _gained_lines(before_cache[target], after) if target in mods else after
             contributors = []
             for src in tracked_dels + tracked_mods:
                 if src in split_now:
                     continue
-                frac = _matched(before_cache[src], after) / len(after)
+                frac = _matched(before_cache[src], after if src == target else gained) / len(after)
                 if frac >= split_threshold:
                     contributors.append(src)
             if len(contributors) >= 2:
@@ -256,16 +265,6 @@ def mine_window(
                 churn_by_class[qname].append((rec.id, add_n, del_n))
 
     return MiningResult(window, commits, lineages, churn_by_class, system_churn, diagnostics)
-
-
-def class_lineage(
-    repo: str | Path,
-    window: ObservationWindow,
-    corpus: SourceCorpus,
-    rename_threshold: float = DEFAULT_RENAME_THRESHOLD,
-    split_threshold: float = DEFAULT_SPLIT_THRESHOLD,
-) -> dict[str, ClassLineage]:
-    return mine_window(repo, window, corpus, rename_threshold, split_threshold).lineages
 
 
 def aggregate_stability(result: MiningResult, include_deleted: bool = True) -> list[StabilityOutcome]:

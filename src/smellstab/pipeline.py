@@ -1,15 +1,21 @@
 """End-to-end orchestration: analyze, mine, join, fit, report.
 
-Per-project stages are cached content-addressed by (snapshot, config hash)
-and a project failure quarantines the project without stopping the run.
-All outputs are deterministic byte-for-byte for a fixed config.
+Each project's snapshot is parsed at most once per run, from a throwaway
+tree, and only when a stage that reads the parse is stale.  Per-project
+stages are cached under a key derived from exactly the inputs each reads
+(``stage_inputs``), and a project failure quarantines the project without
+stopping the run.  All outputs are deterministic byte-for-byte for a fixed
+config.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
+import tempfile
 import traceback
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -17,8 +23,8 @@ from pathlib import Path
 from . import __version__ as _version
 from .corpus import ingest_corpus
 from .graph import extract_dependencies
-from .io_utils import read_csv, write_csv, write_json, write_meta
-from .manifest import ProjectManifestEntry, filter_manifest, load_manifest
+from .io_utils import read_csv, write_csv, write_json, write_meta, write_text
+from .manifest import ProjectManifestEntry, Rejection, filter_manifest, load_manifest
 from .metrics import build_metrics_context, compute_class_metrics, compute_method_metrics
 from .mining import (
     activity_summary,
@@ -28,6 +34,7 @@ from .mining import (
     mine_window,
 )
 from .mining.miner import ACTIVITY_HEADER
+from .model import SourceCorpus
 from .neighborhood import OBSERVATION_HEADER, build_all_observations, observation_row
 from .smells import ThresholdConfig, detect_smells_with_diagnostics, per_strategy_counts
 from .stats.suite import (
@@ -84,12 +91,6 @@ class PipelineConfig:
             "seed": self.seed,
         }
 
-    def config_hash(self) -> str:
-        echo = self.echo()
-        echo.pop("workers")  # parallelism never changes results
-        echo.pop("output_dir")
-        return hashlib.sha256(json.dumps(echo, sort_keys=True).encode()).hexdigest()[:16]
-
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
         """Load a config JSON; a config echo from a previous run is accepted."""
@@ -117,36 +118,77 @@ def _project_dir(config: PipelineConfig, entry: ProjectManifestEntry) -> Path:
     return d
 
 
-def _cache_valid(stage_dir: Path, key: str) -> bool:
+def stage_inputs(entry: ProjectManifestEntry, config: PipelineConfig) -> dict[str, dict]:
+    """Per stage, exactly the inputs its per-project outputs depend on.
+
+    The sha256 of a stage's dict is that stage's cache key, and the dict is
+    the ``config`` echo in that stage's per-project sidecars.
+    """
+    both = {"tool_version": _version, "snapshot": entry.snapshot,
+            "path_excludes": list(config.path_excludes)}
+    return {
+        "analyze": {**both, "thresholds": config.thresholds.echo()},
+        "mine": {**both, "branch": entry.branch, "window_days": config.window_days,
+                 "rename_threshold": config.rename_threshold,
+                 "split_threshold": config.split_threshold,
+                 "include_deleted": config.include_deleted},
+    }
+
+
+def _stage_key(inputs: dict) -> str:
+    return hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
+
+
+def _snapshot_loader(entry: ProjectManifestEntry, config: PipelineConfig) -> Callable[[], SourceCorpus]:
+    """The project's parsed snapshot, ingested on first call and then reused.
+
+    The tree is extracted into a fresh temporary directory that is removed
+    once parsed, so no file of another snapshot can leak into the corpus.
+    """
+    @functools.cache
+    def load() -> SourceCorpus:
+        with tempfile.TemporaryDirectory(prefix="smellstab-snapshot-") as tree:
+            archive_snapshot(entry.clone_path, entry.snapshot, tree)
+            return ingest_corpus(tree, entry.snapshot, project=entry.repo,
+                                 path_excludes=config.path_excludes)
+
+    return load
+
+
+def _cache_hit(stage_dir: Path, key: str) -> bool:
+    """Whether ``stage_dir`` holds complete outputs for ``key``.
+
+    On a miss the old marker is dropped before anything is rewritten, so a
+    crash mid-stage never leaves old and new files under a valid marker.
+    """
     marker = stage_dir / "stage.json"
-    if not marker.exists():
-        return False
     try:
-        return json.loads(marker.read_text()).get("key") == key
-    except json.JSONDecodeError:
-        return False
+        if json.loads(marker.read_text()).get("key") == key:
+            return True
+    except (FileNotFoundError, json.JSONDecodeError):
+        pass
+    stage_dir.mkdir(parents=True, exist_ok=True)
+    marker.unlink(missing_ok=True)
+    return False
 
 
 def _write_stage_marker(stage_dir: Path, key: str) -> None:
     write_json(stage_dir / "stage.json", {"key": key})
 
 
-def analyze_project(entry: ProjectManifestEntry, config: PipelineConfig) -> Path:
-    """Ingest, graph, smells, observations for one project; returns stage dir."""
+def analyze_project(entry: ProjectManifestEntry, config: PipelineConfig,
+                    load_corpus: Callable[[], SourceCorpus]) -> Path:
+    """Graph, metrics, smells, observations for one project; returns stage dir."""
     out = _project_dir(config, entry) / "analyze"
-    key = f"{entry.snapshot}:{config.config_hash()}"
-    if _cache_valid(out, key):
+    echo = stage_inputs(entry, config)["analyze"]
+    key = _stage_key(echo)
+    if _cache_hit(out, key):
         return out
-    out.mkdir(parents=True, exist_ok=True)
-    with_tree = Path(config.output_dir) / "snapshots" / _safe_name(entry.repo)
-    archive_snapshot(entry.clone_path, entry.snapshot, with_tree)
-    corpus = ingest_corpus(with_tree, entry.snapshot, project=entry.repo,
-                           path_excludes=config.path_excludes)
-    (out / "corpus.json").write_text(corpus.to_json())
+    corpus = load_corpus()
+    write_text(out / "corpus.json", corpus.to_json())
     graph, facts = extract_dependencies(corpus)
     graph.write_csv(out / "edges.csv")
     ctx = build_metrics_context(corpus, graph, facts)
-    echo = config.echo()
 
     method_rows = []
     for t, m in corpus.iter_methods():
@@ -191,25 +233,22 @@ def analyze_project(entry: ProjectManifestEntry, config: PipelineConfig) -> Path
     return out
 
 
-def mine_project(entry: ProjectManifestEntry, config: PipelineConfig) -> Path:
+def mine_project(entry: ProjectManifestEntry, config: PipelineConfig,
+                 load_corpus: Callable[[], SourceCorpus]) -> Path:
     """Window mining and stability outcomes for one project."""
     out = _project_dir(config, entry) / "mine"
-    key = f"{entry.snapshot}:{config.window_days}:{config.rename_threshold}:{config.split_threshold}:{config.include_deleted}"
-    if _cache_valid(out, key):
+    echo = stage_inputs(entry, config)["mine"]
+    key = _stage_key(echo)
+    if _cache_hit(out, key):
         return out
-    out.mkdir(parents=True, exist_ok=True)
-    with_tree = Path(config.output_dir) / "snapshots" / _safe_name(entry.repo)
-    archive_snapshot(entry.clone_path, entry.snapshot, with_tree)
-    corpus = ingest_corpus(with_tree, entry.snapshot, project=entry.repo,
-                           path_excludes=config.path_excludes)
     window = make_window(entry.clone_path, entry.snapshot, entry.branch, config.window_days)
-    result = mine_window(entry.clone_path, window, corpus,
+    result = mine_window(entry.clone_path, window, load_corpus(),
                          config.rename_threshold, config.split_threshold)
     outcomes = aggregate_stability(result, include_deleted=config.include_deleted)
     write_csv(out / "outcomes.csv", ["project", "class", "ChF", "ChS", "lineage_status"], [
         [entry.repo, o.focal.qualified_name, o.chf, o.chs, o.status] for o in outcomes
     ])
-    write_meta(out / "outcomes.csv", config_echo=config.echo(), extra={
+    write_meta(out / "outcomes.csv", config_echo=echo, extra={
         "window": {"snapshot": window.snapshot, "start": window.start, "end": window.end,
                    "branch": window.branch},
         "window_commits": len(result.commits),
@@ -268,6 +307,16 @@ def run_stats(config: PipelineConfig) -> None:
     write_meta(out / "quantile_residuals.csv", config_echo=config.echo())
 
 
+def selection_doc(config: PipelineConfig, accepted: list[ProjectManifestEntry],
+                  rejections: list[Rejection]) -> dict:
+    """Contents of ``selection.json``: the manifest filter's verdicts."""
+    return {
+        "accepted": [e.repo for e in accepted],
+        "rejected": [{"repo": r.repo, "reason": r.reason} for r in rejections],
+        "config": config.echo(),
+    }
+
+
 @dataclass
 class PipelineOutcome:
     accepted: list[str]
@@ -280,18 +329,15 @@ def run_pipeline(config: PipelineConfig, stages: tuple[str, ...] = ("analyze", "
     accepted, rejections = filter_manifest(records, config.project_limit)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_json(out / "selection.json", {
-        "accepted": [e.repo for e in accepted],
-        "rejected": [{"repo": r.repo, "reason": r.reason} for r in rejections],
-        "config": config.echo(),
-    })
+    write_json(out / "selection.json", selection_doc(config, accepted, rejections))
     quarantined: dict[str, str] = {}
 
     def per_project(entry: ProjectManifestEntry) -> None:
+        load_corpus = _snapshot_loader(entry, config)
         if "analyze" in stages:
-            analyze_project(entry, config)
+            analyze_project(entry, config, load_corpus)
         if "mine" in stages:
-            mine_project(entry, config)
+            mine_project(entry, config, load_corpus)
 
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:

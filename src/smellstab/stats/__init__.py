@@ -22,7 +22,7 @@ from .inference import (
     predict_mu,
     randomized_quantile_residuals,
 )
-from .kernels import inner_modes, kernel_backend, nb2_row_terms
+from .kernels import inner_modes, nb2_row_terms
 from .suite import (
     ALPHA,
     HypothesisResult,
@@ -40,7 +40,7 @@ __all__ = [
     "DispersionError", "dispersion_statistic", "fit_negbin_glm", "fit_poisson",
     "fit_negbin_random_intercept", "laplace_loglik_and_grad", "InferenceError",
     "bh_adjust", "effect_sizes", "fit_quality", "one_sided_p", "predict_mu",
-    "randomized_quantile_residuals", "inner_modes", "kernel_backend", "nb2_row_terms",
+    "randomized_quantile_residuals", "inner_modes", "nb2_row_terms",
     "ALPHA", "HypothesisResult", "HypothesisVerdict", "SuiteResult", "export_fits_json",
     "export_quantile_residuals", "export_results_csv", "run_hypothesis_suite",
 ]

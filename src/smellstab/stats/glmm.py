@@ -34,14 +34,10 @@ class _LaplaceObjective:
 
     def __init__(self, y, X, groups, n_groups):
         order = np.argsort(groups, kind="stable")
-        self.order = order
-        self.inverse = np.argsort(order, kind="stable")
         self.y = np.asarray(y, dtype=float)[order]
         self.X = np.asarray(X, dtype=float)[order]
         self.groups = np.asarray(groups, dtype=np.int64)[order]
         self.n_groups = int(n_groups)
-        counts = np.bincount(self.groups, minlength=self.n_groups)
-        self.gptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
         self.u = np.zeros(self.n_groups)
         self.p = self.X.shape[1]
 
@@ -53,7 +49,7 @@ class _LaplaceObjective:
         theta = float(np.exp(params[self.p]))
         s2 = float(np.exp(params[self.p + 1]))
         eta_fix = np.clip(self.X @ beta, -_ETA_CAP, _ETA_CAP)
-        u = inner_modes(self.y, eta_fix, theta, s2, self.groups, self.gptr, self.u)
+        u = inner_modes(self.y, eta_fix, theta, s2, self.groups, self.u)
         self.u = u
         eta = eta_fix + u[self.groups]
         ll_row, a, b, c, lth, ath, bth = nb2_row_terms(self.y, eta, theta)

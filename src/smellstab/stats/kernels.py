@@ -1,6 +1,6 @@
 """Hot numeric kernels for the NB2 mixed-model likelihood.
 
-Two kernels dominate fit runtime and exist in both backends:
+Two kernels dominate fit runtime:
 
 * ``nb2_row_terms`` -- per-row log-pmf value and its eta/theta derivatives,
 * ``inner_modes``   -- per-group Newton solve for the Laplace mode of the
@@ -24,17 +24,13 @@ import math
 import numpy as np
 from scipy.special import digamma as _sp_digamma, gammaln as _sp_gammaln
 
-from .accel import USE_NUMBA, backend, njit
-
 _MAX_NEWTON = 100
 _STEP_TOL = 1e-12
 _STEP_CAP = 5.0
 
 
-# -- numpy backend --------------------------------------------------------------
-
-
-def nb2_row_terms_numpy(y, eta, theta):
+def nb2_row_terms(y, eta, theta):
+    theta = float(theta)
     mu = np.exp(eta)
     q = theta + mu
     yt = y + theta
@@ -55,8 +51,14 @@ def nb2_row_terms_numpy(y, eta, theta):
     return ll, a, b, c, lth, ath, bth
 
 
-def inner_modes_numpy(y, eta_fix, theta, sigma2, groups, gptr, u0):
-    n_groups = gptr.size - 1
+def inner_modes(y, eta_fix, theta, sigma2, groups, u0):
+    """Laplace mode of the random intercept for every group.
+
+    ``groups`` holds the per-row group code and ``u0`` the starting modes,
+    one per group; each group's Newton iteration stops on its own.
+    """
+    theta, sigma2 = float(theta), float(sigma2)
+    n_groups = u0.size
     u = u0.copy()
     active = np.ones(n_groups, dtype=bool)
     for _ in range(_MAX_NEWTON):
@@ -75,109 +77,3 @@ def inner_modes_numpy(y, eta_fix, theta, sigma2, groups, gptr, u0):
         if not active.any():
             break
     return u
-
-
-# -- numba backend ---------------------------------------------------------------
-
-
-@njit(cache=True)
-def _digamma(x: float) -> float:
-    # recurrence lift to x >= 6, then the asymptotic series
-    result = 0.0
-    while x < 6.0:
-        result -= 1.0 / x
-        x += 1.0
-    inv = 1.0 / x
-    inv2 = inv * inv
-    result += math.log(x) - 0.5 * inv
-    result -= inv2 * (
-        1.0 / 12.0
-        - inv2 * (1.0 / 120.0 - inv2 * (1.0 / 252.0 - inv2 * (1.0 / 240.0 - inv2 * (1.0 / 132.0))))
-    )
-    return result
-
-
-@njit(cache=True)
-def _row_terms_loops(y, eta, theta):
-    n = y.size
-    ll = np.empty(n)
-    a = np.empty(n)
-    b = np.empty(n)
-    c = np.empty(n)
-    lth = np.empty(n)
-    ath = np.empty(n)
-    bth = np.empty(n)
-    lg_theta = math.lgamma(theta)
-    dg_theta = _digamma(theta)
-    log_theta = math.log(theta)
-    for i in range(n):
-        yi = y[i]
-        mu = math.exp(eta[i])
-        q = theta + mu
-        yt = yi + theta
-        logq = math.log(q)
-        ll[i] = (
-            math.lgamma(yt) - lg_theta - math.lgamma(yi + 1.0)
-            + theta * log_theta + yi * eta[i] - yt * logq
-        )
-        a[i] = yi - yt * mu / q
-        b[i] = yt * theta * mu / (q * q)
-        c[i] = -yt * theta * mu * (theta - mu) / (q * q * q)
-        lth[i] = _digamma(yt) - dg_theta + log_theta + 1.0 - logq - yt / q
-        ath[i] = -mu / q + yt * mu / (q * q)
-        bth[i] = (yi + 2.0 * theta) * mu / (q * q) - 2.0 * yt * theta * mu / (q * q * q)
-    return ll, a, b, c, lth, ath, bth
-
-
-@njit(cache=True)
-def _inner_modes_loops(y, eta_fix, theta, sigma2, gptr, u0):
-    n_groups = gptr.size - 1
-    u = u0.copy()
-    for j in range(n_groups):
-        uj = u[j]
-        lo, hi = gptr[j], gptr[j + 1]
-        for _ in range(_MAX_NEWTON):
-            ga = -uj / sigma2
-            gb = 1.0 / sigma2
-            for i in range(lo, hi):
-                mu = math.exp(eta_fix[i] + uj)
-                q = theta + mu
-                yt = y[i] + theta
-                ga += y[i] - yt * mu / q
-                gb += yt * theta * mu / (q * q)
-            step = ga / gb
-            if step > _STEP_CAP:
-                step = _STEP_CAP
-            elif step < -_STEP_CAP:
-                step = -_STEP_CAP
-            uj += step
-            if abs(step) < _STEP_TOL:
-                break
-        u[j] = uj
-    return u
-
-
-# -- public selection --------------------------------------------------------------
-
-
-def nb2_row_terms(y, eta, theta, *, force_backend: str | None = None):
-    use = USE_NUMBA if force_backend is None else force_backend == "numba"
-    if use:
-        return _row_terms_loops(y, eta, float(theta))
-    return nb2_row_terms_numpy(y, eta, float(theta))
-
-
-def inner_modes(y, eta_fix, theta, sigma2, groups, gptr, u0, *, force_backend: str | None = None):
-    """Laplace mode of the random intercept for every group.
-
-    Rows must be sorted by group; ``gptr`` holds CSR-style offsets and
-    ``groups`` the per-row group code (the numpy path reduces with it).
-    """
-    use = USE_NUMBA if force_backend is None else force_backend == "numba"
-    if use:
-        return _inner_modes_loops(y, eta_fix, float(theta), float(sigma2), gptr, u0)
-    return inner_modes_numpy(y, eta_fix, float(theta), float(sigma2), groups, gptr, u0)
-
-
-def kernel_backend() -> str:
-    return backend()

@@ -3,6 +3,7 @@ import statistics
 import pytest
 
 from smellstab.corpus import ingest_corpus
+from smellstab.lexer import logical_lines
 from smellstab.mining import (
     DELETED,
     EXCLUDED_MERGE,
@@ -192,6 +193,48 @@ def test_chf_bounded_by_window_commits(mined):
         assert 0 <= o.chf <= len(result.commits)
         if o.chf == 0:
             assert o.chs == 0
+
+
+SHARED_IMPORTS = "".join(f"import java.util.Type{k};\n" for k in range(8))
+
+
+def _helper(name: str, last: int) -> str:
+    """18 logical lines: the shared imports, then 9 lines of the class's own."""
+    fields = "".join(f"    int {name.lower()}{k};\n" for k in range(1, 8))
+    return f"{SHARED_IMPORTS}public class {name} {{\n{fields}    int last{last};\n}}\n"
+
+
+def test_shared_imports_are_not_a_merge(git_repo_factory, tmp_path):
+    repo = git_repo_factory()
+    repo.write("UtilHelperA.java", _helper("UtilHelperA", 0))
+    repo.write("UtilHelperB.java", _helper("UtilHelperB", 0))
+    snapshot = repo.commit_all("snapshot", EPOCH)
+    repo.write("UtilHelperA.java", _helper("UtilHelperA", 1))
+    repo.write("UtilHelperB.java", _helper("UtilHelperB", 1))
+    repo.commit_all("edit both helpers", EPOCH + 3 * DAY)
+    tree = tmp_path / "tree"
+    archive_snapshot(repo.path, snapshot, tree)
+    corpus = ingest_corpus(tree, snapshot, project="helpers")
+    assert len(logical_lines(_helper("UtilHelperA", 0))) == 18
+    result = mine_window(repo.path, make_window(repo.path, snapshot, "main"), corpus)
+    outcomes = {o.focal.qualified_name: (o.status, o.chf) for o in aggregate_stability(result)}
+    assert outcomes == {"UtilHelperA": (TRACKED, 1), "UtilHelperB": (TRACKED, 1)}
+
+
+def test_modified_target_absorbing_a_class_is_a_merge(git_repo_factory, tmp_path):
+    repo = git_repo_factory()
+    repo.write("MergeA.java", MERGE_A_V0)
+    repo.write("MergeB.java", MERGE_B_V0)
+    snapshot = repo.commit_all("snapshot", EPOCH)
+    repo.remove("MergeB.java")
+    repo.write("MergeA.java", MERGED.replace("Merged", "MergeA"))
+    repo.commit_all("fold B into A", EPOCH + 3 * DAY)
+    tree = tmp_path / "tree"
+    archive_snapshot(repo.path, snapshot, tree)
+    corpus = ingest_corpus(tree, snapshot, project="fold")
+    result = mine_window(repo.path, make_window(repo.path, snapshot, "main"), corpus)
+    assert {q: lin.status for q, lin in result.lineages.items()} == {
+        "MergeA": EXCLUDED_MERGE, "MergeB": EXCLUDED_MERGE}
 
 
 def test_determinism_replay(git_repo_factory, tmp_path):

@@ -4,14 +4,18 @@ from pathlib import Path
 import pytest
 
 from smellstab.cli import main as cli_main
+import smellstab.pipeline
 from smellstab.io_utils import read_csv, write_csv
+from smellstab.manifest import filter_manifest, load_manifest
 from smellstab.pipeline import (
     DATASET_HEADER,
     PipelineConfig,
     PipelineIntegrityError,
     export_dataset,
     run_pipeline,
+    stage_inputs,
 )
+from smellstab.smells import ThresholdConfig
 
 from conftest import EPOCH, GitRepo
 
@@ -195,6 +199,21 @@ def test_dataset_roundtrip_lossless(tmp_path, fixture_projects):
     assert copy.read_bytes() == src.read_bytes()
 
 
+def test_interrupted_write_keeps_previous_file(tmp_path):
+    path = tmp_path / "dataset.csv"
+    write_csv(path, ["a", "b"], [[1, 2]])
+    before = path.read_bytes()
+
+    def rows():
+        yield [3, 4]
+        raise RuntimeError("crash mid-write")
+
+    with pytest.raises(RuntimeError, match="crash mid-write"):
+        write_csv(path, ["a", "b"], rows())
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["dataset.csv"]
+
+
 def test_duplicate_key_is_fatal(tmp_path):
     config = PipelineConfig(output_dir=str(tmp_path / "dup"))
     Path(config.output_dir).mkdir(parents=True, exist_ok=True)
@@ -247,11 +266,15 @@ def test_parallel_workers_identical_output(tmp_path, fixture_projects):
 
 
 def test_config_echo_replays(tmp_path, fixture_projects):
-    config, _ = _run(tmp_path, fixture_projects, name="replay")
+    config, outcome = _run(tmp_path, fixture_projects, name="replay")
     echo_path = tmp_path / "echoed_config.json"
-    echo_path.write_text(json.dumps(config.echo()))
+    meta = json.loads((Path(config.output_dir) / "dataset.csv.meta.json").read_text())
+    echo_path.write_text(json.dumps(meta["config"]))
     replayed = PipelineConfig.from_file(echo_path)
-    assert replayed.config_hash() == config.config_hash()
+    accepted, _ = filter_manifest(load_manifest(config.manifest), config.project_limit)
+    assert [e.repo for e in accepted] == outcome.accepted
+    for entry in accepted:
+        assert stage_inputs(entry, replayed) == stage_inputs(entry, config)
     assert replayed.thresholds == config.thresholds
 
 
@@ -274,3 +297,119 @@ def test_cli_filter(tmp_path, fixture_projects, capsys):
     ]) == 0
     doc = json.loads((out_dir / "selection.json").read_text())
     assert doc["accepted"] == ["fix/one", "fix/two"]
+
+
+# -- one parse per snapshot; stage keys from exactly the inputs a stage reads --
+
+KEEP_V0 = "public class Keep {\n    int k;\n}\n"
+KEEP_V1 = "public class Keep {\n    int k;\n    int l;\n}\n"
+DROP = "public class B {\n    int b;\n}\n"
+STAY_V0 = "public class Stay {\n    int s;\n}\n"
+STAY_V1 = "public class Stay {\n    int s;\n    int t;\n}\n"
+
+
+@pytest.fixture
+def three_commits(git_repo_factory):
+    """Snapshot with Keep, B and Stay; B.java is deleted, then Stay is edited."""
+    repo = git_repo_factory()
+    repo.write("Keep.java", KEEP_V0)
+    repo.write("B.java", DROP)
+    repo.write("Stay.java", STAY_V0)
+    first = repo.commit_all("snapshot", EPOCH)
+    repo.remove("B.java")
+    repo.write("Keep.java", KEEP_V1)
+    second = repo.commit_all("drop B", EPOCH + 5 * DAY)
+    repo.write("Stay.java", STAY_V1)
+    repo.commit_all("grow Stay", EPOCH + 9 * DAY)
+    return repo, first, second
+
+
+def _single_project(tmp_path, repo, snapshot, **config):
+    manifest = tmp_path / "single.jsonl"
+    manifest.write_text(_manifest_line("fix/three", repo, snapshot) + "\n")
+    config = PipelineConfig(manifest=str(manifest), output_dir=str(tmp_path / "out"), **config)
+    outcome = run_pipeline(config, stages=("analyze", "mine", "join"))
+    assert not outcome.quarantined
+    return config
+
+
+def _classes(config, *names):
+    base = Path(config.output_dir)
+    project = base / "projects" / "fix__three"
+    paths = {"observations.csv": project / "analyze" / "observations.csv",
+             "outcomes.csv": project / "mine" / "outcomes.csv",
+             "dataset.csv": base / "dataset.csv"}
+    return {name: sorted(r["class"] for r in read_csv(paths[name])[1]) for name in names or paths}
+
+
+def test_moved_snapshot_leaves_no_phantom_class(tmp_path, three_commits):
+    repo, first, second = three_commits
+    config = _single_project(tmp_path, repo, first)
+    assert _classes(config)["observations.csv"] == ["B", "Keep", "Stay"]
+    config = _single_project(tmp_path, repo, second)
+    assert _classes(config) == {name: ["Keep", "Stay"]
+                                for name in ("observations.csv", "outcomes.csv", "dataset.csv")}
+    assert not (Path(config.output_dir) / "snapshots").exists()
+
+
+def test_path_excludes_change_reruns_mine(tmp_path, three_commits):
+    repo, first, _ = three_commits
+    config = _single_project(tmp_path, repo, first)
+    assert _classes(config, "outcomes.csv") == {"outcomes.csv": ["B", "Keep", "Stay"]}
+    config = _single_project(tmp_path, repo, first, path_excludes=("B.java",))
+    assert _classes(config) == {name: ["Keep", "Stay"]
+                                for name in ("observations.csv", "outcomes.csv", "dataset.csv")}
+
+
+def test_each_snapshot_is_ingested_at_most_once(tmp_path, three_commits, monkeypatch):
+    repo, first, _ = three_commits
+    calls = []
+    real = smellstab.pipeline.ingest_corpus
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(smellstab.pipeline, "ingest_corpus", counting)
+    config = _single_project(tmp_path, repo, first)
+    assert len(calls) == 1
+    mine_marker = Path(config.output_dir) / "projects" / "fix__three" / "mine" / "stage.json"
+    marker_stat = mine_marker.stat()
+
+    calls.clear()
+    _single_project(tmp_path, repo, first, seed=11)
+    assert calls == []
+
+    _single_project(tmp_path, repo, first, thresholds=ThresholdConfig(FEW=4))
+    assert len(calls) == 1
+    after = mine_marker.stat()
+    assert (after.st_ino, after.st_mtime_ns) == (marker_stat.st_ino, marker_stat.st_mtime_ns)
+
+
+def test_stage_crash_leaves_no_valid_marker(tmp_path, three_commits, monkeypatch):
+    repo, first, _ = three_commits
+    config = _single_project(tmp_path, repo, first)
+    marker = Path(config.output_dir) / "projects" / "fix__three" / "analyze" / "stage.json"
+    assert marker.exists()
+
+    def crash(*args, **kwargs):
+        raise RuntimeError("crash mid-stage")
+
+    monkeypatch.setattr(smellstab.pipeline, "extract_dependencies", crash)
+    config.thresholds = ThresholdConfig(FEW=4)
+    outcome = run_pipeline(config, stages=("analyze",))
+    assert set(outcome.quarantined) == {"fix/three"}
+    assert not marker.exists()
+
+
+def test_project_sidecars_echo_their_stage_inputs(tmp_path, three_commits):
+    repo, first, _ = three_commits
+    config = _single_project(tmp_path, repo, first, seed=3)
+    entry = filter_manifest(load_manifest(config.manifest))[0][0]
+    inputs = stage_inputs(entry, config)
+    project = Path(config.output_dir) / "projects" / "fix__three"
+    for stage, name in (("analyze", "observations.csv"), ("analyze", "smells.csv"),
+                        ("mine", "outcomes.csv")):
+        meta = json.loads((project / stage / f"{name}.meta.json").read_text())
+        assert meta["config"] == inputs[stage]
+    assert "seed" not in inputs["analyze"] and "seed" not in inputs["mine"]

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.stats import nbinom
 
 from smellstab.stats import fit_negbin_random_intercept, fit_poisson
 from smellstab.stats.glmm import _LaplaceObjective, laplace_loglik_and_grad
@@ -76,23 +77,19 @@ def test_single_project_falls_back_with_warning():
     assert fit.converged
 
 
-def test_kernel_backends_agree():
+def test_row_terms_match_scipy_and_finite_differences():
     rng = np.random.default_rng(17)
-    n, G = 400, 8
-    y = rng.poisson(3.0, size=n).astype(float)
-    eta = rng.normal(0.5, 0.4, size=n)
-    groups = np.sort(rng.integers(0, G, size=n)).astype(np.int64)
-    counts = np.bincount(groups, minlength=G)
-    gptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
-    theta, sigma2 = 1.7, 0.3
-    terms_nb = nb2_row_terms(y, eta, theta, force_backend="numba")
-    terms_np = nb2_row_terms(y, eta, theta, force_backend="numpy")
-    for a, b in zip(terms_nb, terms_np):
-        np.testing.assert_allclose(a, b, rtol=1e-7, atol=1e-10)
-    u0 = np.zeros(G)
-    u_nb = inner_modes(y, eta, theta, sigma2, groups, gptr, u0, force_backend="numba")
-    u_np = inner_modes(y, eta, theta, sigma2, groups, gptr, u0, force_backend="numpy")
-    np.testing.assert_allclose(u_nb, u_np, rtol=1e-9, atol=1e-11)
+    y = rng.poisson(3.0, size=400).astype(float)
+    eta = rng.normal(0.5, 0.4, size=400)
+    theta, h = 1.7, 1e-5
+    ll, a, b, _c, lth, _ath, _bth = nb2_row_terms(y, eta, theta)
+    mu = np.exp(eta)
+    np.testing.assert_allclose(ll, nbinom.logpmf(y, theta, theta / (theta + mu)), rtol=1e-12)
+    ll_up, ll_down = nb2_row_terms(y, eta + h, theta)[0], nb2_row_terms(y, eta - h, theta)[0]
+    np.testing.assert_allclose(a, (ll_up - ll_down) / (2 * h), rtol=1e-6, atol=1e-8)
+    np.testing.assert_allclose(b, -(ll_up - 2 * ll + ll_down) / (h * h), rtol=1e-3, atol=1e-4)
+    th_up, th_down = nb2_row_terms(y, eta, theta + h)[0], nb2_row_terms(y, eta, theta - h)[0]
+    np.testing.assert_allclose(lth, (th_up - th_down) / (2 * h), rtol=1e-6, atol=1e-8)
 
 
 def test_inner_modes_solve_stationarity():
@@ -101,10 +98,8 @@ def test_inner_modes_solve_stationarity():
     y = rng.poisson(4.0, size=n).astype(float)
     eta = rng.normal(1.0, 0.3, size=n)
     groups = np.sort(rng.integers(0, G, size=n)).astype(np.int64)
-    counts = np.bincount(groups, minlength=G)
-    gptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
     theta, sigma2 = 2.0, 0.4
-    u = inner_modes(y, eta, theta, sigma2, groups, gptr, np.zeros(G))
+    u = inner_modes(y, eta, theta, sigma2, groups, np.zeros(G))
     mu = np.exp(eta + u[groups])
     a = y - (y + theta) * mu / (theta + mu)
     grad = np.bincount(groups, weights=a, minlength=G) - u / sigma2
