@@ -1,4 +1,4 @@
-"""Snapshot ingestion: filesystem tree -> resolved SourceCorpus.
+"""Snapshot ingestion: the snapshot's ``.java`` texts -> resolved SourceCorpus.
 
 Every parseable top-level type becomes a TypeDecl; single-file parse failures
 are recorded as diagnostics, never fatal.  After all files are parsed the
@@ -9,7 +9,7 @@ artifacts) and override/accessor flags are computed.
 from __future__ import annotations
 
 from fnmatch import fnmatch
-from pathlib import Path
+from pathlib import PurePosixPath
 
 from . import parser as jp
 from .lexer import Token
@@ -27,10 +27,6 @@ from .model import (
 from .resolve import Resolver
 
 JAVA_LANG_OBJECT = "java.lang.Object"
-
-
-class CorpusIngestError(OSError):
-    pass
 
 
 def _erased(ref: jp.TypeRef) -> str:
@@ -125,30 +121,29 @@ def _set_enclosing(top: TypeDecl) -> None:
 
 
 def ingest_corpus(
-    root: str | Path,
+    files: dict[str, str],
     snapshot: str,
-    project: str | None = None,
+    project: str,
     path_excludes: tuple[str, ...] = (),
 ) -> SourceCorpus:
-    """Parse every ``.java`` file under ``root`` into a resolved corpus."""
-    root = Path(root)
-    if not root.is_dir():
-        raise CorpusIngestError(f"corpus root is not a readable directory: {root}")
-    project = project if project is not None else root.name
+    """Parse ``files`` (repository-relative path -> source text) into a resolved corpus.
+
+    Files are read in path-component order, as a sorted directory walk
+    yields them; that order fixes the corpus order and which of two
+    same-named types is kept.
+    """
     corpus = SourceCorpus(project=project, snapshot_commit=snapshot)
     seen_qnames: set[str] = set()
-    for path in sorted(root.rglob("*.java")):
-        rel = path.relative_to(root).as_posix()
+    for rel in sorted(files, key=lambda r: PurePosixPath(r).parts):
         if any(fnmatch(rel, pattern) for pattern in path_excludes):
             continue
         try:
-            text = path.read_text(encoding="utf-8", errors="replace")
-            unit = jp.parse_compilation_unit(text)
+            unit = jp.parse_compilation_unit(files[rel])
         except (jp.JavaSyntaxError, RecursionError) as exc:
             corpus.diagnostics.append(Diagnostic(rel, f"parse failure: {exc}"))
             continue
         corpus.file_contexts[rel] = FileContext(unit.package, dict(unit.imports), unit.wildcard_imports)
-        stem = path.stem
+        stem = PurePosixPath(rel).stem
         file_types: list[TypeDecl] = []
         for raw in unit.types:
             decl = _build_type(raw, project, unit.package, rel, unit.package)

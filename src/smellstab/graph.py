@@ -23,12 +23,9 @@ corpus are kept but tagged external.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, field
-from pathlib import Path
 
 from .bodyscan import BodyFacts, scan_expression, scan_initializer, scan_member_body
-from .io_utils import atomic_writer
 from .model import (
     ArtifactId,
     ArtifactKind,
@@ -72,16 +69,6 @@ class DependencyGraph:
 
     def internal_edges(self) -> list[DependencyEdge]:
         return [e for e in self.edges if not e.external]
-
-    def write_csv(self, path: str | Path) -> None:
-        with atomic_writer(path) as fh:
-            w = csv.writer(fh)
-            w.writerow(["relation", "source_kind", "source", "target_kind", "target", "site_count"])
-            for e in self.edges:
-                w.writerow([
-                    e.relation.value, e.source.kind.value, str(e.source),
-                    e.target.kind.value, str(e.target), e.site_count,
-                ])
 
 
 class _EdgeAccumulator:

@@ -86,27 +86,13 @@ def tokenize(text: str) -> list[Token]:
                 line += text.count("\n", i, end)
                 i = end
                 continue
+        if c in "\"'":
+            # an unterminated literal stops before the newline, which is still counted
             j = i + 1
-            while j < n and text[j] != '"':
-                if text[j] == "\\":
-                    j += 1
-                elif text[j] == "\n":  # unterminated; stop at EOL
-                    break
-                j += 1
-            end = min(j + 1, n)
-            tokens.append(Token("string", text[i:end], line))
-            i = end
-            continue
-        if c == "'":
-            j = i + 1
-            while j < n and text[j] != "'":
-                if text[j] == "\\":
-                    j += 1
-                elif text[j] == "\n":
-                    break
-                j += 1
-            end = min(j + 1, n)
-            tokens.append(Token("char", text[i:end], line))
+            while j < n and text[j] not in (c, "\n"):
+                j += 2 if text[j] == "\\" and text[j + 1:j + 2] != "\n" else 1
+            end = min(j + 1 if j < n and text[j] == c else j, n)
+            tokens.append(Token("string" if c == '"' else "char", text[i:end], line))
             i = end
             continue
         if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):

@@ -2,12 +2,14 @@
 
 Only structural data is read (hashes, committer timestamps, parent counts,
 paths, blobs).  Author names and emails are never requested, so they cannot
-leak into any export.
+leak into any export.  Blobs are named by id and read many per process;
+analysis and mining decode them the same way, so both see the same text.
 """
 
 from __future__ import annotations
 
 import subprocess
+from collections.abc import Iterable
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -16,14 +18,11 @@ class GitError(RuntimeError):
     pass
 
 
-def run_git(repo: str | Path, *args: str, check: bool = True) -> str:
-    proc = subprocess.run(
-        ["git", "-C", str(repo), *args],
-        capture_output=True,
-    )
-    if check and proc.returncode != 0:
+def _git(repo: str | Path, *args: str, stdin: bytes = b"") -> bytes:
+    proc = subprocess.run(["git", "-C", str(repo), *args], input=stdin, capture_output=True)
+    if proc.returncode != 0:
         raise GitError(f"git {' '.join(args)} failed: {proc.stderr.decode(errors='replace').strip()}")
-    return proc.stdout.decode(errors="replace")
+    return proc.stdout
 
 
 @dataclass(frozen=True)
@@ -35,7 +34,7 @@ class ChainEntry:
 
 def first_parent_chain(repo: str | Path, branch: str) -> list[ChainEntry]:
     """First-parent history of ``branch``, newest first."""
-    out = run_git(repo, "log", "--first-parent", "--format=%H %ct %P", branch)
+    out = _git(repo, "log", "--first-parent", "--format=%H %ct %P", branch).decode()
     entries = []
     for line in out.splitlines():
         parts = line.split()
@@ -45,43 +44,72 @@ def first_parent_chain(repo: str | Path, branch: str) -> list[ChainEntry]:
     return entries
 
 
-def commit_timestamp(repo: str | Path, commit: str) -> int:
-    return int(run_git(repo, "log", "-1", "--format=%ct", commit).strip())
+@dataclass(frozen=True)
+class FileChange:
+    status: str  # git's one-letter status: A, D, M, T, ...
+    path: str
+    old: str  # blob id before the commit, all zeros when absent
+    new: str  # blob id after the commit, all zeros when absent
 
 
-def diff_name_status(repo: str | Path, parent: str, commit: str) -> list[tuple[str, str]]:
-    """(status, path) pairs between two revisions, git's own rename detection off."""
-    out = run_git(repo, "diff-tree", "-r", "--no-renames", "--name-status", parent, commit)
-    changes = []
-    for line in out.splitlines():
-        if not line.strip():
-            continue
-        status, _, path = line.partition("\t")
-        changes.append((status.strip()[:1], path))
+def diff_commits(repo: str | Path, pairs: Iterable[tuple[str, str]]) -> dict[str, list[FileChange]]:
+    """Changed files of each ``(commit, parent)`` pair, git's rename detection off.
+
+    One ``git diff-tree --stdin`` serves all pairs; a commit whose diff is
+    empty is absent from the result.
+    """
+    stdin = "".join(f"{commit} {parent}\n" for commit, parent in pairs).encode()
+    out = _git(repo, "diff-tree", "--stdin", "-r", "-z", "--no-renames", "--no-abbrev", stdin=stdin)
+    changes: dict[str, list[FileChange]] = {}
+    fields = iter(out.split(b"\0"))
+    current: list[FileChange] = []
+    for f in fields:
+        if f.startswith(b":"):  # ":<mode> <mode> <old> <new> <status>", then the path
+            _old_mode, _new_mode, old, new, status = f[1:].decode().split(" ")
+            path = next(fields).decode(errors="replace")
+            current.append(FileChange(status[:1], path, old, new))
+        elif f:
+            current = changes.setdefault(f.decode(), [])
     return changes
 
 
-def show_blob(repo: str | Path, commit: str, path: str) -> str | None:
-    """File content at a revision; None when the path is absent there."""
-    proc = subprocess.run(
-        ["git", "-C", str(repo), "show", f"{commit}:{path}"],
-        capture_output=True,
-    )
-    if proc.returncode != 0:
-        return None
-    return proc.stdout.decode("utf-8", errors="replace")
+def show_blob(repo: str | Path, blob_ids: Iterable[str]) -> dict[str, str]:
+    """Decoded text of each readable blob, by id; one ``git cat-file --batch``.
+
+    An id git cannot read as a blob is absent from the result; no ids, no process.
+    """
+    ids = list(dict.fromkeys(blob_ids))
+    if not ids:
+        return {}
+    out = _git(repo, "cat-file", "--batch", stdin="".join(f"{b}\n" for b in ids).encode())
+    texts: dict[str, str] = {}
+    pos = 0
+    for blob in ids:
+        eol = out.index(b"\n", pos)
+        header = out[pos:eol].split(b" ")  # "<id> <type> <size>" or "<id> missing"
+        pos = eol + 1
+        if len(header) == 3:
+            size = int(header[2])
+            if header[1] == b"blob":  # UTF-8 with replacement, universal newlines
+                text = out[pos:pos + size].decode("utf-8", errors="replace")
+                texts[blob] = text.replace("\r\n", "\n").replace("\r", "\n")
+            pos += size + 1
+    return texts
 
 
-def archive_snapshot(repo: str | Path, commit: str, dest: str | Path) -> None:
-    """Extract the tree at ``commit`` into ``dest`` (clone left untouched)."""
-    dest = Path(dest)
-    dest.mkdir(parents=True, exist_ok=True)
-    archive = subprocess.run(
-        ["git", "-C", str(repo), "archive", commit],
-        capture_output=True,
-    )
-    if archive.returncode != 0:
-        raise GitError(f"git archive {commit} failed: {archive.stderr.decode(errors='replace').strip()}")
-    extract = subprocess.run(["tar", "-x", "-C", str(dest)], input=archive.stdout, capture_output=True)
-    if extract.returncode != 0:
-        raise GitError(f"extracting archive failed: {extract.stderr.decode(errors='replace').strip()}")
+def archive_snapshot(repo: str | Path, commit: str) -> dict[str, str]:
+    """Text of every regular ``.java`` file in the tree at ``commit``, by path."""
+    blobs: dict[str, str] = {}
+    for entry in _git(repo, "ls-tree", "-r", "-z", commit).split(b"\0"):
+        if not entry:
+            continue
+        meta, _, raw_path = entry.partition(b"\t")
+        mode, _type, blob = meta.split(b" ")
+        path = raw_path.decode(errors="replace")
+        if mode in (b"100644", b"100755") and path.endswith(".java"):
+            blobs[path] = blob.decode()
+    texts = show_blob(repo, blobs.values())
+    for path, blob in blobs.items():
+        if blob not in texts:
+            raise GitError(f"unreadable blob {blob} for {path} at {commit}")
+    return {path: texts[blob] for path, blob in blobs.items()}

@@ -10,13 +10,14 @@ diffing), so whitespace- or comment-only commits change nothing.
 from __future__ import annotations
 
 import statistics
+from collections import Counter
 from dataclasses import dataclass, field
 from difflib import SequenceMatcher
 from pathlib import Path
 
 from ..lexer import logical_lines
 from ..model import ArtifactId, Diagnostic, SourceCorpus
-from .gitio import ChainEntry, diff_name_status, first_parent_chain, show_blob
+from .gitio import ChainEntry, diff_commits, first_parent_chain, show_blob
 
 DEFAULT_WINDOW_DAYS = 365
 DEFAULT_RENAME_THRESHOLD = 0.6
@@ -64,10 +65,6 @@ class ClassLineage:
     focal: ArtifactId
     timeline: list[tuple[str, str]]  # (commit, path); "" = snapshot
     status: str = TRACKED
-
-    @property
-    def current_path(self) -> str:
-        return self.timeline[-1][1]
 
 
 @dataclass(frozen=True)
@@ -149,32 +146,45 @@ def mine_window(
     system_churn = 0
     diagnostics: list[Diagnostic] = []
 
-    def lines_at(commit: str, path: str) -> list[str]:
-        text = show_blob(repo, commit, path)
-        if text is None:
-            diagnostics.append(Diagnostic(path, f"unreadable blob at {commit[:12]}"))
-            return []
-        return logical_lines(text)
+    diffs = diff_commits(repo, [(rec.id, rec.first_parent) for rec in commits])
+    lines_of_blob: dict[str, list[str]] = {}
+    blob_at: dict[str, str] = {}  # path -> blob (all zeros once deleted), for paths seen changing
+    holders: Counter[str] = Counter()  # blob -> paths in ``blob_at`` that hold it
 
     for rec in commits:
-        changes = [(s, p) for s, p in diff_name_status(repo, rec.first_parent, rec.id) if p.endswith(".java")]
-        adds = sorted(p for s, p in changes if s == "A")
-        dels = sorted(p for s, p in changes if s == "D")
-        mods = sorted(p for s, p in changes if s == "M")
+        changes = [c for c in diffs.get(rec.id, []) if c.path.endswith(".java")]
+        adds = sorted(c.path for c in changes if c.status == "A")
+        dels = sorted(c.path for c in changes if c.status == "D")
+        mods = sorted(c.path for c in changes if c.status == "M")
+        before_blob = {c.path: c.old for c in changes if c.status in ("D", "M")}
+        after_blob = {c.path: c.new for c in changes if c.status in ("A", "M")}
+        unread = sorted((set(before_blob.values()) | set(after_blob.values())) - lines_of_blob.keys())
+        texts = show_blob(repo, unread)
+        lines_of_blob.update((b, logical_lines(texts[b])) for b in unread if b in texts)
 
-        before_cache: dict[str, list[str]] = {}
-        after_cache: dict[str, list[str]] = {}
-        for p in dels + mods:
-            before_cache[p] = lines_at(rec.first_parent, p)
-        for p in adds + mods:
-            after_cache[p] = lines_at(rec.id, p)
+        for path, blob in [*before_blob.items(), *after_blob.items()]:
+            if blob not in lines_of_blob:
+                diagnostics.append(Diagnostic(path, f"unreadable blob {blob} in {rec.id[:12]}"))
+        before_cache = {p: lines_of_blob.get(b, []) for p, b in before_blob.items()}
+        after_cache = {p: lines_of_blob.get(b, []) for p, b in after_blob.items()}
 
-        for status, p in changes:
-            b = before_cache.get(p, [])
-            a = after_cache.get(p, [])
+        for c in changes:
+            b = before_cache.get(c.path, [])
+            a = after_cache.get(c.path, [])
             add_n, del_n = _line_churn(b, a)
             system_churn += add_n + del_n
-            rec.files.append((status, p, add_n, del_n))
+            rec.files.append((c.status, c.path, add_n, del_n))
+
+        # a blob's lines are dropped once no path this walk knows still holds it
+        for c in changes:
+            if c.path in blob_at:
+                holders[blob_at[c.path]] -= 1
+            blob_at[c.path] = c.new
+            holders[c.new] += 1
+        for c in changes:
+            if holders[c.old] <= 0:
+                del holders[c.old]
+                lines_of_blob.pop(c.old, None)
 
         tracked_dels = [p for p in dels if p in path_to_class]
         tracked_mods = [p for p in mods if p in path_to_class]

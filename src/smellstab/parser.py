@@ -32,10 +32,6 @@ class TypeRef:
     args: tuple[str, ...] = ()  # flattened raw names referenced in type arguments
     dims: int = 0
 
-    @property
-    def is_primitive(self) -> bool:
-        return self.name in PRIMITIVE_TYPES
-
 
 NO_TYPE = TypeRef("")
 

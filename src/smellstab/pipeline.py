@@ -1,7 +1,7 @@
 """End-to-end orchestration: analyze, mine, join, fit, report.
 
-Each project's snapshot is parsed at most once per run, from a throwaway
-tree, and only when a stage that reads the parse is stale.  Per-project
+Each project's snapshot is read from git by blob id and parsed at most once
+per run, and only when a stage that reads the parse is stale.  Per-project
 stages are cached under a key derived from exactly the inputs each reads
 (``stage_inputs``), and a project failure quarantines the project without
 stopping the run.  All outputs are deterministic byte-for-byte for a fixed
@@ -13,11 +13,10 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import tempfile
 import traceback
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields as dc_fields
 from pathlib import Path
 
 from . import __version__ as _version
@@ -55,6 +54,7 @@ CLASS_METRICS_HEADER = [
     "amw", "nprotm", "bur", "bovr", "nas", "pnas",
 ]
 SMELLS_HEADER = ["smell", "level", "host", "enclosing_class"]
+EDGES_HEADER = ["relation", "source_kind", "source", "target_kind", "target", "site_count"]
 
 
 class PipelineIntegrityError(RuntimeError):
@@ -93,16 +93,20 @@ class PipelineConfig:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "PipelineConfig":
-        """Load a config JSON; a config echo from a previous run is accepted."""
+        """Load a config JSON; a config echo from a previous run is accepted.
+
+        An unknown key is an error, so a misspelt field cannot silently fall
+        back to its default; ``tool_version`` is echo-only and ignored.
+        """
         doc = json.loads(Path(path).read_text())
+        known = {f.name for f in dc_fields(cls)}
+        unknown = sorted(doc.keys() - known - {"tool_version"})
+        if unknown:
+            raise ValueError(f"{path}: unknown config keys {', '.join(unknown)}")
         threshold_doc = {k: v for k, v in doc.get("thresholds", {}).items()
                          if k != "threshold_schema_version"}
         thresholds = ThresholdConfig(**threshold_doc)
-        known = {
-            "manifest", "output_dir", "window_days", "rename_threshold", "split_threshold",
-            "project_limit", "include_deleted", "path_excludes", "workers", "seed",
-        }
-        kwargs = {k: v for k, v in doc.items() if k in known}
+        kwargs = {k: v for k, v in doc.items() if k not in ("tool_version", "thresholds")}
         if "path_excludes" in kwargs:
             kwargs["path_excludes"] = tuple(kwargs["path_excludes"])
         return cls(thresholds=thresholds, **kwargs)
@@ -140,17 +144,11 @@ def _stage_key(inputs: dict) -> str:
 
 
 def _snapshot_loader(entry: ProjectManifestEntry, config: PipelineConfig) -> Callable[[], SourceCorpus]:
-    """The project's parsed snapshot, ingested on first call and then reused.
-
-    The tree is extracted into a fresh temporary directory that is removed
-    once parsed, so no file of another snapshot can leak into the corpus.
-    """
+    """The project's parsed snapshot, ingested on first call and then reused."""
     @functools.cache
     def load() -> SourceCorpus:
-        with tempfile.TemporaryDirectory(prefix="smellstab-snapshot-") as tree:
-            archive_snapshot(entry.clone_path, entry.snapshot, tree)
-            return ingest_corpus(tree, entry.snapshot, project=entry.repo,
-                                 path_excludes=config.path_excludes)
+        return ingest_corpus(archive_snapshot(entry.clone_path, entry.snapshot), entry.snapshot,
+                             project=entry.repo, path_excludes=config.path_excludes)
 
     return load
 
@@ -187,7 +185,10 @@ def analyze_project(entry: ProjectManifestEntry, config: PipelineConfig,
     corpus = load_corpus()
     write_text(out / "corpus.json", corpus.to_json())
     graph, facts = extract_dependencies(corpus)
-    graph.write_csv(out / "edges.csv")
+    write_csv(out / "edges.csv", EDGES_HEADER, [
+        [e.relation.value, e.source.kind.value, str(e.source), e.target.kind.value, str(e.target),
+         e.site_count] for e in graph.edges
+    ])
     ctx = build_metrics_context(corpus, graph, facts)
 
     method_rows = []

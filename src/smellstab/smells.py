@@ -258,13 +258,6 @@ def detect_smells_with_diagnostics(
     return instances, diagnostics
 
 
-def instances_by_enclosing(instances: list[SmellInstance]) -> dict[ArtifactId, list[SmellInstance]]:
-    out: dict[ArtifactId, list[SmellInstance]] = {}
-    for inst in instances:
-        out.setdefault(inst.enclosing, []).append(inst)
-    return out
-
-
 def per_strategy_counts(instances: list[SmellInstance]) -> dict[str, int]:
     counts = {s.value: 0 for s in SmellType}
     for inst in instances:

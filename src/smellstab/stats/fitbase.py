@@ -156,7 +156,8 @@ def maximize(obj_grad, x0: np.ndarray, bounds=None) -> MaximizeOutcome:
             if bounds is not None:
                 x_new = np.clip(x_new, [b[0] for b in bounds], [b[1] for b in bounds])
             ll_new, grad_new = obj_grad(x_new)
-            if np.isfinite(ll_new) and ll_new >= ll - 1e-12:
+            # relative slack: at large |ll| a step at the optimum moves ll only by rounding
+            if np.isfinite(ll_new) and ll_new >= ll - 1e-12 * max(1.0, abs(ll)):
                 rel_change = abs(ll_new - ll) / max(1.0, abs(ll))
                 x, ll, grad = x_new, ll_new, grad_new
                 improved = True

@@ -12,50 +12,24 @@ from smellstab.graph import extract_dependencies
 EPOCH = 1577836800  # 2020-01-01T00:00:00Z
 
 
-def write_corpus_files(root: Path, files: dict[str, str]) -> None:
-    for name, content in files.items():
-        path = root / name
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_text(content)
+def build_corpus(files: dict[str, str], project: str = "fix", snapshot: str = "s0"):
+    return ingest_corpus(files, snapshot, project=project)
 
 
-def build_corpus(tmp_path: Path, files: dict[str, str], project: str = "fix", snapshot: str = "s0"):
-    root = tmp_path / "src"
-    root.mkdir(parents=True, exist_ok=True)
-    write_corpus_files(root, files)
-    return ingest_corpus(root, snapshot, project=project)
-
-
-def build_analyzed(tmp_path: Path, files: dict[str, str], project: str = "fix"):
-    corpus = build_corpus(tmp_path, files, project=project)
+def build_analyzed(files: dict[str, str], project: str = "fix"):
+    corpus = build_corpus(files, project=project)
     graph, facts = extract_dependencies(corpus)
     return corpus, graph, facts
 
 
 @pytest.fixture
-def corpus_factory(tmp_path):
-    counter = [0]
-
-    def make(files: dict[str, str], project: str = "fix"):
-        counter[0] += 1
-        sub = tmp_path / f"corpus{counter[0]}"
-        sub.mkdir()
-        return build_corpus(sub, files, project=project)
-
-    return make
+def corpus_factory():
+    return build_corpus
 
 
 @pytest.fixture
-def analyzed_factory(tmp_path):
-    counter = [0]
-
-    def make(files: dict[str, str], project: str = "fix"):
-        counter[0] += 1
-        sub = tmp_path / f"analyzed{counter[0]}"
-        sub.mkdir()
-        return build_analyzed(sub, files, project=project)
-
-    return make
+def analyzed_factory():
+    return build_analyzed
 
 
 class GitRepo:

@@ -75,13 +75,13 @@ def _fig2_smells(corpus):
     ]
 
 
-def test_criterion_1_figure2_semantics(tmp_path):
+def test_criterion_1_figure2_semantics():
     with criterion(1, "Figure-2 coupling/interaction semantics", budget=1.0):
-        corpus_a, graph_a, _ = build_analyzed(tmp_path / "a", FIG2_CASE_A_FILES)
+        corpus_a, graph_a, _ = build_analyzed(FIG2_CASE_A_FILES)
         obs_a = build_observation(corpus_a.index["C1"], corpus_a, graph_a, _fig2_smells(corpus_a))
         assert obs_a.has_eff_coup is True
         assert obs_a.has_eff_int is False
-        corpus_b, graph_b, _ = build_analyzed(tmp_path / "b", FIG2_CASE_B_FILES)
+        corpus_b, graph_b, _ = build_analyzed(FIG2_CASE_B_FILES)
         obs_b = build_observation(corpus_b.index["C1"], corpus_b, graph_b, _fig2_smells(corpus_b))
         assert obs_b.has_eff_coup is True
         assert obs_b.has_eff_int is True
@@ -89,9 +89,9 @@ def test_criterion_1_figure2_semantics(tmp_path):
         assert obs_b.eff_int_inten == 1
 
 
-def test_criterion_2_figure1_semantics(tmp_path):
+def test_criterion_2_figure1_semantics():
     with criterion(2, "Figure-1 efferent neighbor count"):
-        corpus, graph, _ = build_analyzed(tmp_path, FIG1_FILES)
+        corpus, graph, _ = build_analyzed(FIG1_FILES)
         neighbors = efferent_neighbors(graph, corpus, corpus.index["C"])
         assert {n.qualified_name for n in neighbors} == {"N1", "N2"}
         assert len(neighbors) == 2
@@ -111,22 +111,22 @@ def test_criterion_3_interaction_oracle():
                 assert has_int == (n_oracle > 0)
 
 
-def test_criterion_4_smell_strategies(tmp_path):
+def test_criterion_4_smell_strategies():
     with criterion(4, "10 trigger + 10 near-miss smell fixtures"):
         for name, (build, near) in sorted(SMELL_FIXTURES.items()):
             files, expected = build()
-            corpus, graph, facts = build_analyzed(tmp_path / f"t_{name}", files)
+            corpus, graph, facts = build_analyzed(files)
             got = {(s.smell.value, s.host.qualified_name)
                    for s in detect_smells(corpus, graph, facts)}
             assert got == expected, name
             near_files, _ = near()
-            corpus, graph, facts = build_analyzed(tmp_path / f"n_{name}", near_files)
+            corpus, graph, facts = build_analyzed(near_files)
             assert detect_smells(corpus, graph, facts) == [], name
 
 
-def test_criterion_5_dependency_coverage(tmp_path):
+def test_criterion_5_dependency_coverage():
     with criterion(5, "all-ten-relations fixture exact edge set"):
-        corpus, graph, _ = build_analyzed(tmp_path, TEN_RELATIONS_FILES)
+        corpus, graph, _ = build_analyzed(TEN_RELATIONS_FILES)
         ten = corpus.index["Ten"]
         run = ArtifactId("fix", "Ten.run", ArtifactKind.METHOD, "Par")
 
@@ -153,13 +153,11 @@ def test_criterion_5_dependency_coverage(tmp_path):
         assert actual == expected
 
 
-def test_criterion_6_mining_protocol(git_repo_factory, tmp_path):
+def test_criterion_6_mining_protocol(git_repo_factory):
     with criterion(6, "scripted mining fixture: renames/split/merge/whitespace/merge-commit",
                    budget=10.0):
         repo, snapshot = mining_fix.build_fixture_repo(git_repo_factory)
-        tree = tmp_path / "tree"
-        archive_snapshot(repo.path, snapshot, tree)
-        corpus = ingest_corpus(tree, snapshot, project="mined")
+        corpus = ingest_corpus(archive_snapshot(repo.path, snapshot), snapshot, project="mined")
         window = make_window(repo.path, snapshot, "main")
         result = mine_window(repo.path, window, corpus)
         assert sum(1 for c in result.commits if c.parent_count == 2) == 1

@@ -1,25 +1,24 @@
 import pytest
 
-from smellstab.corpus import CorpusIngestError, ingest_corpus
+from smellstab.corpus import ingest_corpus
 from smellstab.model import ArtifactKind, CorpusLookupError
 
 from conftest import build_corpus
 
 
-def test_empty_directory_yields_empty_corpus(tmp_path):
-    root = tmp_path / "empty"
-    root.mkdir()
-    corpus = ingest_corpus(root, "s0", project="p")
-    assert corpus.types == []
+def test_empty_snapshot_yields_empty_corpus():
+    assert ingest_corpus({}, "s0", project="p").types == []
 
 
-def test_unreadable_root_is_fatal(tmp_path):
-    with pytest.raises(CorpusIngestError):
-        ingest_corpus(tmp_path / "missing", "s0")
+def test_files_are_read_in_directory_walk_order():
+    # "a-b/..." sorts before "a/..." as a string, after it by path component
+    corpus = build_corpus({"a-b/X.java": "class X {}", "a/X.java": "class X { int f; }"})
+    assert [t.file for t in corpus.types] == ["a/X.java"]
+    assert corpus.diagnostics[0].file == "a-b/X.java"
 
 
-def test_class_and_interface(tmp_path):
-    corpus = build_corpus(tmp_path, {
+def test_class_and_interface():
+    corpus = build_corpus({
         "A.java": "public class A { int f; }",
         "B.java": "public interface B { void m(); }",
     })
@@ -30,8 +29,8 @@ def test_class_and_interface(tmp_path):
     assert names["B"].methods[0].is_abstract
 
 
-def test_nested_class_back_references_top_level(tmp_path):
-    corpus = build_corpus(tmp_path, {
+def test_nested_class_back_references_top_level():
+    corpus = build_corpus({
         "Outer.java": "class Outer { class Inner { void m() {} } }",
     })
     assert len(corpus.types) == 1
@@ -41,8 +40,8 @@ def test_nested_class_back_references_top_level(tmp_path):
     assert inner.enclosing == outer.id
 
 
-def test_parse_failure_is_diagnostic_not_fatal(tmp_path):
-    corpus = build_corpus(tmp_path, {
+def test_parse_failure_is_diagnostic_not_fatal():
+    corpus = build_corpus({
         "Good.java": "class Good {}",
         "Bad.java": "class Bad { this is not java ;;;",
     })
@@ -50,8 +49,8 @@ def test_parse_failure_is_diagnostic_not_fatal(tmp_path):
     assert any("Bad.java" in d.file for d in corpus.diagnostics)
 
 
-def test_packages_and_qualified_names(tmp_path):
-    corpus = build_corpus(tmp_path, {
+def test_packages_and_qualified_names():
+    corpus = build_corpus({
         "a/X.java": "package a; public class X { int f; void m(int k) {} }",
     })
     t = corpus.types[0]
@@ -62,8 +61,8 @@ def test_packages_and_qualified_names(tmp_path):
     assert m.id.signature == "int"
 
 
-def test_enclosing_class_rules(tmp_path):
-    corpus = build_corpus(tmp_path, {
+def test_enclosing_class_rules():
+    corpus = build_corpus({
         "Outer.java": "class Outer { void top() {} class Inner { void m() {} } }",
     })
     outer = corpus.types[0]
@@ -78,26 +77,26 @@ def test_enclosing_class_rules(tmp_path):
     assert corpus.enclosing_class(corpus.enclosing_class(inner_method.id)) == outer.id
 
 
-def test_enclosing_class_unknown_artifact(tmp_path):
-    corpus = build_corpus(tmp_path, {"A.java": "class A {}"})
+def test_enclosing_class_unknown_artifact():
+    corpus = build_corpus({"A.java": "class A {}"})
     from smellstab.model import ArtifactId
 
     with pytest.raises(CorpusLookupError):
         corpus.enclosing_class(ArtifactId("fix", "Nope", ArtifactKind.CLASS))
 
 
-def test_reingest_is_byte_identical(tmp_path):
+def test_reingest_is_byte_identical():
     files = {
         "a/X.java": "package a; class X { int f; void m() { f = f + 1; } }",
         "a/Y.java": "package a; interface Y { int K = 1; }",
     }
-    c1 = build_corpus(tmp_path / "one", files)
-    c2 = build_corpus(tmp_path / "two", files)
+    c1 = build_corpus(files)
+    c2 = build_corpus(files)
     assert c1.to_json() == c2.to_json()
 
 
-def test_referential_closure(tmp_path):
-    corpus = build_corpus(tmp_path, {
+def test_referential_closure():
+    corpus = build_corpus({
         "Outer.java": "class Outer { int f; Outer() {} void m() {} class In { void g() {} } }",
     })
     for top in corpus.types:
@@ -105,8 +104,8 @@ def test_referential_closure(tmp_path):
             assert corpus.enclosing_class(aid) == top.id
 
 
-def test_loc_accounting(tmp_path):
-    corpus = build_corpus(tmp_path, {
+def test_loc_accounting():
+    corpus = build_corpus({
         "A.java": "class A {\n  // comment\n  int f;\n\n  void m() {\n    int x = 1;\n  }\n}\n",
     })
     t = corpus.types[0]
@@ -116,8 +115,8 @@ def test_loc_accounting(tmp_path):
     assert t.loc >= max(m.loc for m in t.methods)
 
 
-def test_accessor_classification(tmp_path):
-    corpus = build_corpus(tmp_path, {
+def test_accessor_classification():
+    corpus = build_corpus({
         "A.java": (
             "class A { int f; int g;\n"
             "  int getF() { return f; }\n"
@@ -139,8 +138,8 @@ def test_accessor_classification(tmp_path):
     assert not by_name["alsoNot"].is_accessor
 
 
-def test_override_detection(tmp_path):
-    corpus = build_corpus(tmp_path, {
+def test_override_detection():
+    corpus = build_corpus({
         "Base.java": "class Base { void a() {} void b(int x) {} }",
         "Sub.java": "class Sub extends Base { void a() {} void b() {} void c() {} }",
     })
@@ -149,8 +148,8 @@ def test_override_detection(tmp_path):
     assert flags == {"a": True, "b": False, "c": False}  # b has different arity
 
 
-def test_primary_type_of_file(tmp_path):
-    corpus = build_corpus(tmp_path, {
+def test_primary_type_of_file():
+    corpus = build_corpus({
         "Main.java": "public class Main {}\nclass Side {}",
     })
     assert corpus.primary_type_of_file["Main.java"] == "Main"

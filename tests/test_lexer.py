@@ -51,3 +51,11 @@ def test_char_and_text_block_literals():
     toks = tokenize(text)
     assert any(t.kind == "char" for t in toks)
     assert any(t.kind == "string" and "body" in t.value for t in toks)
+
+
+def test_unterminated_literal_stops_before_the_newline():
+    for quote in "\"'":
+        toks = tokenize(f"a = {quote}abc\nint x;")
+        assert [(t.value, t.line) for t in toks][-3:] == [("int", 2), ("x", 2), (";", 2)]
+        assert toks[2].value == f"{quote}abc"
+    assert logical_lines("s = \"abc\\\nint x;") == ['s = "abc\\', "int x ;"]

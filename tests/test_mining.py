@@ -2,6 +2,8 @@ import statistics
 
 import pytest
 
+import smellstab.mining.gitio
+import smellstab.mining.miner
 from smellstab.corpus import ingest_corpus
 from smellstab.lexer import logical_lines
 from smellstab.mining import (
@@ -9,6 +11,7 @@ from smellstab.mining import (
     EXCLUDED_MERGE,
     EXCLUDED_SPLIT,
     TRACKED,
+    GitError,
     MiningConfigError,
     activity_summary,
     aggregate_stability,
@@ -109,12 +112,14 @@ def build_fixture_repo(git_repo_factory):
     return repo, snapshot
 
 
+def snapshot_corpus(repo, snapshot: str, project: str):
+    return ingest_corpus(archive_snapshot(repo.path, snapshot), snapshot, project=project)
+
+
 @pytest.fixture
-def mined(git_repo_factory, tmp_path):
+def mined(git_repo_factory):
     repo, snapshot = build_fixture_repo(git_repo_factory)
-    tree = tmp_path / "snapshot_tree"
-    archive_snapshot(repo.path, snapshot, tree)
-    corpus = ingest_corpus(tree, snapshot, project="mined")
+    corpus = snapshot_corpus(repo, snapshot, "mined")
     window = make_window(repo.path, snapshot, "main")
     result = mine_window(repo.path, window, corpus)
     return repo, snapshot, corpus, window, result
@@ -204,7 +209,7 @@ def _helper(name: str, last: int) -> str:
     return f"{SHARED_IMPORTS}public class {name} {{\n{fields}    int last{last};\n}}\n"
 
 
-def test_shared_imports_are_not_a_merge(git_repo_factory, tmp_path):
+def test_shared_imports_are_not_a_merge(git_repo_factory):
     repo = git_repo_factory()
     repo.write("UtilHelperA.java", _helper("UtilHelperA", 0))
     repo.write("UtilHelperB.java", _helper("UtilHelperB", 0))
@@ -212,16 +217,14 @@ def test_shared_imports_are_not_a_merge(git_repo_factory, tmp_path):
     repo.write("UtilHelperA.java", _helper("UtilHelperA", 1))
     repo.write("UtilHelperB.java", _helper("UtilHelperB", 1))
     repo.commit_all("edit both helpers", EPOCH + 3 * DAY)
-    tree = tmp_path / "tree"
-    archive_snapshot(repo.path, snapshot, tree)
-    corpus = ingest_corpus(tree, snapshot, project="helpers")
+    corpus = snapshot_corpus(repo, snapshot, "helpers")
     assert len(logical_lines(_helper("UtilHelperA", 0))) == 18
     result = mine_window(repo.path, make_window(repo.path, snapshot, "main"), corpus)
     outcomes = {o.focal.qualified_name: (o.status, o.chf) for o in aggregate_stability(result)}
     assert outcomes == {"UtilHelperA": (TRACKED, 1), "UtilHelperB": (TRACKED, 1)}
 
 
-def test_modified_target_absorbing_a_class_is_a_merge(git_repo_factory, tmp_path):
+def test_modified_target_absorbing_a_class_is_a_merge(git_repo_factory):
     repo = git_repo_factory()
     repo.write("MergeA.java", MERGE_A_V0)
     repo.write("MergeB.java", MERGE_B_V0)
@@ -229,25 +232,92 @@ def test_modified_target_absorbing_a_class_is_a_merge(git_repo_factory, tmp_path
     repo.remove("MergeB.java")
     repo.write("MergeA.java", MERGED.replace("Merged", "MergeA"))
     repo.commit_all("fold B into A", EPOCH + 3 * DAY)
-    tree = tmp_path / "tree"
-    archive_snapshot(repo.path, snapshot, tree)
-    corpus = ingest_corpus(tree, snapshot, project="fold")
+    corpus = snapshot_corpus(repo, snapshot, "fold")
     result = mine_window(repo.path, make_window(repo.path, snapshot, "main"), corpus)
     assert {q: lin.status for q, lin in result.lineages.items()} == {
         "MergeA": EXCLUDED_MERGE, "MergeB": EXCLUDED_MERGE}
 
 
-def test_determinism_replay(git_repo_factory, tmp_path):
+def test_determinism_replay(git_repo_factory):
     repo, snapshot = build_fixture_repo(git_repo_factory)
-    tree = tmp_path / "tree"
-    archive_snapshot(repo.path, snapshot, tree)
-    corpus = ingest_corpus(tree, snapshot, project="mined")
+    corpus = snapshot_corpus(repo, snapshot, "mined")
     window = make_window(repo.path, snapshot, "main")
     r1 = mine_window(repo.path, window, corpus)
     r2 = mine_window(repo.path, window, corpus)
     s1 = [(o.focal.qualified_name, o.chf, o.chs, o.status) for o in aggregate_stability(r1)]
     s2 = [(o.focal.qualified_name, o.chf, o.chs, o.status) for o in aggregate_stability(r2)]
     assert s1 == s2
+
+
+def _one_edit(git_repo_factory, path: str, before: bytes, after: bytes):
+    """Snapshot corpus and mining result of one commit that rewrites ``path``."""
+    repo = git_repo_factory()
+    (repo.path / path).write_bytes(before)
+    snapshot = repo.commit_all("snapshot", EPOCH)
+    (repo.path / path).write_bytes(after)
+    repo.commit_all("edit", EPOCH + DAY)
+    corpus = snapshot_corpus(repo, snapshot, "one")
+    return corpus, mine_window(repo.path, make_window(repo.path, snapshot, "main"), corpus)
+
+
+def test_non_ascii_path_is_mined(git_repo_factory):
+    corpus, result = _one_edit(git_repo_factory, "Café.java", "class Café {\n    int a;\n}\n".encode(),
+                               "class Café {\n    int a;\n    int b;\n}\n".encode())
+    assert corpus.primary_type_of_file == {"Café.java": "Café"}
+    outcomes = {o.focal.qualified_name: (o.chf, o.chs) for o in aggregate_stability(result)}
+    assert outcomes == {"Café": (1, 1)}
+
+
+def test_carriage_returns_end_lines_for_analysis_and_mining(git_repo_factory):
+    corpus, result = _one_edit(git_repo_factory, "Cr.java", b"class Cr {\r    int a;\r}\r",
+                               b"class Cr {\r    int a;\r    int b;\r}\r")
+    assert corpus.type_decl("Cr").loc == 3
+    outcomes = {o.focal.qualified_name: (o.chf, o.chs) for o in aggregate_stability(result)}
+    assert outcomes == {"Cr": (1, 1)}
+
+
+def test_window_reads_take_one_git_process_per_commit(git_repo_factory, monkeypatch):
+    repo, snapshot = build_fixture_repo(git_repo_factory)
+    corpus = snapshot_corpus(repo, snapshot, "mined")
+    window = make_window(repo.path, snapshot, "main")
+    spawns, lexed = [], []
+    real_run, real_lines = smellstab.mining.gitio.subprocess.run, smellstab.mining.miner.logical_lines
+
+    def counting_run(argv, *args, **kwargs):
+        spawns.append(argv)
+        return real_run(argv, *args, **kwargs)
+
+    def counting_lines(text):
+        lexed.append(text)
+        return real_lines(text)
+
+    monkeypatch.setattr(smellstab.mining.gitio.subprocess, "run", counting_run)
+    monkeypatch.setattr(smellstab.mining.miner, "logical_lines", counting_lines)
+    result = mine_window(repo.path, window, corpus)
+    assert len(spawns) <= len(result.commits) + 2
+    assert len(lexed) == len(set(lexed))  # each blob is lexed once
+
+
+def test_snapshot_reads_regular_java_files_only(git_repo_factory):
+    repo = git_repo_factory()
+    repo.write("a/b/A.java", "class A {}\n")
+    repo.write("Run.java", "class Run {}\n")
+    (repo.path / "Run.java").chmod(0o755)
+    repo.write("README.md", "not java\n")
+    (repo.path / "Link.java").symlink_to("Run.java")
+    snapshot = repo.commit_all("snapshot", EPOCH)
+    assert archive_snapshot(repo.path, snapshot) == {"Run.java": "class Run {}\n",
+                                                     "a/b/A.java": "class A {}\n"}
+
+
+def test_unreadable_snapshot_blob_is_fatal(git_repo_factory):
+    repo = git_repo_factory()
+    repo.write("A.java", "class A {}\n")
+    snapshot = repo.commit_all("snapshot", EPOCH)
+    blob = repo.git("rev-parse", f"{snapshot}:A.java").strip()
+    (repo.path / ".git" / "objects" / blob[:2] / blob[2:]).unlink()
+    with pytest.raises(GitError):
+        archive_snapshot(repo.path, snapshot)
 
 
 def test_churn_never_invents_lines(mined):

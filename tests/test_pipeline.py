@@ -135,7 +135,7 @@ def test_end_to_end_dataset_and_results(tmp_path, fixture_projects):
 
     analyze_dir = Path(config.output_dir) / "projects" / "fix__one" / "analyze"
     assert (analyze_dir / "corpus.json").exists()
-    assert (analyze_dir / "edges.csv").exists()
+    assert b"\r" not in (analyze_dir / "edges.csv").read_bytes()  # "\n" ends, as every CSV
     mh, mrows = read_csv(analyze_dir / "metrics_method.csv")
     assert mh[:5] == ["project", "method", "signature", "enclosing_class", "loc"]
     crave = next(r for r in mrows if r["method"] == "Envy.crave")
@@ -276,6 +276,13 @@ def test_config_echo_replays(tmp_path, fixture_projects):
     for entry in accepted:
         assert stage_inputs(entry, replayed) == stage_inputs(entry, config)
     assert replayed.thresholds == config.thresholds
+
+
+def test_unknown_config_key_is_rejected(tmp_path):
+    path = tmp_path / "typo.json"
+    path.write_text(json.dumps({"window_day": 30, "path_exclude": ["gen/*"], "seed": 1}))
+    with pytest.raises(ValueError, match="path_exclude, window_day"):
+        PipelineConfig.from_file(path)
 
 
 def test_cli_stage_sequence(tmp_path, fixture_projects, capsys):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.special import gammaln
 
 from smellstab.stats import (
     DesignMatrix,
@@ -8,6 +9,7 @@ from smellstab.stats import (
     fit_negbin_glm,
     fit_poisson,
 )
+from smellstab.stats.fitbase import GRAD_TOL, maximize
 from smellstab.stats.simulate import nb2_draw
 
 
@@ -119,3 +121,21 @@ def test_negbin_glm_recovers_theta():
     assert fit.converged
     assert fit.theta == pytest.approx(2.5, rel=0.25)
     assert abs(fit.beta[1] - 0.5) < 3 * fit.se[1]
+
+
+def test_newton_polish_converges_at_large_log_likelihood():
+    """At |ll| ~ 3.4e4 a step near the optimum moves ll only by rounding."""
+    rng = np.random.default_rng(9)
+    n = 20000
+    X = np.column_stack([np.ones(n), rng.normal(size=(n, 3))])
+    y = rng.poisson(np.exp(X @ np.array([0.7, 0.3, -0.2, 0.1])))
+    log_y_factorial = gammaln(y + 1)
+
+    def obj_grad(b):
+        eta = X @ b
+        mu = np.exp(eta)
+        return float(np.sum(y * eta - mu - log_y_factorial)), X.T @ (y - mu)
+
+    out = maximize(obj_grad, np.zeros(4))
+    assert out.ll < -3e4
+    assert out.converged and np.max(np.abs(out.grad)) < GRAD_TOL
