@@ -16,7 +16,6 @@ from .metrics import ClassMetrics, MethodMetrics, build_metrics_context, compute
 from .smells import SmellInstance, SmellType, ThresholdConfig, detect_smells
 from .neighborhood import (
     ClassObservation,
-    SmellFootprint,
     build_all_observations,
     build_observation,
     efferent_interactions,
@@ -31,6 +30,6 @@ __all__ = [
     "ClassMetrics", "MethodMetrics", "build_metrics_context", "compute_class_metrics",
     "compute_method_metrics",
     "SmellInstance", "SmellType", "ThresholdConfig", "detect_smells",
-    "ClassObservation", "SmellFootprint", "build_all_observations", "build_observation",
+    "ClassObservation", "build_all_observations", "build_observation",
     "efferent_interactions", "smell_footprint",
 ]

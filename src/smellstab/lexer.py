@@ -2,11 +2,17 @@
 
 The lexer drops whitespace and comments (line, block, and javadoc) and keeps
 line numbers on every token, which is all the rest of the toolchain needs:
-a line is "logical" iff at least one token sits on it.
+a line is "logical" iff at least one token sits on it.  ``tokenize`` (for
+analysis) and ``logical_lines`` (for mining) both split the text with one
+compiled pattern, so the two stages see the same tokens.
 """
 
 from __future__ import annotations
 
+import functools
+import re
+import sys
+from array import array
 from typing import NamedTuple
 
 
@@ -40,86 +46,83 @@ _MULTI_SYMS = [
 ]
 
 
-def _is_ident_start(c: str) -> bool:
-    return c.isalpha() or c in "_$"
+# One alternation of the token grammar, tried in this order at each position:
+# a newline (with the indentation after it), a line comment, a block comment,
+# a text block (both run to the end when unterminated), a string and a char
+# literal (an escape takes the next char unless it is a newline; an
+# unterminated literal stops before the newline), a number, an identifier,
+# the multi-char operators, and any other non-blank char.  Blanks (" \t\r\f")
+# between tokens match nothing and are skipped.  Letters and digits follow
+# ``str.isalpha`` and ``str.isdigit``, which ``\w`` and ``\d`` do not: the
+# two classes are parameters so ASCII text needs no Unicode tables.
+def _compile(digit: str, word_start: str) -> re.Pattern[str]:
+    return re.compile("|".join([
+        r"\n[ \t\r\f]*",
+        r"//[^\n]*",
+        r"/\*[\s\S]*?(?:\*/|\Z)",
+        r'"""[\s\S]*?(?:"""|\Z)',
+        r'"[^"\\\n]*(?:\\[^\n]?[^"\\\n]*)*"?',
+        r"'[^'\\\n]*(?:\\[^\n]?[^'\\\n]*)*'?",
+        rf"(?:{digit}|\.(?={digit}))(?:\w|\.(?={digit}|[eEfFdD]))*",
+        rf"{word_start}[\w$]*",
+        *map(re.escape, _MULTI_SYMS),
+        r"[^ \t\r\f\n]",
+    ]))
 
 
-def _is_ident_part(c: str) -> bool:
-    return c.isalnum() or c in "_$"
+_ASCII_TOKEN = _compile("[0-9]", "[A-Za-z_$]")
+
+
+@functools.cache
+def _unicode_token() -> re.Pattern[str]:
+    """The token pattern for any text, built on the first non-ASCII one."""
+    codec = "utf-32-le" if sys.byteorder == "little" else "utf-32-be"
+    every = array("I", range(sys.maxunicode + 1)).tobytes().decode(codec, "surrogatepass")
+    # \w is str.isalnum() or "_", so its chars that are not letters are numeric
+    numeric = "".join(c for c in re.findall(r"[^\W_]", every) if not c.isalpha())
+    digits = "".join(c for c in numeric if c.isdigit())
+    return _compile(f"[{digits}]", rf"(?:[^\W{numeric}]|\$)")
+
+
+def _token_pattern(text: str) -> re.Pattern[str]:
+    return _ASCII_TOKEN if text.isascii() else _unicode_token()
+
+
+def _kind(c: str) -> str:
+    """Kind of a token by its first char, outside newlines, comments and text blocks."""
+    if c.isdigit():
+        return "number"
+    if c.isalpha() or c in "_$":
+        return "word"
+    return "char" if c == "'" else "sym"
+
+
+# the kinds of ASCII first chars that need no second look
+_KIND = {chr(i): _kind(chr(i)) for i in range(128) if chr(i) not in '\n/."'}
 
 
 def tokenize(text: str) -> list[Token]:
     """Tokenize Java source, skipping whitespace and comments."""
     tokens: list[Token] = []
-    i = 0
-    n = len(text)
+    append = tokens.append
+    new = tuple.__new__  # a Token without the namedtuple's Python-level __new__
     line = 1
-    while i < n:
-        c = text[i]
-        if c == "\n":
-            line += 1
-            i += 1
-            continue
-        if c in " \t\r\f":
-            i += 1
-            continue
-        if c == "/" and i + 1 < n:
-            nxt = text[i + 1]
-            if nxt == "/":
-                j = text.find("\n", i)
-                i = n if j < 0 else j
+    for tok in _token_pattern(text).findall(text):
+        kind = _KIND.get(tok[0])
+        if kind is None:
+            c = tok[0]
+            if c == "\n":
+                line += 1
                 continue
-            if nxt == "*":
-                j = text.find("*/", i + 2)
-                if j < 0:
-                    line += text.count("\n", i)
-                    i = n
-                else:
-                    line += text.count("\n", i, j + 2)
-                    i = j + 2
+            if tok[:2] in ("//", "/*"):
+                line += tok.count("\n")
                 continue
-        if c == '"':
-            if text.startswith('"""', i):
-                j = text.find('"""', i + 3)
-                end = n if j < 0 else j + 3
-                tokens.append(Token("string", text[i:end], line))
-                line += text.count("\n", i, end)
-                i = end
+            if c == '"':  # a text block may hold newlines
+                append(new(Token, ("string", tok, line)))
+                line += tok.count("\n")
                 continue
-        if c in "\"'":
-            # an unterminated literal stops before the newline, which is still counted
-            j = i + 1
-            while j < n and text[j] not in (c, "\n"):
-                j += 2 if text[j] == "\\" and text[j + 1:j + 2] != "\n" else 1
-            end = min(j + 1 if j < n and text[j] == c else j, n)
-            tokens.append(Token("string" if c == '"' else "char", text[i:end], line))
-            i = end
-            continue
-        if c.isdigit() or (c == "." and i + 1 < n and text[i + 1].isdigit()):
-            j = i + 1
-            while j < n and (text[j].isalnum() or text[j] in "._"):
-                # stop a trailing '.' that starts a method call on a literal
-                if text[j] == "." and not (j + 1 < n and (text[j + 1].isdigit() or text[j + 1] in "eEfFdD")):
-                    break
-                j += 1
-            tokens.append(Token("number", text[i:j], line))
-            i = j
-            continue
-        if _is_ident_start(c):
-            j = i + 1
-            while j < n and _is_ident_part(text[j]):
-                j += 1
-            tokens.append(Token("word", text[i:j], line))
-            i = j
-            continue
-        for sym in _MULTI_SYMS:
-            if text.startswith(sym, i):
-                tokens.append(Token("sym", sym, line))
-                i += len(sym)
-                break
-        else:
-            tokens.append(Token("sym", c, line))
-            i += 1
+            kind = "number" if c == "." and tok not in (".", "...") else _kind(c)
+        append(new(Token, (kind, tok, line)))
     return tokens
 
 
@@ -128,7 +131,7 @@ def logical_loc(text: str) -> int:
 
     Total on any input; a part-code part-comment line counts once.
     """
-    return len({t.line for t in tokenize(text)})
+    return len(logical_lines(text))
 
 
 def logical_lines(text: str) -> list[str]:
@@ -137,9 +140,22 @@ def logical_lines(text: str) -> list[str]:
     Lines are rebuilt from their tokens (single-space joined), so the history
     miner's churn diffs and rename-similarity scores ignore indentation,
     spacing, and comments entirely: only token-level edits count as change.
+    A token belongs to the line it starts on, as in ``tokenize``.
     """
-    by_line: dict[int, list[str]] = {}
-    for t in tokenize(text):
-        by_line.setdefault(t.line, []).append(t.value)
-    return [" ".join(by_line[ln]) for ln in sorted(by_line)]
-
+    lines: list[str] = []
+    line: list[str] = []
+    for tok in _token_pattern(text).findall(text):
+        c = tok[0]
+        if c == "\n":
+            ends_line = True
+        elif c == "/" and tok[:2] in ("//", "/*"):
+            ends_line = "\n" in tok
+        else:
+            line.append(tok)
+            ends_line = c == '"' and "\n" in tok  # a text block
+        if ends_line and line:
+            lines.append(" ".join(line))
+            line = []
+    if line:
+        lines.append(" ".join(line))
+    return lines

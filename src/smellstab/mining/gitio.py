@@ -8,6 +8,8 @@ analysis and mining decode them the same way, so both see the same text.
 
 from __future__ import annotations
 
+import os
+import re
 import subprocess
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -30,6 +32,50 @@ class ChainEntry:
     commit: str
     timestamp: int
     parents: tuple[str, ...]
+
+
+# git's lookup order for a short ref name, as far as branches (gitrevisions(7))
+_SHORT_NAME_RULES = ("{}", "refs/{}", "refs/tags/{}", "refs/heads/{}")
+_BRANCH_NAME = re.compile(r"(?!.*(?:\.\.|//|\.lock$|[./]$))\w[\w./-]*", re.ASCII)
+_OBJECT_ID = re.compile(r"[0-9a-f]{40}(?:[0-9a-f]{24})?")
+
+
+def branch_head(repo: str | Path, branch: str) -> str:
+    """Id of the commit ``branch`` points at.
+
+    A branch stored as a loose or packed ref of an ordinary or bare repository
+    is read from its file, with no process.  Anything else (a name a tag or
+    another ref shadows, a symbolic ref, a linked worktree, the reftable
+    format, a ``GIT_DIR`` in the environment) is resolved by ``git rev-parse``.
+    """
+    head = _read_branch_ref(Path(repo), branch)
+    if head is None:
+        head = _git(repo, "rev-parse", "--verify", f"{branch}^{{commit}}").decode().strip()
+    return head
+
+
+def _read_branch_ref(repo: Path, branch: str) -> str | None:
+    git_dir = repo / ".git" if (repo / ".git").is_dir() else repo
+    if (not _BRANCH_NAME.fullmatch(branch) or not (git_dir / "objects").is_dir()
+            or (git_dir / "commondir").exists() or (git_dir / "reftable").exists()
+            or any(v in os.environ for v in ("GIT_DIR", "GIT_COMMON_DIR", "GIT_NAMESPACE"))):
+        return None
+    try:
+        packed = (git_dir / "packed-refs").read_text()
+    except FileNotFoundError:
+        packed = ""
+    for rule in _SHORT_NAME_RULES:
+        ref = rule.format(branch)
+        loose = git_dir / ref
+        if loose.is_file():
+            value = loose.read_text().strip()
+        else:  # packed lines are "<id> <ref>"
+            at = packed.find(f" {ref}\n") if ref.startswith("refs/") else -1
+            if at < 0:
+                continue
+            value = packed[packed.rfind("\n", 0, at) + 1:at]
+        return value if rule.startswith("refs/heads/") and _OBJECT_ID.fullmatch(value) else None
+    return None
 
 
 def first_parent_chain(repo: str | Path, branch: str) -> list[ChainEntry]:

@@ -39,16 +39,21 @@ class ObservationWindow:
     start: int  # snapshot committer timestamp
     end: int  # start + window length
     branch: str
+    commits: tuple[ChainEntry, ...]  # first-parent commits in (start, end], oldest first
 
 
 def make_window(repo: str | Path, snapshot: str, branch: str, window_days: int = DEFAULT_WINDOW_DAYS) -> ObservationWindow:
+    """The window after ``snapshot`` on ``branch`` and its commits, from one chain read."""
     chain = first_parent_chain(repo, branch)
-    entry = next((e for e in chain if e.commit == snapshot), None)
-    if entry is None:
+    idx = next((i for i, e in enumerate(chain) if e.commit == snapshot), None)
+    if idx is None:
         raise MiningConfigError(
             f"snapshot {snapshot} is not on the first-parent chain of branch {branch!r}"
         )
-    return ObservationWindow(snapshot, entry.timestamp, entry.timestamp + window_days * 86400, branch)
+    start = chain[idx].timestamp
+    end = start + window_days * 86400
+    commits = tuple(e for e in reversed(chain[:idx]) if start < e.timestamp <= end)
+    return ObservationWindow(snapshot, start, end, branch, commits)
 
 
 @dataclass
@@ -75,21 +80,10 @@ class StabilityOutcome:
     status: str
 
 
-def enumerate_window_commits(repo: str | Path, window: ObservationWindow) -> list[CommitRecord]:
+def enumerate_window_commits(window: ObservationWindow) -> list[CommitRecord]:
     """First-parent commits in (start, end], oldest first, merges included."""
-    chain = first_parent_chain(repo, window.branch)
-    idx = next((i for i, e in enumerate(chain) if e.commit == window.snapshot), None)
-    if idx is None:
-        raise MiningConfigError(
-            f"snapshot {window.snapshot} is not on the first-parent chain of branch {window.branch!r}"
-        )
-    after: list[ChainEntry] = list(reversed(chain[:idx]))
-    out = []
-    for e in after:
-        if window.start < e.timestamp <= window.end:
-            parent = e.parents[0] if e.parents else ""
-            out.append(CommitRecord(e.commit, e.timestamp, len(e.parents), parent))
-    return out
+    return [CommitRecord(e.commit, e.timestamp, len(e.parents), e.parents[0] if e.parents else "")
+            for e in window.commits]
 
 
 def _matched(a: list[str], b: list[str]) -> int:
@@ -133,7 +127,7 @@ def mine_window(
     split_threshold: float = DEFAULT_SPLIT_THRESHOLD,
 ) -> MiningResult:
     """Walk the window once, maintaining lineages and attributing churn."""
-    commits = enumerate_window_commits(repo, window)
+    commits = enumerate_window_commits(window)
     lineages: dict[str, ClassLineage] = {}
     path_to_class: dict[str, str] = {}
     for rel, qname in corpus.primary_type_of_file.items():

@@ -29,6 +29,7 @@ from .mining import (
     activity_summary,
     aggregate_stability,
     archive_snapshot,
+    branch_head,
     make_window,
     mine_window,
 )
@@ -122,21 +123,27 @@ def _project_dir(config: PipelineConfig, entry: ProjectManifestEntry) -> Path:
     return d
 
 
-def stage_inputs(entry: ProjectManifestEntry, config: PipelineConfig) -> dict[str, dict]:
-    """Per stage, exactly the inputs its per-project outputs depend on.
+def stage_inputs(entry: ProjectManifestEntry, config: PipelineConfig,
+                 stages: tuple[str, ...] = ("analyze", "mine")) -> dict[str, dict]:
+    """Per stage in ``stages``, exactly the inputs its per-project outputs depend on.
 
     The sha256 of a stage's dict is that stage's cache key, and the dict is
-    the ``config`` echo in that stage's per-project sidecars.
+    the ``config`` echo in that stage's per-project sidecars.  Mine reads the
+    branch's history, so its inputs hold the commit the branch points at.
     """
     both = {"tool_version": _version, "snapshot": entry.snapshot,
             "path_excludes": list(config.path_excludes)}
-    return {
-        "analyze": {**both, "thresholds": config.thresholds.echo()},
-        "mine": {**both, "branch": entry.branch, "window_days": config.window_days,
-                 "rename_threshold": config.rename_threshold,
-                 "split_threshold": config.split_threshold,
-                 "include_deleted": config.include_deleted},
-    }
+    inputs = {}
+    if "analyze" in stages:
+        inputs["analyze"] = {**both, "thresholds": config.thresholds.echo()}
+    if "mine" in stages:
+        inputs["mine"] = {**both, "branch": entry.branch,
+                          "branch_head": branch_head(entry.clone_path, entry.branch),
+                          "window_days": config.window_days,
+                          "rename_threshold": config.rename_threshold,
+                          "split_threshold": config.split_threshold,
+                          "include_deleted": config.include_deleted}
+    return inputs
 
 
 def _stage_key(inputs: dict) -> str:
@@ -178,7 +185,7 @@ def analyze_project(entry: ProjectManifestEntry, config: PipelineConfig,
                     load_corpus: Callable[[], SourceCorpus]) -> Path:
     """Graph, metrics, smells, observations for one project; returns stage dir."""
     out = _project_dir(config, entry) / "analyze"
-    echo = stage_inputs(entry, config)["analyze"]
+    echo = stage_inputs(entry, config, ("analyze",))["analyze"]
     key = _stage_key(echo)
     if _cache_hit(out, key):
         return out
@@ -238,7 +245,7 @@ def mine_project(entry: ProjectManifestEntry, config: PipelineConfig,
                  load_corpus: Callable[[], SourceCorpus]) -> Path:
     """Window mining and stability outcomes for one project."""
     out = _project_dir(config, entry) / "mine"
-    echo = stage_inputs(entry, config)["mine"]
+    echo = stage_inputs(entry, config, ("mine",))["mine"]
     key = _stage_key(echo)
     if _cache_hit(out, key):
         return out

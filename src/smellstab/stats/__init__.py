@@ -1,8 +1,6 @@
 from .design import (
     BINARY,
-    DVS,
     FAMILY_SIZES,
-    LOG_TRANSFORMED,
     DesignError,
     DesignMatrix,
     ModelSpec,
@@ -25,9 +23,6 @@ from .inference import (
 from .kernels import inner_modes, nb2_row_terms
 from .suite import (
     ALPHA,
-    HypothesisResult,
-    HypothesisVerdict,
-    SuiteResult,
     export_fits_json,
     export_quantile_residuals,
     export_results_csv,
@@ -35,12 +30,12 @@ from .suite import (
 )
 
 __all__ = [
-    "BINARY", "DVS", "FAMILY_SIZES", "LOG_TRANSFORMED", "DesignError", "DesignMatrix",
+    "BINARY", "FAMILY_SIZES", "DesignError", "DesignMatrix",
     "ModelSpec", "all_model_specs", "null_design", "prepare_design", "FitResult",
     "DispersionError", "dispersion_statistic", "fit_negbin_glm", "fit_poisson",
     "fit_negbin_random_intercept", "laplace_loglik_and_grad", "InferenceError",
     "bh_adjust", "effect_sizes", "fit_quality", "one_sided_p", "predict_mu",
     "randomized_quantile_residuals", "inner_modes", "nb2_row_terms",
-    "ALPHA", "HypothesisResult", "HypothesisVerdict", "SuiteResult", "export_fits_json",
+    "ALPHA", "export_fits_json",
     "export_quantile_residuals", "export_results_csv", "run_hypothesis_suite",
 ]

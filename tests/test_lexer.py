@@ -1,3 +1,7 @@
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+import lexer_oracle
 from smellstab.lexer import logical_lines, logical_loc, tokenize
 
 
@@ -59,3 +63,41 @@ def test_unterminated_literal_stops_before_the_newline():
         assert [(t.value, t.line) for t in toks][-3:] == [("int", 2), ("x", 2), (";", 2)]
         assert toks[2].value == f"{quote}abc"
     assert logical_lines("s = \"abc\\\nint x;") == ['s = "abc\\', "int x ;"]
+
+
+# -- the compiled token pattern against the char-by-char oracle ----------------------
+
+PIECES = [
+    *"{}()[];,.@=<>!~?:+-*/&|^%", '"', "'", "\\", '"""', "/*", "*/", "//", ">>>=", "...",
+    "\r", "\f", "\x0b", "²", "½", "١", "Ⅳ", "\n", " ", "\t", "a", "Z", "_", "$", "0", "7",
+    "e", "f", "x", "int", "1.5e3", "0x1F", ".5", "1.",
+]
+java_like = st.lists(st.sampled_from(PIECES) | st.text(max_size=3), max_size=40).map("".join)
+differential = settings(derandomize=True, database=None, max_examples=1500, deadline=None,
+                        suppress_health_check=[HealthCheck.too_slow])
+
+
+def _agrees(text):
+    assert tokenize(text) == lexer_oracle.tokenize(text)
+    assert logical_lines(text) == lexer_oracle.logical_lines(text)
+
+
+@differential
+@given(java_like)
+def test_pattern_matches_the_oracle_on_java_like_text(text):
+    _agrees(text)
+
+
+@differential
+@given(st.text())
+def test_pattern_matches_the_oracle_on_any_text(text):
+    _agrees(text)
+
+
+def test_pattern_matches_the_oracle_on_pinned_cases():
+    for text in ["½a", "²$", "/*/ x */", "/", "a /", '"a\\', '"""\nbody\n', 'x = """a\nb""" + y;\nz',
+                 "/* open\n comment", ".5.f", "1..2", "١٢ x", "Ⅳa", "a\x0bb", "a\r\fb", "a\n\x0b;"]:
+        _agrees(text)
+    # '½' is numeric but neither a letter nor a digit; '²' is a digit, not a decimal
+    assert [(t.kind, t.value) for t in tokenize("½a")] == [("sym", "½"), ("word", "a")]
+    assert [(t.kind, t.value) for t in tokenize("²$")] == [("number", "²"), ("word", "$")]

@@ -16,12 +16,13 @@ from smellstab.mining import (
     activity_summary,
     aggregate_stability,
     archive_snapshot,
+    branch_head,
     enumerate_window_commits,
     make_window,
     mine_window,
 )
 
-from conftest import EPOCH
+from conftest import EPOCH, GitRepo
 
 DAY = 86400
 
@@ -148,7 +149,7 @@ def test_zero_subsequent_commits(git_repo_factory, tmp_path):
     repo.write("A.java", "class A {}\n")
     snapshot = repo.commit_all("only", EPOCH)
     window = make_window(repo.path, snapshot, "main")
-    assert enumerate_window_commits(repo.path, window) == []
+    assert enumerate_window_commits(window) == []
 
 
 def test_lineage_statuses(mined):
@@ -296,6 +297,38 @@ def test_window_reads_take_one_git_process_per_commit(git_repo_factory, monkeypa
     result = mine_window(repo.path, window, corpus)
     assert len(spawns) <= len(result.commits) + 2
     assert len(lexed) == len(set(lexed))  # each blob is lexed once
+
+
+def test_branch_head_resolves_as_git_does(git_repo_factory, tmp_path, monkeypatch):
+    repo = git_repo_factory()
+    repo.write("A.java", "class A {}\n")
+    first = repo.commit_all("one", EPOCH)
+    repo.git("branch", "feature/x")
+    repo.write("A.java", "class A { int a; }\n")
+    second = repo.commit_all("two", EPOCH + DAY)
+    bare = tmp_path / "bare.git"
+    repo.git("clone", "-q", "--bare", str(repo.path), str(bare))
+    resolved = []
+    real_run = smellstab.mining.gitio.subprocess.run
+
+    def counting_run(argv, *args, **kwargs):
+        if argv[3] == "rev-parse":  # not the fixture's own git commands
+            resolved.append(argv)
+        return real_run(argv, *args, **kwargs)
+
+    monkeypatch.setattr(smellstab.mining.gitio.subprocess, "run", counting_run)
+    # a branch in a loose or packed ref, of an ordinary or a bare repository: no process
+    assert (branch_head(repo.path, "main"), branch_head(repo.path, "feature/x")) == (second, first)
+    repo.git("pack-refs", "--all")
+    assert (branch_head(repo.path, "main"), branch_head(bare, "main")) == (second, second)
+    assert resolved == []
+    # git looks a short name up as a tag before a branch; symbolic and unknown names go to git
+    repo.git("tag", "-a", "main", "-m", "shadows the branch", first)
+    assert branch_head(repo.path, "main") == first
+    assert branch_head(repo.path, "HEAD") == second
+    with pytest.raises(GitError):
+        branch_head(repo.path, "missing")
+    assert len(resolved) == 3
 
 
 def test_snapshot_reads_regular_java_files_only(git_repo_factory):

@@ -1,9 +1,13 @@
+import importlib
 import json
+import os
 from pathlib import Path
 
 import pytest
 
+import smellstab.cli
 from smellstab.cli import main as cli_main
+import smellstab.mining.gitio
 import smellstab.pipeline
 from smellstab.io_utils import read_csv, write_csv
 from smellstab.manifest import filter_manifest, load_manifest
@@ -296,6 +300,15 @@ def test_cli_stage_sequence(tmp_path, fixture_projects, capsys):
     assert (out_dir / "results.csv").exists()
 
 
+def test_cli_defaults_to_one_blas_thread_unless_set(monkeypatch):
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "3")
+    importlib.reload(smellstab.cli)
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "3"
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS")
+    importlib.reload(smellstab.cli)
+    assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
 def test_cli_filter(tmp_path, fixture_projects, capsys):
     manifest = _write_manifest(tmp_path / "filter_manifest.jsonl", fixture_projects)
     out_dir = tmp_path / "filter_out"
@@ -366,6 +379,41 @@ def test_path_excludes_change_reruns_mine(tmp_path, three_commits):
     config = _single_project(tmp_path, repo, first, path_excludes=("B.java",))
     assert _classes(config) == {name: ["Keep", "Stay"]
                                 for name in ("observations.csv", "outcomes.csv", "dataset.csv")}
+
+
+def _outcomes(config):
+    rows = read_csv(Path(config.output_dir) / "projects" / "fix__three" / "mine" / "outcomes.csv")[1]
+    return {r["class"]: (int(r["ChF"]), int(r["ChS"])) for r in rows}
+
+
+def test_new_branch_commit_reruns_mine(tmp_path, git_repo_factory):
+    repo = git_repo_factory()
+    repo.write("A.java", "public class A {\n    int a;\n}\n")
+    repo.write("B.java", DROP)
+    snapshot = repo.commit_all("snapshot", EPOCH)
+    repo.write("A.java", "public class A {\n    int a;\n    int c;\n}\n")
+    repo.commit_all("edit A", EPOCH + 5 * DAY)
+    config = _single_project(tmp_path, repo, snapshot)
+    assert _outcomes(config) == {"A": (1, 1), "B": (0, 0)}
+    repo.write("B.java", DROP.replace("int b;", "int b;\n    int c;"))
+    repo.commit_all("edit B", EPOCH + 9 * DAY)  # the clone was fetched again
+    config = _single_project(tmp_path, repo, snapshot)
+    assert _outcomes(config) == {"A": (1, 1), "B": (1, 1)}
+
+
+def test_cached_project_takes_at_most_one_git_process(tmp_path, three_commits, monkeypatch):
+    repo, first, _ = three_commits
+    _single_project(tmp_path, repo, first)
+    spawns = []
+    real_run = smellstab.mining.gitio.subprocess.run
+
+    def counting_run(argv, *args, **kwargs):
+        spawns.append(argv)
+        return real_run(argv, *args, **kwargs)
+
+    monkeypatch.setattr(smellstab.mining.gitio.subprocess, "run", counting_run)
+    _single_project(tmp_path, repo, first, seed=5)
+    assert len(spawns) <= 1  # git rev-parse, where the branch's ref file cannot be read
 
 
 def test_each_snapshot_is_ingested_at_most_once(tmp_path, three_commits, monkeypatch):
