@@ -311,7 +311,7 @@ def run_stats(config: PipelineConfig) -> None:
     export_results_csv(suite, out / "results.csv")
     write_meta(out / "results.csv", config_echo=config.echo())
     export_fits_json(suite, out / "fits.json", seed=config.seed, config_echo=config.echo())
-    export_quantile_residuals(suite, rows, out / "quantile_residuals.csv", seed=config.seed)
+    export_quantile_residuals(suite, out / "quantile_residuals.csv", seed=config.seed)
     write_meta(out / "quantile_residuals.csv", config_echo=config.echo())
 
 

@@ -1,11 +1,14 @@
 """Shared fit result container and maximization driver.
 
-Maximization runs L-BFGS-B on the negative objective with analytic
-gradients, then polishes with damped Newton steps using a finite-difference
-Hessian of the analytic gradient until the gradient infinity-norm drops
-under 1e-5 (the convergence contract: relative LL change < 1e-8, grad
-inf-norm < 1e-5, at most 500 iterations).  The same Hessian supplies Wald
-standard errors.
+Every fit maximizes a log-likelihood whose gradient and Hessian are exact,
+``obj(x) -> (ll, grad, hess)``, by projected Newton: parameters pinned at a
+bound with the gradient pushing outward are held there, and the others take
+a Newton step on their block of the Hessian, clipped to the bounds and
+halved until the log-likelihood does not fall.  A block that is not
+negative definite gets Levenberg damping on a fixed schedule.  The fit
+converges when the free-gradient inf-norm is under 1e-5 and the last step
+changed the log-likelihood by less than 1e-8 relative, within 500 steps.
+The Hessian at the optimum supplies the Wald standard errors.
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import minimize
 
 GRAD_TOL = 1e-5
 REL_LL_TOL = 1e-8
@@ -37,7 +39,10 @@ class FitResult:
     n_groups: int = 1
     u_hat: np.ndarray | None = None
     message: str = ""
-    grad_norm: float = float("nan")
+    grad_norm: float = float("nan")  # free-gradient inf-norm at the end
+    iterations: int = 0  # this and the next two: Newton fits only (not the Poisson IRLS)
+    evaluations: int = 0
+    pinned: list[str] = field(default_factory=list)  # parameters held at a bound
 
     @property
     def ci_low(self) -> np.ndarray:
@@ -65,6 +70,10 @@ class FitResult:
                 for n, b, s, lo, hi in zip(self.names, self.beta, self.se, self.ci_low, self.ci_high)
             },
             "message": self.message,
+            "iterations": self.iterations,
+            "evaluations": self.evaluations,
+            "grad_norm": self.grad_norm,
+            "pinned": list(self.pinned),
         }
         if self.theta is not None:
             out["theta"] = float(self.theta)
@@ -94,9 +103,11 @@ class MaximizeOutcome:
     grad: np.ndarray
     hessian: np.ndarray  # of the NEGATIVE log-likelihood (observed information)
     converged: bool
-    active: np.ndarray = None  # type: ignore[assignment]  # bound-pinned params
+    active: np.ndarray  # bound-pinned params
+    grad_norm: float  # inf-norm of the free gradient
+    iterations: int  # accepted Newton steps
+    evaluations: int  # objective calls
     message: str = ""
-    rel_ll_change: float = field(default=float("nan"))
 
 
 def _active_mask(grad: np.ndarray, x: np.ndarray, bounds) -> np.ndarray:
@@ -112,68 +123,78 @@ def _active_mask(grad: np.ndarray, x: np.ndarray, bounds) -> np.ndarray:
     return active
 
 
-def maximize(obj_grad, x0: np.ndarray, bounds=None) -> MaximizeOutcome:
-    """Maximize a log-likelihood given ``obj_grad(x) -> (ll, grad)``.
+# Levenberg damping tried in turn, as multiples of the largest diagonal entry
+_DAMPING = (0.0, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2)
+_MAX_HALVINGS = 25
 
-    After L-BFGS-B, damped Newton steps on the free (non-bound-pinned)
-    parameters polish the solution to the stated gradient tolerance.
-    """
 
-    def neg(x):
-        ll, g = obj_grad(x)
-        return -ll, -g
+def _newton_step(info: np.ndarray, grad: np.ndarray) -> np.ndarray | None:
+    """Solve ``(info + lam I) step = grad`` with the first damping that factors."""
+    if not (np.all(np.isfinite(info)) and np.all(np.isfinite(grad))):
+        return None
+    scale = max(1.0, float(np.max(np.abs(np.diag(info)))))
+    eye = np.eye(grad.size)
+    for lam in _DAMPING:
+        damped = info + lam * scale * eye
+        try:
+            np.linalg.cholesky(damped)
+            return np.linalg.solve(damped, grad)
+        except np.linalg.LinAlgError:  # not positive definite, or singular
+            continue
+    return None
 
-    res = minimize(
-        neg, x0, jac=True, method="L-BFGS-B", bounds=bounds,
-        options={"maxiter": MAX_ITER, "ftol": 1e-12, "gtol": 1e-7},
-    )
-    x = res.x
-    ll, grad = obj_grad(x)
+
+def maximize(obj, x0: np.ndarray, bounds=None) -> MaximizeOutcome:
+    """Maximize a log-likelihood given ``obj(x) -> (ll, grad, hess)``."""
+    bounds = bounds or [(None, None)] * len(x0)
+    lo = np.array([-np.inf if b is None else b for b, _ in bounds])
+    hi = np.array([np.inf if b is None else b for _, b in bounds])
+    x = np.clip(np.asarray(x0, dtype=float), lo, hi)
+    ll, grad, hess = obj(x)
+    evaluations, iterations = 1, 0
     rel_change = float("inf")
-    grad_fn = lambda z: -obj_grad(z)[1]  # gradient of the negative objective
-    hess = numerical_hessian(grad_fn, x)
-    for _ in range(40):
-        active = _active_mask(grad, x, bounds)
-        free = ~active
-        gnorm = float(np.max(np.abs(grad[free]))) if free.any() else 0.0
+    message = ""
+    while iterations < MAX_ITER:
+        free = ~_active_mask(grad, x, bounds)
+        if not free.any():
+            rel_change = 0.0
+            break
+        gnorm = float(np.max(np.abs(grad[free])))
         if gnorm < GRAD_TOL and rel_change < REL_LL_TOL:
             break
-        try:
-            step_free = np.linalg.solve(hess[np.ix_(free, free)], grad[free])
-        except np.linalg.LinAlgError:
+        step_free = _newton_step(-hess[np.ix_(free, free)], grad[free])
+        if step_free is None:
+            message = "no damping makes the Hessian negative definite and finite"
+            break
+        if np.max(np.abs(step_free)) < 1e-10:
+            rel_change = 0.0  # at a stationary point already
+            if gnorm >= GRAD_TOL:
+                message = "Newton step vanished before the gradient did"
             break
         step = np.zeros_like(x)
         step[free] = step_free
-        if not np.all(np.isfinite(step)):
-            break
-        if np.max(np.abs(step)) < 1e-10:
-            rel_change = 0.0  # at a stationary point already
-            continue
         scale = 1.0
-        improved = False
-        for _ in range(25):
-            x_new = x + scale * step
-            if bounds is not None:
-                x_new = np.clip(x_new, [b[0] for b in bounds], [b[1] for b in bounds])
-            ll_new, grad_new = obj_grad(x_new)
+        for _ in range(_MAX_HALVINGS):
+            x_new = np.clip(x + scale * step, lo, hi)
+            ll_new, grad_new, hess_new = obj(x_new)
+            evaluations += 1
             # relative slack: at large |ll| a step at the optimum moves ll only by rounding
             if np.isfinite(ll_new) and ll_new >= ll - 1e-12 * max(1.0, abs(ll)):
                 rel_change = abs(ll_new - ll) / max(1.0, abs(ll))
-                x, ll, grad = x_new, ll_new, grad_new
-                improved = True
+                x, ll, grad, hess = x_new, ll_new, grad_new, hess_new
+                iterations += 1
                 break
             scale *= 0.5
-        if not improved:
+        else:
+            message = "line search found no step that keeps the log-likelihood"
             break
-        hess = numerical_hessian(grad_fn, x)
     active = _active_mask(grad, x, bounds)
     free = ~active
     gnorm = float(np.max(np.abs(grad[free]))) if free.any() else 0.0
     converged = bool(np.isfinite(ll)) and gnorm < GRAD_TOL and rel_change < REL_LL_TOL
-    return MaximizeOutcome(
-        x, ll, grad, hess, converged, active,
-        res.message if isinstance(res.message, str) else "", rel_change,
-    )
+    if not converged and not message:
+        message = f"no convergence in {MAX_ITER} Newton steps" if np.isfinite(ll) else "log-likelihood not finite"
+    return MaximizeOutcome(x, ll, grad, -hess, converged, active, gnorm, iterations, evaluations, message)
 
 
 def covariance_from_hessian(hessian: np.ndarray, active: np.ndarray | None = None) -> tuple[np.ndarray, bool]:

@@ -1,4 +1,4 @@
-"""Fixed-effect count GLMs: Poisson via IRLS, NB2 via direct ML."""
+"""Fixed-effect count GLMs: Poisson via IRLS, NB2 via Newton with the exact Hessian."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from scipy.special import gammaln
 
 from .design import DesignMatrix
 from .fitbase import FitResult, covariance_from_hessian, maximize
-from .kernels import nb2_row_terms
+from .kernels import nb2_row_curvature, nb2_row_terms
 
 _ETA_CAP = 30.0
 _BETA_CAP = 30.0
@@ -87,40 +87,52 @@ def dispersion_statistic(fit: FitResult, design: DesignMatrix) -> float:
     return pearson / df
 
 
+def negbin_objective(y: np.ndarray, X: np.ndarray, theta_fixed: float | None = None):
+    """``obj(params) -> (ll, grad, hess)`` of the NB2 GLM.
+
+    ``params`` holds beta, then log theta unless ``theta_fixed`` pins theta.
+    """
+    p = X.shape[1]
+
+    def obj(params):
+        beta = params[:p]
+        theta = float(np.exp(params[p])) if theta_fixed is None else float(theta_fixed)
+        eta = np.clip(X @ beta, -_ETA_CAP, _ETA_CAP)
+        ll, a, b, _c, lth, ath, _bth = nb2_row_terms(y, eta, theta)
+        hess_beta = -(X.T * b) @ X
+        if theta_fixed is not None:
+            return float(ll.sum()), X.T @ a, hess_beta
+        grad_log_theta = theta * float(lth.sum())
+        lthth = nb2_row_curvature(y, eta, theta)[2]
+        hess = np.empty((p + 1, p + 1))
+        hess[:p, :p] = hess_beta
+        hess[:p, p] = hess[p, :p] = theta * (X.T @ ath)
+        hess[p, p] = theta * theta * float(lthth.sum()) + grad_log_theta
+        return float(ll.sum()), np.append(X.T @ a, grad_log_theta), hess
+
+    return obj
+
+
 def fit_negbin_glm(design: DesignMatrix, theta_fixed: float | None = None) -> FitResult:
     """NB2 GLM with log link; theta estimated jointly unless pinned."""
     y, X = design.y, design.X
     n, p = X.shape
     start = fit_poisson(design)
     beta0 = start.beta if np.all(np.isfinite(start.beta)) else np.zeros(p)
-    m, v = float(y.mean()), float(y.var())
-    theta0 = m * m / (v - m) if v > m and m > 0 else 10.0
-    theta0 = float(np.clip(theta0, 1e-2, 1e4))
-
+    obj = negbin_objective(y, X, theta_fixed)
     if theta_fixed is not None:
-
-        def obj(params):
-            beta = params
-            eta = np.clip(X @ beta, -_ETA_CAP, _ETA_CAP)
-            ll, a, *_rest = nb2_row_terms(y, eta, theta_fixed)
-            return float(ll.sum()), X.T @ a
-
         out = maximize(obj, beta0)
-        beta, log_theta = out.x, np.log(theta_fixed)
+        log_theta = np.log(theta_fixed)
+        param_names = list(design.names)
     else:
-
-        def obj(params):
-            beta = params[:-1]
-            theta = float(np.exp(params[-1]))
-            eta = np.clip(X @ beta, -_ETA_CAP, _ETA_CAP)
-            ll, a, _b, _c, lth, *_ = nb2_row_terms(y, eta, theta)
-            grad = np.concatenate([X.T @ a, [theta * float(lth.sum())]])
-            return float(ll.sum()), grad
-
+        m, v = float(y.mean()), float(y.var())
+        theta0 = m * m / (v - m) if v > m and m > 0 else 10.0
+        theta0 = float(np.clip(theta0, 1e-2, 1e4))
         bounds = [(-_BETA_CAP, _BETA_CAP)] * p + [(-6.0, 14.0)]
-        out = maximize(obj, np.concatenate([beta0, [np.log(theta0)]]), bounds)
-        beta, log_theta = out.x[:-1], out.x[-1]
-
+        out = maximize(obj, np.append(beta0, np.log(theta0)), bounds)
+        log_theta = out.x[p]
+        param_names = [*design.names, "log_theta"]
+    beta = out.x[:p]
     theta = float(np.exp(log_theta))
     eta = np.clip(X @ beta, -_ETA_CAP, _ETA_CAP)
     mu = np.exp(eta)
@@ -140,5 +152,8 @@ def fit_negbin_glm(design: DesignMatrix, theta_fixed: float | None = None) -> Fi
         mu_hat=mu,
         theta=theta,
         message=out.message,
-        grad_norm=float(np.max(np.abs(out.grad))),
+        grad_norm=out.grad_norm,
+        iterations=out.iterations,
+        evaluations=out.evaluations,
+        pinned=[name for name, pin in zip(param_names, out.active) if pin],
     )

@@ -5,7 +5,7 @@ from __future__ import annotations
 import math
 
 import numpy as np
-from scipy.stats import nbinom, norm, poisson as poisson_dist
+from scipy.special import betainc, ndtr, ndtri, pdtr
 
 from .design import BINARY, DesignMatrix
 from .fitbase import FitResult
@@ -24,7 +24,7 @@ def one_sided_p(fit: FitResult, iv: str, direction: int) -> float:
     if se <= 0 or not math.isfinite(se):
         return float("nan")
     z = float(fit.beta[k]) / se
-    return float(norm.sf(z)) if direction > 0 else float(norm.cdf(z))
+    return float(ndtr(-z)) if direction > 0 else float(ndtr(z))
 
 
 def bh_adjust(p_values) -> np.ndarray:
@@ -94,12 +94,12 @@ def randomized_quantile_residuals(
     rng = np.random.default_rng(seed)
     y = np.asarray(y)
     if theta is None:
-        upper = poisson_dist.cdf(y, mu)
-        lower = poisson_dist.cdf(y - 1, mu)
+        upper = pdtr(y, mu)
+        lower = np.where(y >= 1, pdtr(y - 1, mu), 0.0)
     else:
         p = theta / (theta + mu)
-        upper = nbinom.cdf(y, theta, p)
-        lower = nbinom.cdf(y - 1, theta, p)
+        upper = betainc(theta, y + 1, p)
+        lower = np.where(y >= 1, betainc(theta, y, p), 0.0)
     u = lower + rng.uniform(size=y.size) * np.maximum(upper - lower, 1e-12)
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
-    return norm.ppf(u)
+    return ndtri(u)

@@ -6,6 +6,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
+import numpy as np
+
 from ..io_utils import write_csv, write_json
 from .design import (
     DesignError,
@@ -31,6 +33,9 @@ class HypothesisResult:
     spec: ModelSpec
     fit: FitResult | None = None
     poisson_fit: FitResult | None = None
+    # the design's response and source rows, kept for the residual export
+    y: np.ndarray | None = None
+    row_index: np.ndarray | None = None
     null_ll: float = float("nan")
     dispersion_stat: float = float("nan")
     p_raw: float = 1.0
@@ -101,6 +106,7 @@ def run_hypothesis_suite(rows: list[dict], seed: int = 0) -> SuiteResult:
         except DesignError as exc:
             res.note = str(exc)
             continue
+        res.y, res.row_index = design.y, design.row_index
         res.poisson_fit = fit_poisson(design)
         if res.poisson_fit.converged:
             try:
@@ -197,17 +203,13 @@ def export_fits_json(suite: SuiteResult, path: str | Path, seed: int = 0, config
     write_json(path, doc)
 
 
-def export_quantile_residuals(suite: SuiteResult, rows: list[dict], path: str | Path, seed: int = 0) -> None:
+def export_quantile_residuals(suite: SuiteResult, path: str | Path, seed: int = 0) -> None:
     """Randomized quantile residuals per model, for external QQ plotting."""
     out_rows: list[list] = []
     for r in suite.results:
         if r.fit is None or not r.fit.converged:
             continue
-        try:
-            design = prepare_design(rows, r.spec)
-        except DesignError:
-            continue
-        resid = randomized_quantile_residuals(design.y, r.fit.mu_hat, r.fit.theta, seed)
-        for idx, value in zip(design.row_index, resid):
+        resid = randomized_quantile_residuals(r.y, r.fit.mu_hat, r.fit.theta, seed)
+        for idx, value in zip(r.row_index, resid):
             out_rows.append([r.spec.label, int(idx), float(value)])
     write_csv(path, ["hypothesis", "row", "quantile_residual"], out_rows)

@@ -1,6 +1,8 @@
 import importlib
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -307,6 +309,14 @@ def test_cli_defaults_to_one_blas_thread_unless_set(monkeypatch):
     monkeypatch.delenv("OPENBLAS_NUM_THREADS")
     importlib.reload(smellstab.cli)
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
+
+
+def test_cli_import_loads_neither_scipy_optimize_nor_scipy_stats():
+    src = str(Path(smellstab.cli.__file__).parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = "import sys, smellstab.cli; print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cli_filter(tmp_path, fixture_projects, capsys):

@@ -9,7 +9,8 @@ from smellstab.stats import (
     fit_negbin_glm,
     fit_poisson,
 )
-from smellstab.stats.fitbase import GRAD_TOL, maximize
+from smellstab.stats.fitbase import GRAD_TOL, maximize, numerical_hessian
+from smellstab.stats.glm import negbin_objective
 from smellstab.stats.simulate import nb2_draw
 
 
@@ -131,11 +132,25 @@ def test_newton_polish_converges_at_large_log_likelihood():
     y = rng.poisson(np.exp(X @ np.array([0.7, 0.3, -0.2, 0.1])))
     log_y_factorial = gammaln(y + 1)
 
-    def obj_grad(b):
+    def obj(b):
         eta = X @ b
         mu = np.exp(eta)
-        return float(np.sum(y * eta - mu - log_y_factorial)), X.T @ (y - mu)
+        return float(np.sum(y * eta - mu - log_y_factorial)), X.T @ (y - mu), -(X.T * mu) @ X
 
-    out = maximize(obj_grad, np.zeros(4))
+    out = maximize(obj, np.zeros(4))
     assert out.ll < -3e4
     assert out.converged and np.max(np.abs(out.grad)) < GRAD_TOL
+
+
+@pytest.mark.parametrize("theta_fixed", [None, 2.5])
+def test_negbin_glm_hessian_matches_finite_differences(theta_fixed):
+    rng = np.random.default_rng(43)
+    n = 500
+    x = rng.normal(size=n)
+    X = np.column_stack([np.ones(n), x])
+    y = nb2_draw(rng, np.exp(1.0 + 0.4 * x), theta=2.0).astype(float)
+    obj = negbin_objective(y, X, theta_fixed)
+    params = np.array([0.9, 0.3] + ([np.log(1.7)] if theta_fixed is None else []))
+    _ll, _grad, hess = obj(params)
+    fd = numerical_hessian(lambda z: obj(z)[1], params)
+    np.testing.assert_allclose(hess, fd, rtol=1e-5)

@@ -1,3 +1,5 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -6,7 +8,9 @@ from hypothesis import strategies as st
 from smellstab.stats import ALPHA, all_model_specs, run_hypothesis_suite
 from smellstab.stats.design import FAMILY_SIZES, prepare_design, DesignError
 from smellstab.stats.simulate import simulate_observation_rows
-from smellstab.stats.suite import ACCEPTED, INCONCLUSIVE, REJECTED, results_rows
+from smellstab.stats.suite import ACCEPTED, INCONCLUSIVE, REJECTED, export_fits_json, results_rows
+
+from fit_oracle import oracle_fits
 
 
 def test_thirty_specs_with_family_sizes():
@@ -124,3 +128,30 @@ def test_degenerate_population_is_inconclusive_not_crash():
     for r in suite.results:
         families.setdefault(r.spec.rq, []).append(r.p_raw)
     assert {k: len(v) for k, v in families.items()} == FAMILY_SIZES
+
+
+def test_newton_matches_the_oracle_on_all_34_models():
+    rows = simulate_observation_rows(10, 60, seed=12)
+    suite = run_hypothesis_suite(rows)
+    with oracle_fits():
+        ref = run_hypothesis_suite(rows)
+    assert [r.status for r in suite.results] == [r.status for r in ref.results]
+    assert sum(r.converged for r in ref.results) >= 30
+    for r, o in zip(suite.results, ref.results):
+        assert abs(r.p_bh - o.p_bh) <= 1e-6, r.spec.label
+        if o.converged:
+            assert np.max(np.abs(r.fit.beta - o.fit.beta) / o.fit.se) <= 1e-6, r.spec.label
+
+
+def test_fits_json_records_fit_diagnostics(tmp_path):
+    rows = simulate_observation_rows(6, 40, seed=5)
+    suite = run_hypothesis_suite(rows)
+    export_fits_json(suite, tmp_path / "fits.json")
+    doc = json.loads((tmp_path / "fits.json").read_text())
+    for label, entry in doc["fits"].items():
+        fit = suite.by_label(label).fit
+        assert {k: entry["fit"][k] for k in ("iterations", "evaluations", "grad_norm", "pinned")} == {
+            "iterations": fit.iterations, "evaluations": fit.evaluations,
+            "grad_norm": fit.grad_norm, "pinned": fit.pinned,
+        }
+        assert entry["fit"]["evaluations"] >= entry["fit"]["iterations"] >= 1
