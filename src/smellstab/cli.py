@@ -57,8 +57,9 @@ def _stage(args: argparse.Namespace, stages: tuple[str, ...]) -> int:
     config = _load_config(args)
     outcome = run_pipeline(config, stages=stages)
     if outcome.quarantined:
-        for repo, err in outcome.quarantined.items():
-            print(f"quarantined {repo}: {err.splitlines()[-1]}", file=sys.stderr)
+        for repo, why in outcome.quarantined.items():
+            print(f"quarantined {repo} in {why['stage']}: {why['type']}: {why['message']}",
+                  file=sys.stderr)
     print(f"completed {stages} for {len(outcome.accepted)} projects")
     return 0
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 import functools
 import hashlib
 import json
-import traceback
+import logging
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields as dc_fields
@@ -56,6 +56,9 @@ CLASS_METRICS_HEADER = [
 ]
 SMELLS_HEADER = ["smell", "level", "host", "enclosing_class"]
 EDGES_HEADER = ["relation", "source_kind", "source", "target_kind", "target", "site_count"]
+
+
+_log = logging.getLogger(__name__)
 
 
 class PipelineIntegrityError(RuntimeError):
@@ -328,8 +331,18 @@ def selection_doc(config: PipelineConfig, accepted: list[ProjectManifestEntry],
 @dataclass
 class PipelineOutcome:
     accepted: list[str]
-    quarantined: dict[str, str]
+    quarantined: dict[str, dict[str, str]]
     dataset_path: Path | None
+
+
+def quarantine_record(repo: str, stage: str, exc: Exception) -> dict[str, str]:
+    """Why a project was quarantined: the failing stage, exception type and message.
+
+    The traceback goes to the log only: its source paths and line numbers
+    would make ``quarantine.json`` differ between checkouts of the same code.
+    """
+    _log.warning("quarantined %s in %s", repo, stage, exc_info=exc)
+    return {"stage": stage, "type": type(exc).__name__, "message": str(exc)}
 
 
 def run_pipeline(config: PipelineConfig, stages: tuple[str, ...] = ("analyze", "mine", "join", "stats")) -> PipelineOutcome:
@@ -338,29 +351,26 @@ def run_pipeline(config: PipelineConfig, stages: tuple[str, ...] = ("analyze", "
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     write_json(out / "selection.json", selection_doc(config, accepted, rejections))
-    quarantined: dict[str, str] = {}
+    quarantined: dict[str, dict[str, str]] = {}
 
-    def per_project(entry: ProjectManifestEntry) -> None:
+    def per_project(entry: ProjectManifestEntry) -> dict[str, str] | None:
         load_corpus = _snapshot_loader(entry, config)
-        if "analyze" in stages:
-            analyze_project(entry, config, load_corpus)
-        if "mine" in stages:
-            mine_project(entry, config, load_corpus)
+        for stage, run in (("analyze", analyze_project), ("mine", mine_project)):
+            if stage in stages:
+                try:
+                    run(entry, config, load_corpus)
+                except Exception as exc:
+                    return quarantine_record(entry.repo, stage, exc)
+        return None
 
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            futures = {pool.submit(per_project, e): e for e in accepted}
-            for fut, entry in futures.items():
-                try:
-                    fut.result()
-                except Exception:
-                    quarantined[entry.repo] = traceback.format_exc(limit=4)
+            failures = list(pool.map(per_project, accepted))
     else:
-        for entry in accepted:
-            try:
-                per_project(entry)
-            except Exception:
-                quarantined[entry.repo] = traceback.format_exc(limit=4)
+        failures = [per_project(entry) for entry in accepted]
+    for entry, failure in zip(accepted, failures):
+        if failure is not None:
+            quarantined[entry.repo] = failure
 
     healthy = [e for e in accepted if e.repo not in quarantined]
     dataset_path = None
@@ -374,8 +384,8 @@ def run_pipeline(config: PipelineConfig, stages: tuple[str, ...] = ("analyze", "
                 activity.append({"project": entry.repo,
                                  "window_commits": meta["window_commits"],
                                  "system_churn": meta["system_churn"]})
-            except Exception:
-                quarantined[entry.repo] = traceback.format_exc(limit=4)
+            except Exception as exc:
+                quarantined[entry.repo] = quarantine_record(entry.repo, "join", exc)
         healthy = [e for e in healthy if e.repo not in quarantined]
         dataset_path = export_dataset(all_rows, config)
         write_csv(out / "activity.csv", ACTIVITY_HEADER, activity_summary(activity))

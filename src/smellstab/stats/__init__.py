@@ -5,6 +5,7 @@ from .design import (
     DesignMatrix,
     ModelSpec,
     all_model_specs,
+    column_table,
     null_design,
     prepare_design,
 )
@@ -31,7 +32,7 @@ from .suite import (
 
 __all__ = [
     "BINARY", "FAMILY_SIZES", "DesignError", "DesignMatrix",
-    "ModelSpec", "all_model_specs", "null_design", "prepare_design", "FitResult",
+    "ModelSpec", "all_model_specs", "column_table", "null_design", "prepare_design", "FitResult",
     "DispersionError", "dispersion_statistic", "fit_negbin_glm", "fit_poisson",
     "fit_negbin_random_intercept", "laplace_loglik_and_grad", "InferenceError",
     "bh_adjust", "effect_sizes", "fit_quality", "one_sided_p", "predict_mu",

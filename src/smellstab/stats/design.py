@@ -95,44 +95,66 @@ class DesignMatrix:
 
 
 def _as_float(column: str, values: list) -> np.ndarray:
+    """One dataset column as floats: ``true``/``1`` for a flag, ``float()`` otherwise."""
     if column in BINARY:
-        out = np.array([1.0 if str(v).lower() in ("true", "1") else 0.0 for v in values])
-        return out
+        return np.array([1.0 if str(v).lower() in ("true", "1") else 0.0 for v in values])
     return np.array([float(v) for v in values], dtype=float)
 
 
-def prepare_design(rows: list[dict], spec: ModelSpec) -> DesignMatrix:
-    """Build the design matrix for one model spec from joined dataset rows."""
+@dataclass(frozen=True)
+class ColumnTable:
+    """The dataset columns the 34 models read, converted once."""
+
+    columns: dict[str, np.ndarray]  # float column per DV, IV, CV and IsSmelly
+    project_codes: np.ndarray  # dense index into ``projects``, one per row
+    projects: list[str]  # sorted project labels
+
+
+def spec_columns() -> list[str]:
+    """Every column the 34 models read, in first-use order."""
+    cols = dict.fromkeys(["IsSmelly"])
+    for spec in all_model_specs():
+        cols.update(dict.fromkeys([spec.dv, spec.iv, *spec.cvs]))
+    return list(cols)
+
+
+def column_table(rows: list[dict]) -> ColumnTable:
+    """Convert joined dataset rows once into the columns the 34 models read."""
+    columns = {c: _as_float(c, [r[c] for r in rows]) for c in spec_columns()}
+    projects = [str(r["project"]) for r in rows]
+    labels = sorted(set(projects))
+    code = {p: i for i, p in enumerate(labels)}
+    return ColumnTable(columns, np.array([code[p] for p in projects], dtype=np.int64), labels)
+
+
+def prepare_design(table: ColumnTable, spec: ModelSpec) -> DesignMatrix:
+    """Build the design matrix for one model spec from the dataset's columns."""
     if spec.population == POP_NON_SMELLY:
-        keep = [i for i, r in enumerate(rows) if str(r["IsSmelly"]).lower() not in ("true", "1")]
+        keep = np.flatnonzero(table.columns["IsSmelly"] == 0.0)
     else:
-        keep = list(range(len(rows)))
-    if not keep:
+        keep = np.arange(table.project_codes.size, dtype=np.int64)
+    if not keep.size:
         raise DesignError(f"{spec.label}: empty population {spec.population!r}")
-    sub = [rows[i] for i in keep]
-    y = np.array([float(r[spec.dv]) for r in sub])
+    y = table.columns[spec.dv][keep]
     if np.any(y < 0) or np.any(y != np.floor(y)):
         raise DesignError(f"{spec.label}: response {spec.dv} must be non-negative integers")
     columns = [spec.iv, *spec.cvs]
-    mats = [np.ones(len(sub))]
+    mats = [np.ones(keep.size)]
     for col in columns:
-        v = _as_float(col, [r[col] for r in sub])
+        v = table.columns[col][keep]
         if col in LOG_TRANSFORMED:
             v = np.log1p(v)
         mats.append(v)
-    X = np.column_stack(mats)
-    projects = [str(r["project"]) for r in sub]
-    labels = sorted(set(projects))
-    code = {p: i for i, p in enumerate(labels)}
-    groups = np.array([code[p] for p in projects], dtype=np.int64)
+    # renumber the projects densely within the population
+    present, groups = np.unique(table.project_codes[keep], return_inverse=True)
     return DesignMatrix(
         y=y,
-        X=X,
+        X=np.column_stack(mats),
         names=["Intercept", *columns],
-        groups=groups,
-        n_groups=len(labels),
-        project_labels=labels,
-        row_index=np.array(keep, dtype=np.int64),
+        groups=groups.astype(np.int64, copy=False),
+        n_groups=present.size,
+        project_labels=[table.projects[i] for i in present],
+        row_index=keep.astype(np.int64, copy=False),
     )
 
 

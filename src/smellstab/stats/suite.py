@@ -8,11 +8,12 @@ from pathlib import Path
 
 import numpy as np
 
-from ..io_utils import write_csv, write_json
+from ..io_utils import atomic_writer, write_csv, write_json
 from .design import (
     DesignError,
     ModelSpec,
     all_model_specs,
+    column_table,
     null_design,
     prepare_design,
 )
@@ -93,16 +94,18 @@ def run_hypothesis_suite(rows: list[dict], seed: int = 0) -> SuiteResult:
 
     Non-converged or unfittable models carry a conservative raw p of 1.0
     into the family adjustment (family sizes stay 6/12/4/12) and are marked
-    inconclusive, never accepted.
+    inconclusive, never accepted.  The rows are converted to columns once;
+    each design is a choice of columns and rows from that table.
     """
     specs = all_model_specs()
+    table = column_table(rows)
     results: list[HypothesisResult] = []
     null_cache: dict[tuple[str, str], float] = {}
     for spec in specs:
         res = HypothesisResult(spec)
         results.append(res)
         try:
-            design = prepare_design(rows, spec)
+            design = prepare_design(table, spec)
         except DesignError as exc:
             res.note = str(exc)
             continue
@@ -204,12 +207,18 @@ def export_fits_json(suite: SuiteResult, path: str | Path, seed: int = 0, config
 
 
 def export_quantile_residuals(suite: SuiteResult, path: str | Path, seed: int = 0) -> None:
-    """Randomized quantile residuals per model, for external QQ plotting."""
-    out_rows: list[list] = []
-    for r in suite.results:
-        if r.fit is None or not r.fit.converged:
-            continue
-        resid = randomized_quantile_residuals(r.y, r.fit.mu_hat, r.fit.theta, seed)
-        for idx, value in zip(r.row_index, resid):
-            out_rows.append([r.spec.label, int(idx), float(value)])
-    write_csv(path, ["hypothesis", "row", "quantile_residual"], out_rows)
+    """Randomized quantile residuals per model, for external QQ plotting.
+
+    Written model by model into one atomic file.  Each line is what
+    ``write_csv`` makes of ``[label, row, residual]``: ``repr`` of the float
+    and no quoting, since labels hold no comma, quote or newline.
+    """
+    with atomic_writer(path) as fh:
+        fh.write("hypothesis,row,quantile_residual\n")
+        for r in suite.results:
+            if r.fit is None or not r.fit.converged:
+                continue
+            resid = randomized_quantile_residuals(r.y, r.fit.mu_hat, r.fit.theta, seed)
+            label = r.spec.label
+            fh.write("".join([f"{label},{i},{v!r}\n"
+                              for i, v in zip(r.row_index.tolist(), resid.tolist())]))

@@ -45,7 +45,7 @@ from smellstab.stats.design import DesignMatrix
 from smellstab.stats.simulate import nb2_draw, simulate_nb_glmm_design, simulate_observation_rows
 
 import test_mining as mining_fix
-from conftest import EPOCH, build_analyzed
+from testkit import EPOCH, build_analyzed
 from javafix import FIG1_FILES, FIG2_CASE_A_FILES, FIG2_CASE_B_FILES, SMELL_FIXTURES, TEN_RELATIONS_FILES
 from synth import oracle_interactions, synth_corpus
 from test_stats_inference import _bh_oracle

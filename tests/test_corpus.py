@@ -3,7 +3,7 @@ import pytest
 from smellstab.corpus import ingest_corpus
 from smellstab.model import ArtifactKind, CorpusLookupError
 
-from conftest import build_corpus
+from testkit import build_corpus
 
 
 def test_empty_snapshot_yields_empty_corpus():

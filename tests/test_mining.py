@@ -22,7 +22,7 @@ from smellstab.mining import (
     mine_window,
 )
 
-from conftest import EPOCH, GitRepo
+from testkit import EPOCH, GitRepo
 
 DAY = 86400
 

@@ -23,7 +23,7 @@ from smellstab.pipeline import (
 )
 from smellstab.smells import ThresholdConfig
 
-from conftest import EPOCH, GitRepo
+from testkit import EPOCH, GitRepo
 
 DAY = 86400
 
@@ -171,7 +171,7 @@ def test_cached_rerun_skips_and_matches(tmp_path, fixture_projects):
     assert (Path(config.output_dir) / "dataset.csv").read_bytes() == first
 
 
-def test_quarantine_isolates_broken_project(tmp_path, fixture_projects):
+def test_quarantine_isolates_broken_project(tmp_path, fixture_projects, caplog):
     broken = json.dumps({
         "repo": "fix/broken", "stars": 900, "forks": 200, "contributors": 25,
         "java_fraction": 0.95, "window_commits": 60, "education_flag": False,
@@ -183,7 +183,14 @@ def test_quarantine_isolates_broken_project(tmp_path, fixture_projects):
     _, rows = read_csv(Path(config.output_dir) / "dataset.csv")
     assert len(rows) == 6
     doc = json.loads((Path(config.output_dir) / "quarantine.json").read_text())
-    assert "fix/broken" in doc["quarantined"]
+    assert doc["quarantined"] == outcome.quarantined
+    why = doc["quarantined"]["fix/broken"]
+    assert set(why) == {"stage", "type", "message"}
+    assert why["stage"] == "analyze"
+    assert why["type"] == "GitError" and why["message"]
+    assert "Traceback" not in json.dumps(doc)
+    logged = [r for r in caplog.records if r.getMessage() == "quarantined fix/broken in analyze"]
+    assert len(logged) == 1 and logged[0].exc_info[0].__name__ == "GitError"
 
 
 def test_no_author_identity_leaks_into_outputs(tmp_path, fixture_projects):
@@ -463,7 +470,8 @@ def test_stage_crash_leaves_no_valid_marker(tmp_path, three_commits, monkeypatch
     monkeypatch.setattr(smellstab.pipeline, "extract_dependencies", crash)
     config.thresholds = ThresholdConfig(FEW=4)
     outcome = run_pipeline(config, stages=("analyze",))
-    assert set(outcome.quarantined) == {"fix/three"}
+    assert outcome.quarantined == {"fix/three": {
+        "stage": "analyze", "type": "RuntimeError", "message": "crash mid-stage"}}
     assert not marker.exists()
 
 

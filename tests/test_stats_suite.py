@@ -1,15 +1,20 @@
 import json
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smellstab.stats import ALPHA, all_model_specs, run_hypothesis_suite
-from smellstab.stats.design import FAMILY_SIZES, prepare_design, DesignError
+from smellstab.io_utils import read_csv, write_csv
+from smellstab.stats import ALPHA, BINARY, all_model_specs, run_hypothesis_suite
+from smellstab.stats.design import FAMILY_SIZES, DesignError, column_table, prepare_design, spec_columns
 from smellstab.stats.simulate import simulate_observation_rows
-from smellstab.stats.suite import ACCEPTED, INCONCLUSIVE, REJECTED, export_fits_json, results_rows
+from smellstab.stats.suite import (
+    ACCEPTED, INCONCLUSIVE, REJECTED, export_fits_json, export_quantile_residuals, results_rows,
+)
 
+import stats_oracle
 from fit_oracle import oracle_fits
 
 
@@ -25,14 +30,14 @@ def test_thirty_specs_with_family_sizes():
 def test_prepare_design_log_transforms_and_population():
     rows = simulate_observation_rows(3, 40, seed=1)
     spec = next(s for s in all_model_specs() if s.hypothesis == "H1.2" and s.dv == "ChF")
-    design = prepare_design(rows, spec)
+    design = prepare_design(column_table(rows), spec)
     assert design.names == ["Intercept", "#SmellFoc", "ClSize", "#EffNei"]
     raw = [float(r["#SmellFoc"]) for r in rows]
     np.testing.assert_allclose(design.X[:, 1], np.log1p(raw))
     assert np.all(design.X[design.X[:, 1] == 0.0, 1] == 0.0)  # log1p(0) = 0
 
     h24 = next(s for s in all_model_specs() if s.hypothesis == "H2.4" and s.dv == "ChF")
-    d24 = prepare_design(rows, h24)
+    d24 = prepare_design(column_table(rows), h24)
     kept = [rows[i] for i in d24.row_index]
     assert all(r["IsSmelly"] == "false" for r in kept)
 
@@ -40,7 +45,7 @@ def test_prepare_design_log_transforms_and_population():
 def test_prepare_design_h32_controls():
     rows = simulate_observation_rows(3, 30, seed=2)
     spec = next(s for s in all_model_specs() if s.hypothesis == "H3.2" and s.dv == "ChS")
-    design = prepare_design(rows, spec)
+    design = prepare_design(column_table(rows), spec)
     assert design.names == ["Intercept", "HasEffCoup", "ClSize", "#EffNei", "IsSmelly", "HasSmellEff"]
 
 
@@ -50,13 +55,13 @@ def test_prepare_design_empty_population_errors():
         r["IsSmelly"] = "true"
     spec = next(s for s in all_model_specs() if s.population == "non_smelly")
     with pytest.raises(DesignError):
-        prepare_design(rows, spec)
+        prepare_design(column_table(rows), spec)
 
 
 def test_binary_iv_passes_untransformed():
     rows = simulate_observation_rows(3, 30, seed=4)
     spec = next(s for s in all_model_specs() if s.iv == "IsSmelly" and s.dv == "ChF")
-    design = prepare_design(rows, spec)
+    design = prepare_design(column_table(rows), spec)
     assert set(np.unique(design.X[:, 1])) <= {0.0, 1.0}
 
 
@@ -155,3 +160,178 @@ def test_fits_json_records_fit_diagnostics(tmp_path):
             "grad_norm": fit.grad_norm, "pinned": fit.pinned,
         }
         assert entry["fit"]["evaluations"] >= entry["fit"]["iterations"] >= 1
+
+
+# -- the column table against the row-dict oracle ---------------------------------
+
+def _assert_same_design(new, old):
+    for attr in ("y", "X", "groups", "row_index"):
+        a, b = getattr(new, attr), getattr(old, attr)
+        assert (a.dtype, a.shape, a.tobytes()) == (b.dtype, b.shape, b.tobytes()), attr
+    assert new.names == old.names
+    assert new.n_groups == old.n_groups
+    assert new.project_labels == old.project_labels
+
+
+def _assert_designs_match_oracle(rows):
+    table = column_table(rows)
+    for spec in all_model_specs():
+        try:
+            old = stats_oracle.prepare_design(rows, spec)
+        except DesignError as exc:
+            with pytest.raises(DesignError, match=f"^{re.escape(str(exc))}$"):
+                prepare_design(table, spec)
+            continue
+        _assert_same_design(prepare_design(table, spec), old)
+
+
+def _csv_roundtrip(rows, tmp_path):
+    header = list(rows[0])
+    write_csv(tmp_path / "dataset.csv", header, [[r[c] for c in header] for r in rows])
+    return read_csv(tmp_path / "dataset.csv")[1]
+
+
+def test_designs_match_the_oracle_on_synth_suite_data(tmp_path):
+    rows = simulate_observation_rows(7, 45, seed=31)
+    _assert_designs_match_oracle(rows)
+    _assert_designs_match_oracle(_csv_roundtrip(rows, tmp_path))
+
+
+def test_designs_match_the_oracle_on_python_bools_and_ints():
+    rows = simulate_observation_rows(5, 30, seed=32)
+    for r in rows:
+        for col in BINARY:
+            r[col] = r[col] == "true"
+        r["ChF"], r["ChS"] = int(r["ChF"]), float(r["ChS"])
+    assert any(r["IsSmelly"] is True for r in rows)
+    _assert_designs_match_oracle(rows)
+
+
+def test_designs_match_the_oracle_on_flag_spellings():
+    rows = simulate_observation_rows(5, 30, seed=33)
+    spellings = ["True", "TRUE", "1", "true", "yes", "0", "False", "1.0", ""]
+    for i, r in enumerate(rows):
+        for j, col in enumerate(sorted(BINARY)):
+            if r[col] == "true" or (i + j) % 3 == 0:
+                r[col] = spellings[(i + j) % len(spellings)]
+    _assert_designs_match_oracle(rows)
+    table = column_table(rows)
+    for spelling, want in (("True", 1.0), ("TRUE", 1.0), ("1", 1.0), ("1.0", 0.0), ("yes", 0.0)):
+        rows[0]["IsSmelly"] = spelling
+        assert column_table(rows[:1]).columns["IsSmelly"][0] == want, spelling
+    assert set(np.unique(table.columns["IsSmelly"])) == {0.0, 1.0}
+
+
+def test_non_smelly_codes_are_renumbered_like_the_oracle():
+    rows = simulate_observation_rows(4, 25, seed=34)
+    for r in rows:
+        if r["project"] in ("proj000", "proj002"):
+            r["IsSmelly"] = "true"  # two projects with no non-smelly class
+    _assert_designs_match_oracle(rows)
+    h25 = next(s for s in all_model_specs() if s.label == "H2.5:ChS")
+    design = prepare_design(column_table(rows), h25)
+    assert design.project_labels == ["proj001", "proj003"]
+    assert design.n_groups == 2 and set(design.groups.tolist()) == {0, 1}
+
+
+def test_residual_file_matches_the_oracle_writer(tmp_path):
+    rows = simulate_observation_rows(6, 40, seed=35)
+    suite = run_hypothesis_suite(rows, seed=4)
+    assert sum(r.converged for r in suite.results) >= 30
+    export_quantile_residuals(suite, tmp_path / "new.csv", seed=4)
+    stats_oracle.export_quantile_residuals(suite, tmp_path / "old.csv", seed=4)
+    new = (tmp_path / "new.csv").read_bytes()
+    assert new == (tmp_path / "old.csv").read_bytes()
+    assert new.count(b"\n") == 1 + sum(r.row_index.size for r in suite.results if r.converged)
+
+
+# -- error paths of the column table ----------------------------------------------
+
+def test_empty_non_smelly_population_note_in_fits_json(tmp_path):
+    rows = simulate_observation_rows(4, 30, seed=36)
+    for r in rows:
+        r["IsSmelly"] = "TRUE"
+    suite = run_hypothesis_suite(rows)
+    export_fits_json(suite, tmp_path / "fits.json")
+    fits = json.loads((tmp_path / "fits.json").read_text())["fits"]
+    for spec in all_model_specs():
+        if spec.population != "non_smelly":
+            continue
+        with pytest.raises(DesignError) as old:
+            stats_oracle.prepare_design(rows, spec)
+        assert fits[spec.label]["note"] == str(old.value) == (
+            f"{spec.label}: empty population 'non_smelly'")
+        assert "fit" not in fits[spec.label]
+
+
+@pytest.mark.parametrize("dv, value", [("ChF", -1), ("ChS", "2.5"), ("ChF", 0.5)])
+def test_negative_or_fractional_response_raises(dv, value):
+    rows = simulate_observation_rows(3, 20, seed=37)
+    rows[7][dv] = value
+    rows[7]["IsSmelly"] = "false"  # in both populations
+    table = column_table(rows)
+    for spec in all_model_specs():
+        if spec.dv != dv:
+            continue
+        with pytest.raises(DesignError, match="must be non-negative integers"):
+            prepare_design(table, spec)
+        with pytest.raises(DesignError, match="must be non-negative integers"):
+            stats_oracle.prepare_design(rows, spec)
+
+
+@pytest.mark.parametrize("col", ["ClSize", "#SmellEff", "ChS"])
+def test_non_numeric_cell_raises_instead_of_nan(col):
+    rows = simulate_observation_rows(3, 20, seed=38)
+    rows[5][col] = "n/a"
+    with pytest.raises(ValueError, match="n/a"):
+        column_table(rows)
+    with pytest.raises(ValueError, match="n/a"):
+        run_hypothesis_suite(rows)
+    spec = next(s for s in all_model_specs() if col in (s.dv, s.iv, *s.cvs))
+    with pytest.raises(ValueError, match="n/a"):
+        stats_oracle.prepare_design(rows, spec)
+
+
+class _Unconvertible:
+    def __float__(self):
+        raise AssertionError("converted a column no model reads")
+
+    __str__ = __float__
+
+
+def test_columns_no_spec_reads_are_never_converted():
+    rows = simulate_observation_rows(3, 20, seed=39)
+    for r in rows:
+        r["class"] = r["lineage_status"] = _Unconvertible()
+    table = column_table(rows)
+    assert set(table.columns) == set(spec_columns())
+    assert {"class", "lineage_status", "project"}.isdisjoint(table.columns)
+    assert len(table.columns) == 14
+
+
+# -- the residual file is replaced atomically -------------------------------------
+
+def test_failed_residual_export_keeps_the_previous_file(tmp_path, monkeypatch):
+    import smellstab.stats.suite as suite_mod
+
+    rows = simulate_observation_rows(6, 40, seed=40)
+    suite = run_hypothesis_suite(rows)
+    path = tmp_path / "quantile_residuals.csv"
+    export_quantile_residuals(suite, path, seed=1)
+    before = path.read_bytes()
+
+    real = suite_mod.randomized_quantile_residuals
+    calls = []
+
+    def fail_on_fifth(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 5:
+            raise RuntimeError("residuals failed")
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(suite_mod, "randomized_quantile_residuals", fail_on_fifth)
+    with pytest.raises(RuntimeError, match="residuals failed"):
+        export_quantile_residuals(suite, path, seed=2)
+    assert len(calls) == 5
+    assert path.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["quantile_residuals.csv"]
