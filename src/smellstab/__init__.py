@@ -8,7 +8,7 @@ negative-binomial mixed models over the resulting dataset.
 
 __version__ = "0.1.0"
 
-from .model import ArtifactId, ArtifactKind, RelationKind, SourceCorpus, enclosing_class
+from .model import ArtifactId, ArtifactKind, RelationKind, SourceCorpus
 from .corpus import ingest_corpus
 from .lexer import logical_lines, logical_loc
 from .graph import DependencyEdge, DependencyGraph, efferent_neighbors, extract_dependencies
@@ -24,7 +24,7 @@ from .neighborhood import (
 
 __all__ = [
     "__version__",
-    "ArtifactId", "ArtifactKind", "RelationKind", "SourceCorpus", "enclosing_class",
+    "ArtifactId", "ArtifactKind", "RelationKind", "SourceCorpus",
     "ingest_corpus", "logical_lines", "logical_loc",
     "DependencyEdge", "DependencyGraph", "efferent_neighbors", "extract_dependencies",
     "ClassMetrics", "MethodMetrics", "build_metrics_context", "compute_class_metrics",

@@ -24,6 +24,7 @@ corpus are kept but tagged external.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import Iterator
 
 from .bodyscan import BodyFacts, scan_expression, scan_initializer, scan_member_body
 from .model import (
@@ -57,15 +58,17 @@ class DomainError(ValueError):
 class DependencyGraph:
     edges: list[DependencyEdge] = field(default_factory=list)
     by_source: dict[ArtifactId, list[DependencyEdge]] = field(default_factory=dict)
-    by_target: dict[ArtifactId, list[DependencyEdge]] = field(default_factory=dict)
 
     def finalize(self) -> None:
         self.edges.sort()
         self.by_source.clear()
-        self.by_target.clear()
         for e in self.edges:
             self.by_source.setdefault(e.source, []).append(e)
-            self.by_target.setdefault(e.target, []).append(e)
+
+    def out_edges(self, decl: TypeDecl) -> Iterator[DependencyEdge]:
+        """Edges leaving ``decl`` or any artifact attributed to it."""
+        for source in (decl.id, *decl.member_artifacts()):
+            yield from self.by_source.get(source, ())
 
     def internal_edges(self) -> list[DependencyEdge]:
         return [e for e in self.edges if not e.external]
@@ -172,30 +175,6 @@ def efferent_neighbors(
     decl = corpus.type_decl(focal.qualified_name)
     if decl.is_interface or decl.enclosing is not None:
         raise DomainError(f"focal artifact must be a top-level class: {focal}")
-    out: set[ArtifactId] = set()
-    for e in graph.edges:
-        if e.external:
-            continue
-        if corpus.enclosing_class(e.source) != focal:
-            continue
-        target_class = corpus.enclosing_class(e.target)
-        if target_class != focal:
-            out.add(target_class)
-    return out
-
-
-def neighbors_by_class(graph: DependencyGraph, corpus: SourceCorpus) -> dict[ArtifactId, set[ArtifactId]]:
-    """Efferent neighbor sets for every top-level class, one graph pass."""
-    out: dict[ArtifactId, set[ArtifactId]] = {
-        t.id: set() for t in corpus.top_level_classes() if t.enclosing is None
-    }
-    for e in graph.edges:
-        if e.external:
-            continue
-        src = corpus.enclosing_class(e.source)
-        if src not in out:
-            continue
-        tgt = corpus.enclosing_class(e.target)
-        if tgt != src:
-            out[src].add(tgt)
+    out = {corpus.enclosing_class(e.target) for e in graph.out_edges(decl) if not e.external}
+    out.discard(focal)
     return out

@@ -268,7 +268,3 @@ class SourceCorpus:
                 self.diagnostics, key=lambda d: (d.file, d.message))],
         }
         return json.dumps(doc, indent=1, sort_keys=True)
-
-
-def enclosing_class(corpus: SourceCorpus, artifact: ArtifactId) -> ArtifactId:
-    return corpus.enclosing_class(artifact)

@@ -12,15 +12,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DependencyGraph, DomainError, neighbors_by_class
+from .graph import DependencyGraph, DomainError, efferent_neighbors
 from .model import ArtifactId, RelationKind, SourceCorpus
 from .smells import SmellInstance
-
-
-@dataclass(frozen=True)
-class SmellFootprint:
-    instance: SmellInstance
-    artifacts: frozenset[ArtifactId]
 
 
 @dataclass(frozen=True)
@@ -66,14 +60,12 @@ def observation_row(o: ClassObservation) -> list:
     ]
 
 
-def smell_footprint(corpus: SourceCorpus, instance: SmellInstance) -> SmellFootprint:
+def smell_footprint(corpus: SourceCorpus, instance: SmellInstance) -> frozenset[ArtifactId]:
     """Method-level: the host method; class-level: the class plus all members."""
     if instance.smell.level == "method":
-        return SmellFootprint(instance, frozenset({instance.host}))
+        return frozenset({instance.host})
     decl = corpus.type_decl(instance.host.qualified_name)
-    artifacts = {decl.id}
-    artifacts.update(decl.member_artifacts())
-    return SmellFootprint(instance, frozenset(artifacts))
+    return frozenset((decl.id, *decl.member_artifacts()))
 
 
 def focal_smell_stats(
@@ -110,21 +102,20 @@ def efferent_interactions(
     A dependency edge is an interaction dependency when its source lies in a
     focal instance's footprint and its target in a neighbor instance's
     footprint.  Intensity sums site counts over *distinct* interaction edges:
-    an edge shared by several pairs is still one dependency.
+    an edge shared by several pairs is still one dependency.  Every focal
+    footprint lies inside the focal class, so only its out-edges are read.
     """
     if neighbors is None:
-        from .graph import efferent_neighbors
-
         neighbors = efferent_neighbors(graph, corpus, focal)
     focal_instances = [s for s in smells if s.enclosing == focal]
     neighbor_instances = [s for s in smells if s.enclosing in neighbors]
     if not focal_instances or not neighbor_instances:
         return (False, 0, 0, [])
-    focal_fp = {id(s): smell_footprint(corpus, s).artifacts for s in focal_instances}
-    neigh_fp = {id(s): smell_footprint(corpus, s).artifacts for s in neighbor_instances}
+    focal_fp = {id(s): smell_footprint(corpus, s) for s in focal_instances}
+    neigh_fp = {id(s): smell_footprint(corpus, s) for s in neighbor_instances}
     pairs: list[tuple[SmellInstance, SmellInstance]] = []
     interaction_edges = set()
-    for e in graph.edges:
+    for e in graph.out_edges(corpus.type_decl(focal.qualified_name)):
         if e.relation == RelationKind.CONTAIN or e.external:
             continue
         for cs1 in focal_instances:
@@ -152,8 +143,6 @@ def build_observation(
     if decl.is_interface or decl.enclosing is not None:
         raise DomainError(f"observations are defined on top-level classes: {focal}")
     if neighbors is None:
-        from .graph import efferent_neighbors
-
         neighbors = efferent_neighbors(graph, corpus, focal)
     is_smelly, n_foc, var_foc = focal_smell_stats(focal, smells)
     has_eff, n_eff, var_eff = efferent_smell_stats(focal, neighbors, smells)
@@ -184,12 +173,17 @@ def build_all_observations(
     graph: DependencyGraph,
     smells: list[SmellInstance],
 ) -> list[ClassObservation]:
-    """One observation per focal (top-level, non-interface) class."""
-    neighbor_map = neighbors_by_class(graph, corpus)
+    """One observation per focal (top-level, non-interface) class.
+
+    Each focal is handed only its own smell instances and its neighbors'.
+    """
+    by_class: dict[ArtifactId, list[SmellInstance]] = {}
+    for s in smells:
+        by_class.setdefault(s.enclosing, []).append(s)
     out = []
     for decl in corpus.top_level_classes():
-        if decl.enclosing is not None:
-            continue
-        out.append(build_observation(decl.id, corpus, graph, smells, neighbor_map[decl.id]))
+        neighbors = efferent_neighbors(graph, corpus, decl.id)
+        nearby = [s for c in (decl.id, *sorted(neighbors)) for s in by_class.get(c, ())]
+        out.append(build_observation(decl.id, corpus, graph, nearby, neighbors))
     out.sort(key=lambda o: o.focal.qualified_name)
     return out

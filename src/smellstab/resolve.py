@@ -102,7 +102,8 @@ class Resolver:
                 if corpus.has_type(qn):
                     return corpus.type_decl(qn).id
             return external_artifact(raw)
-        # simple name: lexical scope, then compilation unit, imports, package
+        # simple name: lexical scope, single-type imports, the package (which
+        # holds this file's own top-level types), then on-demand imports
         for t in self.scope_chain(scope):
             if t.id.simple_name == raw:
                 return t.id
@@ -111,9 +112,6 @@ class Resolver:
                     return nested.id
         ctx = corpus.file_contexts.get(scope.file)
         if ctx is not None:
-            for top in corpus.types:
-                if top.file == scope.file and top.id.simple_name == raw:
-                    return top.id
             imported = ctx.imports.get(raw)
             if imported is not None:
                 if corpus.has_type(imported):

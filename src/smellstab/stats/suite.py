@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -68,19 +68,9 @@ class HypothesisResult:
         )
 
 
-@dataclass(frozen=True)
-class HypothesisVerdict:
-    hypothesis: str  # e.g. "H1.2:ChF"
-    p_raw: float
-    p_bh: float
-    accepted: bool
-    status: str
-
-
 @dataclass
 class SuiteResult:
     results: list[HypothesisResult]
-    verdicts: list[HypothesisVerdict] = field(default_factory=list)
 
     def by_label(self, label: str) -> HypothesisResult:
         for r in self.results:
@@ -90,7 +80,7 @@ class SuiteResult:
 
 
 def run_hypothesis_suite(rows: list[dict], seed: int = 0) -> SuiteResult:
-    """Fit all 34 models, BH-adjust within each RQ, emit verdicts.
+    """Fit all 34 models, BH-adjust within each RQ, set each status.
 
     Non-converged or unfittable models carry a conservative raw p of 1.0
     into the family adjustment (family sizes stay 6/12/4/12) and are marked
@@ -147,10 +137,7 @@ def run_hypothesis_suite(rows: list[dict], seed: int = 0) -> SuiteResult:
             in_direction = (beta_iv > 0) if r.spec.direction > 0 else (beta_iv < 0)
             r.status = ACCEPTED if (in_direction and r.p_bh < ALPHA) else REJECTED
 
-    verdicts = [
-        HypothesisVerdict(r.spec.label, r.p_raw, r.p_bh, r.accepted, r.status) for r in results
-    ]
-    return SuiteResult(results, verdicts)
+    return SuiteResult(results)
 
 
 RESULTS_HEADER = [

@@ -180,3 +180,23 @@ def test_generic_type_arguments_become_use_edges(analyzed_factory):
     assert ("A.items", "java.util.List") in uses
     neighbors = efferent_neighbors(graph, corpus, corpus.index["A"])
     assert {n.qualified_name for n in neighbors} == {"Item"}
+
+
+def test_type_name_resolution_order(analyzed_factory):
+    # single-type import > the package, this file's own types included > on-demand import
+    corpus, graph, _ = analyzed_factory({
+        "p/A.java": "package p; import q.*; class A { Helper h; Other o; } class Helper {}",
+        "p/Local.java": "package p; class Local {}",
+        "p/B.java": "package p; import q.Local; import q.*; class B { Local l; }",
+        "q/Helper.java": "package q; public class Helper {}",
+        "q/Other.java": "package q; public class Other {}",
+        "q/Local.java": "package q; public class Local {}",
+        "D.java": "import q.*; class D { Helper h; Other o; } class Helper {}",
+    })
+    uses = {str(e.source): e.target.qualified_name
+            for e in graph.edges if e.relation == RelationKind.USE}
+    assert uses["p.A.h"] == "p.Helper"
+    assert uses["p.A.o"] == "q.Other"
+    assert uses["p.B.l"] == "q.Local"
+    assert uses["D.h"] == "Helper"
+    assert uses["D.o"] == "q.Other"

@@ -23,15 +23,14 @@ def _mk_instance(corpus, smell, host_qname, kind=ArtifactKind.METHOD, sig=""):
 def test_method_footprint_is_singleton(analyzed_factory):
     corpus, graph, _ = analyzed_factory(FIG2_CASE_A_FILES)
     inst = _mk_instance(corpus, SmellType.FE, "C1.cs1")
-    fp = smell_footprint(corpus, inst)
-    assert fp.artifacts == frozenset({inst.host})
+    assert smell_footprint(corpus, inst) == frozenset({inst.host})
 
 
 def test_class_footprint_covers_members(analyzed_factory):
     corpus, graph, _ = analyzed_factory(FIG2_CASE_A_FILES)
     cs2 = corpus.index["CS2"]
     inst = SmellInstance(SmellType.GC, cs2, cs2)
-    names = {a.qualified_name for a in smell_footprint(corpus, inst).artifacts}
+    names = {a.qualified_name for a in smell_footprint(corpus, inst)}
     assert names == {"CS2", "CS2.m2"}
 
 
@@ -41,7 +40,7 @@ def test_class_footprint_includes_nested_members(analyzed_factory):
     })
     outer = corpus.index["Outer"]
     inst = SmellInstance(SmellType.GC, outer, outer)
-    names = {a.qualified_name for a in smell_footprint(corpus, inst).artifacts}
+    names = {a.qualified_name for a in smell_footprint(corpus, inst)}
     assert names == {"Outer", "Outer.f", "Outer.In", "Outer.In.g"}
 
 
@@ -171,15 +170,34 @@ def test_invariant_chain_over_synthetic_corpora():
 def test_exhaustive_oracle_equivalence():
     for seed in range(50):
         corpus, graph, smells = synth_corpus(seed)
+        rows = {o.focal: o for o in build_all_observations(corpus, graph, smells)}
         for decl in corpus.top_level_classes():
             n_oracle, inten_oracle, neighbors_oracle = oracle_interactions(
                 corpus, graph, smells, decl.id)
             assert efferent_neighbors(graph, corpus, decl.id) == neighbors_oracle
-            has_int, n_int, inten, _ = efferent_interactions(
-                decl.id, graph, corpus, smells, neighbors_oracle)
-            assert n_int == n_oracle
-            assert inten == inten_oracle
-            assert has_int == (n_oracle > 0)
+            expected = (n_oracle > 0, n_oracle, inten_oracle)
+            given = efferent_interactions(decl.id, graph, corpus, smells, neighbors_oracle)
+            derived = efferent_interactions(decl.id, graph, corpus, smells)
+            assert given[:3] == expected
+            assert derived[:3] == expected
+            assert given[3] == derived[3]
+            row = rows[decl.id]
+            assert row.n_eff_nei == len(neighbors_oracle)
+            assert (row.has_eff_int, row.n_eff_smell_int, row.eff_int_inten) == expected
+
+
+class _NoWalk(list):
+    def __iter__(self):
+        raise AssertionError("the whole edge list was walked")
+
+
+def test_observations_read_only_the_focal_out_edges():
+    # after finalize() every efferent quantity must come from by_source
+    for seed in range(25):
+        corpus, graph, smells = synth_corpus(seed)
+        expected = build_all_observations(corpus, graph, smells)
+        graph.edges = _NoWalk(graph.edges)
+        assert build_all_observations(corpus, graph, smells) == expected
 
 
 def test_removing_neighbor_smells_zeroes_everything():
