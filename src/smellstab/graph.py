@@ -50,6 +50,13 @@ class DependencyEdge:
         return self.target.is_external
 
 
+def _edge_order(e: DependencyEdge) -> tuple:
+    """``sorted(edges)``'s order as one flat tuple, compared without the dataclass ``__lt__``."""
+    s, t = e.source, e.target
+    return (e.relation, s.project, s.qualified_name, s.kind, s.signature,
+            t.project, t.qualified_name, t.kind, t.signature, e.site_count)
+
+
 class DomainError(ValueError):
     pass
 
@@ -60,7 +67,7 @@ class DependencyGraph:
     by_source: dict[ArtifactId, list[DependencyEdge]] = field(default_factory=dict)
 
     def finalize(self) -> None:
-        self.edges.sort()
+        self.edges.sort(key=_edge_order)
         self.by_source.clear()
         for e in self.edges:
             self.by_source.setdefault(e.source, []).append(e)

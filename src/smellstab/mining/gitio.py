@@ -2,8 +2,9 @@
 
 Only structural data is read (hashes, committer timestamps, parent counts,
 paths, blobs).  Author names and emails are never requested, so they cannot
-leak into any export.  Blobs are named by id and read many per process;
-analysis and mining decode them the same way, so both see the same text.
+leak into any export.  Blobs are named by id and read through one long-lived
+``git cat-file --batch`` (a ``BlobReader``); analysis and mining decode them
+the same way, so both see the same text.
 """
 
 from __future__ import annotations
@@ -80,7 +81,8 @@ def _read_branch_ref(repo: Path, branch: str) -> str | None:
 
 def first_parent_chain(repo: str | Path, branch: str) -> list[ChainEntry]:
     """First-parent history of ``branch``, newest first."""
-    out = _git(repo, "log", "--first-parent", "--format=%H %ct %P", branch).decode()
+    # "--" ends the revisions: a top-level path named like the branch is no ambiguity
+    out = _git(repo, "log", "--first-parent", "--format=%H %ct %P", branch, "--").decode()
     entries = []
     for line in out.splitlines():
         parts = line.split()
@@ -119,27 +121,86 @@ def diff_commits(repo: str | Path, pairs: Iterable[tuple[str, str]]) -> dict[str
     return changes
 
 
-def show_blob(repo: str | Path, blob_ids: Iterable[str]) -> dict[str, str]:
-    """Decoded text of each readable blob, by id; one ``git cat-file --batch``.
+class BlobReader:
+    """One ``git cat-file --batch`` process for many blob reads.
 
-    An id git cannot read as a blob is absent from the result; no ids, no process.
+    The process starts on the first read and lives until ``close``, which a
+    ``with`` block calls on every exit.  Each read writes one id and reads the
+    whole answer before the next id is written, so neither pipe can fill while
+    the other side waits for it.
     """
-    ids = list(dict.fromkeys(blob_ids))
-    if not ids:
-        return {}
-    out = _git(repo, "cat-file", "--batch", stdin="".join(f"{b}\n" for b in ids).encode())
+
+    def __init__(self, repo: str | Path):
+        self.repo = repo
+        self._proc: subprocess.Popen | None = None
+
+    def __enter__(self) -> BlobReader:
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def read(self, oid: str) -> bytes | None:
+        """Content of the blob ``oid``; None when git has no blob by that id.
+
+        Only full object ids are asked for: any other name is None with no
+        question to git, so no name can break the one-line protocol.
+        """
+        if not _OBJECT_ID.fullmatch(oid):
+            return None
+        if self._proc is None:
+            self._proc = subprocess.Popen(["git", "-C", str(self.repo), "cat-file", "--batch"],
+                                          stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                                          stderr=subprocess.PIPE)
+        proc = self._proc
+        try:
+            proc.stdin.write(f"{oid}\n".encode())
+            proc.stdin.flush()
+        except BrokenPipeError:
+            raise self._exited() from None
+        line = proc.stdout.readline()  # "<id> <type> <size>" or "<id> missing"
+        if not line.endswith(b"\n"):
+            raise self._exited()
+        header = line.split()
+        if len(header) != 3:
+            return None
+        size = int(header[2])
+        content = proc.stdout.read(size)
+        if len(content) != size or proc.stdout.read(1) != b"\n":
+            raise self._exited()
+        return content if header[1] == b"blob" else None
+
+    def _exited(self) -> GitError:
+        err = self.close().decode(errors="replace").strip()
+        return GitError(f"git cat-file --batch exited early: {err}")
+
+    def close(self) -> bytes:
+        """End the process and wait for it; returns what it wrote to stderr."""
+        proc, self._proc = self._proc, None
+        if proc is None:
+            return b""
+        try:
+            proc.stdin.close()  # git exits at the end of its input ...
+        except BrokenPipeError:
+            pass
+        proc.stdout.close()  # ... or at its next write, when the answer is no longer read
+        err = proc.stderr.read()
+        proc.stderr.close()
+        proc.wait()
+        return err
+
+
+def show_blob(reader: BlobReader, blob_ids: Iterable[str]) -> dict[str, str]:
+    """Decoded text of each readable blob, by id, read through ``reader``.
+
+    An id git cannot read as a blob is absent from the result.
+    """
     texts: dict[str, str] = {}
-    pos = 0
-    for blob in ids:
-        eol = out.index(b"\n", pos)
-        header = out[pos:eol].split(b" ")  # "<id> <type> <size>" or "<id> missing"
-        pos = eol + 1
-        if len(header) == 3:
-            size = int(header[2])
-            if header[1] == b"blob":  # UTF-8 with replacement, universal newlines
-                text = out[pos:pos + size].decode("utf-8", errors="replace")
-                texts[blob] = text.replace("\r\n", "\n").replace("\r", "\n")
-            pos += size + 1
+    for blob in dict.fromkeys(blob_ids):
+        content = reader.read(blob)
+        if content is not None:  # UTF-8 with replacement, universal newlines
+            text = content.decode("utf-8", errors="replace")
+            texts[blob] = text.replace("\r\n", "\n").replace("\r", "\n")
     return texts
 
 
@@ -154,7 +215,8 @@ def archive_snapshot(repo: str | Path, commit: str) -> dict[str, str]:
         path = raw_path.decode(errors="replace")
         if mode in (b"100644", b"100755") and path.endswith(".java"):
             blobs[path] = blob.decode()
-    texts = show_blob(repo, blobs.values())
+    with BlobReader(repo) as reader:
+        texts = show_blob(reader, blobs.values())
     for path, blob in blobs.items():
         if blob not in texts:
             raise GitError(f"unreadable blob {blob} for {path} at {commit}")

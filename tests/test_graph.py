@@ -1,9 +1,13 @@
+import dataclasses
+import random
+
 import pytest
 
-from smellstab.graph import DomainError, efferent_neighbors
+from smellstab.graph import DependencyGraph, DomainError, efferent_neighbors
 from smellstab.model import ArtifactId, ArtifactKind, RelationKind
 
 from javafix import FIG1_FILES, TEN_RELATIONS_FILES
+from synth import synth_corpus
 
 
 def _aid(qname, kind, sig=""):
@@ -200,3 +204,18 @@ def test_type_name_resolution_order(analyzed_factory):
     assert uses["p.B.l"] == "q.Local"
     assert uses["D.h"] == "Helper"
     assert uses["D.o"] == "q.Other"
+
+
+def test_finalize_orders_edges_as_the_dataclass_order(analyzed_factory):
+    _, analyzed, _ = analyzed_factory(TEN_RELATIONS_FILES)  # internal and external targets
+    graphs = [analyzed] + [synth_corpus(seed)[1] for seed in range(50)]
+    for seed, graph in enumerate(graphs):
+        rng = random.Random(seed)
+        edges = list(graph.edges)
+        # hand-built graphs may repeat a (relation, source, target) with another count
+        edges += [dataclasses.replace(e, site_count=e.site_count + 1)
+                  for e in rng.sample(edges, len(edges) // 4)]
+        rng.shuffle(edges)
+        shuffled = DependencyGraph(edges=list(edges))
+        shuffled.finalize()
+        assert shuffled.edges == sorted(edges)

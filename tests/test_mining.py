@@ -1,4 +1,9 @@
+import hashlib
+import itertools
+import random
 import statistics
+import subprocess
+from pathlib import Path
 
 import pytest
 
@@ -11,6 +16,7 @@ from smellstab.mining import (
     EXCLUDED_MERGE,
     EXCLUDED_SPLIT,
     TRACKED,
+    BlobReader,
     GitError,
     MiningConfigError,
     activity_summary,
@@ -18,11 +24,14 @@ from smellstab.mining import (
     archive_snapshot,
     branch_head,
     enumerate_window_commits,
+    first_parent_chain,
     make_window,
     mine_window,
+    show_blob,
 )
 
-from testkit import EPOCH, GitRepo
+import miner_oracle
+from testkit import EPOCH, GitRepo, record_processes, within
 
 DAY = 86400
 
@@ -220,9 +229,11 @@ def test_shared_imports_are_not_a_merge(git_repo_factory):
     repo.commit_all("edit both helpers", EPOCH + 3 * DAY)
     corpus = snapshot_corpus(repo, snapshot, "helpers")
     assert len(logical_lines(_helper("UtilHelperA", 0))) == 18
-    result = mine_window(repo.path, make_window(repo.path, snapshot, "main"), corpus)
+    window = make_window(repo.path, snapshot, "main")
+    result = mine_window(repo.path, window, corpus)
     outcomes = {o.focal.qualified_name: (o.status, o.chf) for o in aggregate_stability(result)}
     assert outcomes == {"UtilHelperA": (TRACKED, 1), "UtilHelperB": (TRACKED, 1)}
+    assert_same_as_oracle(repo, window, corpus, result)
 
 
 def test_modified_target_absorbing_a_class_is_a_merge(git_repo_factory):
@@ -234,9 +245,11 @@ def test_modified_target_absorbing_a_class_is_a_merge(git_repo_factory):
     repo.write("MergeA.java", MERGED.replace("Merged", "MergeA"))
     repo.commit_all("fold B into A", EPOCH + 3 * DAY)
     corpus = snapshot_corpus(repo, snapshot, "fold")
-    result = mine_window(repo.path, make_window(repo.path, snapshot, "main"), corpus)
+    window = make_window(repo.path, snapshot, "main")
+    result = mine_window(repo.path, window, corpus)
     assert {q: lin.status for q, lin in result.lineages.items()} == {
         "MergeA": EXCLUDED_MERGE, "MergeB": EXCLUDED_MERGE}
+    assert_same_as_oracle(repo, window, corpus, result)
 
 
 def test_determinism_replay(git_repo_factory):
@@ -258,7 +271,10 @@ def _one_edit(git_repo_factory, path: str, before: bytes, after: bytes):
     (repo.path / path).write_bytes(after)
     repo.commit_all("edit", EPOCH + DAY)
     corpus = snapshot_corpus(repo, snapshot, "one")
-    return corpus, mine_window(repo.path, make_window(repo.path, snapshot, "main"), corpus)
+    window = make_window(repo.path, snapshot, "main")
+    result = mine_window(repo.path, window, corpus)
+    assert_same_as_oracle(repo, window, corpus, result)
+    return corpus, result
 
 
 def test_non_ascii_path_is_mined(git_repo_factory):
@@ -277,26 +293,197 @@ def test_carriage_returns_end_lines_for_analysis_and_mining(git_repo_factory):
     assert outcomes == {"Cr": (1, 1)}
 
 
-def test_window_reads_take_one_git_process_per_commit(git_repo_factory, monkeypatch):
+def _random_history(git_repo_factory, seed: int, n_commits: int = 24):
+    """A repository whose window mixes edits, renames, splits, merges, folds,
+    deletions, additions and comment-only changes, up to two per commit.
+    Every file starts with the same imports."""
+    rng = random.Random(seed)
+    imports = "".join(f"import java.util.Type{k};\n" for k in range(rng.randint(0, 6)))
+    repo = git_repo_factory()
+    names = itertools.count()
+    values = itertools.count()
+    files: dict[str, list[str]] = {}
+
+    def new_path() -> str:
+        return f"p{rng.randint(0, 1)}/C{next(names)}.java"
+
+    def new_lines(n: int) -> list[str]:
+        return [f"    int v{next(values)};" for _ in range(n)]
+
+    def save() -> None:
+        for old in repo.path.glob("p*/*.java"):
+            old.unlink()
+        for path, lines in files.items():
+            body = "".join(f"{ln}\n" for ln in lines)
+            repo.write(path, f"{imports}class {Path(path).stem} {{\n{body}}}\n")
+
+    for _ in range(12):
+        files[new_path()] = new_lines(rng.randint(4, 12))
+    save()
+    snapshot = repo.commit_all("snapshot", EPOCH)
+    ops = ["edit", "edit", "edit", "rename", "split", "merge", "fold", "delete", "add", "comment"]
+    for i in range(n_commits):
+        for op in rng.sample(ops, rng.randint(1, 2)):
+            if len(files) < 3:
+                op = "add"
+            path = rng.choice(sorted(files))
+            lines = files[path]
+            if op == "edit":
+                del lines[rng.randrange(len(lines))]
+                lines[rng.randrange(len(lines) + 1):0] = new_lines(rng.randint(1, 3))
+            elif op == "comment":
+                lines.insert(rng.randrange(len(lines) + 1), f"    // note {next(values)}")
+            elif op == "add":
+                files[new_path()] = new_lines(rng.randint(4, 12))
+            else:
+                del files[path]
+                if op in ("rename", "split"):
+                    cut = len(lines) // 2 if op == "split" else len(lines)
+                    files[new_path()] = lines[:cut] + new_lines(rng.randint(0, 1))
+                    if op == "split":
+                        files[new_path()] = lines[cut:]
+                elif op in ("merge", "fold"):
+                    other = rng.choice(sorted(files))
+                    files[other] = files[other] + lines
+                    if op == "merge":
+                        files[new_path()] = files.pop(other)
+        save()
+        repo.commit_all(f"change {i}", EPOCH + (i + 1) * DAY)
+    return repo, snapshot
+
+
+def assert_same_as_oracle(repo, window, corpus, result) -> None:
+    expected = miner_oracle.mine_window(repo.path, window, corpus)
+    assert result == expected
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_window_walk_matches_the_oracle(git_repo_factory, seed):
+    if seed == 0:  # the criterion-6 fixture
+        repo, snapshot = build_fixture_repo(git_repo_factory)
+    else:
+        repo, snapshot = _random_history(git_repo_factory, seed)
+    corpus = snapshot_corpus(repo, snapshot, "mined")
+    window = make_window(repo.path, snapshot, "main")
+    result = mine_window(repo.path, window, corpus)
+    assert result.system_churn > 0
+    assert_same_as_oracle(repo, window, corpus, result)
+
+
+def test_window_reads_take_a_fixed_number_of_git_processes(git_repo_factory, monkeypatch):
+    histories = [build_fixture_repo(git_repo_factory), _random_history(git_repo_factory, 1, 40)]
+    for repo, snapshot in histories:
+        corpus = snapshot_corpus(repo, snapshot, "mined")
+        window = make_window(repo.path, snapshot, "main")
+        with monkeypatch.context() as patch:
+            started = record_processes(patch)
+            lexed = []
+            real_lines = smellstab.mining.miner.logical_lines
+
+            def counting_lines(text):
+                lexed.append(text)
+                return real_lines(text)
+
+            patch.setattr(smellstab.mining.miner, "logical_lines", counting_lines)
+            result = mine_window(repo.path, window, corpus)
+        # one diff-tree for the window's changes, one cat-file for all its blobs
+        assert [p.args[3] for p in started] == ["diff-tree", "cat-file"]
+        assert len(result.commits) >= 10
+        assert len(lexed) == len(set(lexed))  # each blob is lexed once
+
+
+def test_no_git_process_outlives_mine_window(git_repo_factory, monkeypatch):
     repo, snapshot = build_fixture_repo(git_repo_factory)
     corpus = snapshot_corpus(repo, snapshot, "mined")
     window = make_window(repo.path, snapshot, "main")
-    spawns, lexed = [], []
-    real_run, real_lines = smellstab.mining.gitio.subprocess.run, smellstab.mining.miner.logical_lines
+    started = record_processes(monkeypatch)
+    mine_window(repo.path, window, corpus)
+    assert len(started) == 2 and all(p.returncode is not None for p in started)
 
-    def counting_run(argv, *args, **kwargs):
-        spawns.append(argv)
-        return real_run(argv, *args, **kwargs)
+    real_lines, lexed = smellstab.mining.miner.logical_lines, []
 
-    def counting_lines(text):
+    def failing_lines(text):
         lexed.append(text)
+        if len(lexed) == 4:  # mid-window, with the reader open
+            raise RuntimeError("lexer failure")
         return real_lines(text)
 
-    monkeypatch.setattr(smellstab.mining.gitio.subprocess, "run", counting_run)
-    monkeypatch.setattr(smellstab.mining.miner, "logical_lines", counting_lines)
-    result = mine_window(repo.path, window, corpus)
-    assert len(spawns) <= len(result.commits) + 2
-    assert len(lexed) == len(set(lexed))  # each blob is lexed once
+    started.clear()
+    monkeypatch.setattr(smellstab.mining.miner, "logical_lines", failing_lines)
+    with pytest.raises(RuntimeError, match="lexer failure"):
+        mine_window(repo.path, window, corpus)
+    assert [p.args[3] for p in started] == ["diff-tree", "cat-file"]
+    assert all(p.returncode is not None for p in started)
+
+
+def _blob_id(content: bytes) -> str:
+    return hashlib.sha1(b"blob %d\0" % len(content) + content).hexdigest()
+
+
+def test_one_read_larger_than_the_pipe_buffers(git_repo_factory):
+    repo = git_repo_factory()
+    large = b"".join(b"// line %d of a large file\r\n" % k for k in range(8000))
+    assert len(large) > 200_000
+    # the large blob first: its answer alone fills git's output pipe
+    contents = [large] + [f"class B{k} {{ int v{k}; }}\n".encode() for k in range(2000)]
+    stream = b"".join(b"blob\ndata %d\n%s\n" % (len(c), c) for c in contents)
+    subprocess.run(["git", "-C", str(repo.path), "fast-import", "--quiet"], input=stream, check=True)
+    ids = [_blob_id(c) for c in contents]
+    assert sum(len(b) + 1 for b in ids) > 65536  # the ids alone overfill a pipe
+
+    def read_all():
+        with BlobReader(repo.path) as reader:
+            return show_blob(reader, ids)
+
+    texts = within(60, read_all)
+    assert list(texts) == ids
+    large_read = texts[ids[0]] == large.decode().replace("\r\n", "\n")
+    assert large_read
+    assert texts[ids[1]] == "class B0 { int v0; }\n"
+
+
+def test_missing_and_non_blob_ids_are_absent(git_repo_factory):
+    repo = git_repo_factory()
+    repo.write("A.java", "class A {}\n")
+    commit = repo.commit_all("one", EPOCH)
+    blob = repo.git("rev-parse", f"{commit}:A.java").strip()
+    tree = repo.git("rev-parse", f"{commit}^{{tree}}").strip()
+    missing = "0123456789abcdef" * 2 + "01234567"
+    with BlobReader(repo.path) as reader:
+        texts = show_blob(reader, [missing, tree, commit, "A.java", f"{blob}\n{blob}", "", blob, missing])
+        assert texts == {blob: "class A {}\n"}
+        assert reader.read(tree) is None and reader.read(blob) == b"class A {}\n"
+    with BlobReader(repo.path) as reader:
+        assert show_blob(reader, []) == {}  # no ids, no process
+        assert reader._proc is None
+
+
+def test_reader_whose_git_exits_raises(git_repo_factory, tmp_path):
+    repo = git_repo_factory()
+    repo.write("A.java", "class A {}\n")
+    commit = repo.commit_all("one", EPOCH)
+    blob = repo.git("rev-parse", f"{commit}:A.java").strip()
+
+    def from_no_repository():
+        with BlobReader(tmp_path / "nowhere") as reader:
+            show_blob(reader, [blob])
+
+    with pytest.raises(GitError, match="exited early: .*nowhere"):
+        within(30, from_no_repository)
+
+    def from_killed_git():
+        with BlobReader(repo.path) as reader:
+            assert show_blob(reader, [blob]) == {blob: "class A {}\n"}
+            proc = reader._proc
+            proc.kill()
+            proc.wait()
+            try:
+                show_blob(reader, [blob])
+            finally:
+                assert proc.stdout.closed and reader._proc is None
+
+    with pytest.raises(GitError, match="exited early"):
+        within(30, from_killed_git)
 
 
 def test_branch_head_resolves_as_git_does(git_repo_factory, tmp_path, monkeypatch):
@@ -385,3 +572,15 @@ def test_activity_summary_single_project_sd_zero():
 
 def test_activity_summary_empty():
     assert activity_summary([]) == []
+
+
+def test_branch_named_like_a_top_level_path(git_repo_factory):
+    repo = git_repo_factory(branch="main")
+    repo.write("A.java", "class A {}\n")
+    repo.write("main", "a file named like the branch\n")
+    snapshot = repo.commit_all("snapshot", EPOCH)
+    repo.write("A.java", "class A {\n    int a;\n}\n")
+    head = repo.commit_all("edit", EPOCH + DAY)
+    assert [e.commit for e in first_parent_chain(repo.path, "main")] == [head, snapshot]
+    window = make_window(repo.path, snapshot, "main")
+    assert [c.commit for c in window.commits] == [head]

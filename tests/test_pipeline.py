@@ -10,6 +10,7 @@ import pytest
 import smellstab.cli
 from smellstab.cli import main as cli_main
 import smellstab.mining.gitio
+import smellstab.mining.miner
 import smellstab.pipeline
 from smellstab.io_utils import read_csv, write_csv
 from smellstab.manifest import filter_manifest, load_manifest
@@ -23,7 +24,7 @@ from smellstab.pipeline import (
 )
 from smellstab.smells import ThresholdConfig
 
-from testkit import EPOCH, GitRepo
+from testkit import EPOCH, GitRepo, record_processes
 
 DAY = 86400
 
@@ -486,3 +487,19 @@ def test_project_sidecars_echo_their_stage_inputs(tmp_path, three_commits):
         meta = json.loads((project / stage / f"{name}.meta.json").read_text())
         assert meta["config"] == inputs[stage]
     assert "seed" not in inputs["analyze"] and "seed" not in inputs["mine"]
+
+
+def test_no_git_process_outlives_a_quarantined_mine(tmp_path, fixture_projects, monkeypatch):
+    started = record_processes(monkeypatch)
+
+    def failing_lines(text):
+        raise RuntimeError("lexer failure")
+
+    monkeypatch.setattr(smellstab.mining.miner, "logical_lines", failing_lines)
+    config, outcome = _run(tmp_path, fixture_projects, name="quar_mine")
+    assert sorted(outcome.quarantined) == ["fix/one", "fix/two"]
+    doc = json.loads((Path(config.output_dir) / "quarantine.json").read_text())
+    assert {why["stage"] for why in doc["quarantined"].values()} == {"mine"}
+    readers = [p for p in started if p.args[3] == "cat-file"]
+    assert len(readers) == 4  # per project: the snapshot's blobs, then the window's
+    assert all(p.returncode is not None for p in started)

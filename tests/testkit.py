@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import os
 import subprocess
+import threading
 from pathlib import Path
 
 from smellstab.corpus import ingest_corpus
@@ -67,3 +68,38 @@ class GitRepo:
     def head(self) -> str:
         return self.git("rev-parse", "HEAD").strip()
 
+
+def record_processes(monkeypatch) -> list[subprocess.Popen]:
+    """Every process started from now on, by ``subprocess.Popen`` or ``subprocess.run``.
+
+    ``run`` starts its process through ``Popen`` too.  A process that was
+    waited for has its ``returncode`` set.
+    """
+    started: list[subprocess.Popen] = []
+
+    class Recording(subprocess.Popen):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            started.append(self)
+
+    monkeypatch.setattr(subprocess, "Popen", Recording)
+    return started
+
+
+def within(seconds: float, fn):
+    """``fn()``'s result or exception; fails when it has not returned after ``seconds``."""
+    outcome: dict = {}
+
+    def run() -> None:
+        try:
+            outcome["value"] = fn()
+        except BaseException as exc:  # handed to the caller below
+            outcome["error"] = exc
+
+    worker = threading.Thread(target=run, daemon=True)
+    worker.start()
+    worker.join(seconds)
+    assert not worker.is_alive(), f"no return within {seconds} s"
+    if "error" in outcome:
+        raise outcome["error"]
+    return outcome["value"]
