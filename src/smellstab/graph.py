@@ -77,9 +77,6 @@ class DependencyGraph:
         for source in (decl.id, *decl.member_artifacts()):
             yield from self.by_source.get(source, ())
 
-    def internal_edges(self) -> list[DependencyEdge]:
-        return [e for e in self.edges if not e.external]
-
 
 class _EdgeAccumulator:
     def __init__(self) -> None:

@@ -72,12 +72,6 @@ class HypothesisResult:
 class SuiteResult:
     results: list[HypothesisResult]
 
-    def by_label(self, label: str) -> HypothesisResult:
-        for r in self.results:
-            if r.spec.label == label:
-                return r
-        raise KeyError(label)
-
 
 def run_hypothesis_suite(rows: list[dict], seed: int = 0) -> SuiteResult:
     """Fit all 34 models, BH-adjust within each RQ, set each status.

@@ -1,14 +1,14 @@
 """Synthetic data generators for calibration and power checks.
 
-Used by the verification suite (estimator recovery, dispersion checks,
-false-positive control) and available to users reproducing those analyses.
+Used by the verification suite: estimator recovery, dispersion checks and
+false-positive control.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .design import DesignMatrix
+from smellstab.stats.design import DesignMatrix
 
 
 def nb2_draw(rng: np.random.Generator, mu: np.ndarray, theta: float) -> np.ndarray:

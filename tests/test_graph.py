@@ -16,7 +16,7 @@ def _aid(qname, kind, sig=""):
 
 def test_fig1_edges_and_neighbors(analyzed_factory):
     corpus, graph, _ = analyzed_factory(FIG1_FILES)
-    edge_keys = {(e.relation, str(e.source), str(e.target)) for e in graph.internal_edges()}
+    edge_keys = {(e.relation, str(e.source), str(e.target)) for e in graph.edges if not e.external}
     assert (RelationKind.USE, "C.f", "N1") in edge_keys
     assert (RelationKind.PARAMETER, "C.m(N2)", "N2") in edge_keys
     C = corpus.index["C"]
@@ -43,8 +43,8 @@ def test_all_ten_relations_exact_edge_set(analyzed_factory):
     run = _aid("Ten.run", ArtifactKind.METHOD, "Par")
     actual = {
         (e.relation, e.source, e.target, e.site_count)
-        for e in graph.internal_edges()
-        if corpus.enclosing_class(e.source) == ten
+        for e in graph.edges
+        if not e.external and corpus.enclosing_class(e.source) == ten
     }
     expected = {
         (RelationKind.EXTEND, ten, _aid("Base", ArtifactKind.CLASS), 1),

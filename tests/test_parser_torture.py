@@ -2,8 +2,11 @@
 modern constructs without diagnostics and still resolve the edges that
 matter."""
 
+from javafix import SMELL_FIXTURES, TEN_RELATIONS_FILES
+from smellstab.graph import efferent_neighbors, extract_dependencies
 from smellstab.model import RelationKind
 from smellstab.smells import detect_smells
+from testkit import within
 
 TORTURE = {
     "pkg/Service.java": """
@@ -100,7 +103,7 @@ def test_torture_file_parses_clean(analyzed_factory):
 
 def test_torture_edges_resolved(analyzed_factory):
     corpus, graph, _ = analyzed_factory(TORTURE)
-    edges = {(e.relation, str(e.source), str(e.target)) for e in graph.internal_edges()}
+    edges = {(e.relation, str(e.source), str(e.target)) for e in graph.edges if not e.external}
     assert (RelationKind.IMPLEMENT, "pkg.Service", "pkg.Handler") in edges
     assert (RelationKind.EXTEND, "pkg.Service.Inner", "pkg.Base") in edges
     # calls through enhanced-for receiver, method reference, and anonymous body
@@ -133,3 +136,107 @@ def test_torture_method_facts(analyzed_factory):
     assert f.cyclo >= 8
     assert f.max_nesting == 2  # the ternary-if inside the counted for
     assert any(mid.qualified_name == "pkg.Repo.count" for mid in f.internal_calls)
+
+
+def _internal_edges(graph) -> set:
+    return {(e.relation, str(e.source), str(e.target)) for e in graph.edges if not e.external}
+
+
+def test_compact_record_constructor_takes_the_components(analyzed_factory):
+    corpus, graph, _ = analyzed_factory({
+        "P.java": "record P(int x, Q q) {\n    P {\n        if (x < 0) throw new IllegalArgumentException();\n"
+                  "        q.touch();\n    }\n    int twice() { return x * 2; }\n}\n",
+        "Q.java": "class Q { void touch() {} }\n",
+    })
+    assert corpus.diagnostics == []
+    p = corpus.type_decl("P")
+    assert [c.params for c in p.constructors] == [(("int", "x"), ("Q", "q"))]
+    assert [m.id.simple_name for m in p.methods] == ["twice"]
+    assert (RelationKind.CALL, "P.<init>(int,Q)", "Q.touch()") in _internal_edges(graph)
+
+
+def test_annotation_element_defaults_are_skipped(corpus_factory):
+    corpus = corpus_factory({
+        "A.java": "@interface A {\n    int value() default 5;\n    String[] names() default {\"a\", \"b\"};\n"
+                  "    Class<?> kind() default Object.class;\n    int plain();\n}\n",
+    })
+    assert corpus.diagnostics == []
+    a = corpus.type_decl("A")
+    assert [(m.id.simple_name, m.is_abstract, m.body) for m in a.methods] == [
+        ("value", True, None), ("names", True, None), ("kind", True, None), ("plain", True, None)]
+
+
+def test_explicit_method_type_arguments_keep_the_receiver(analyzed_factory):
+    corpus, graph, _ = analyzed_factory({
+        "U.java": "class U { static <T> U make() { return null; } }\n",
+        "V.java": "class V {\n    void run() { U.<W>make(); }\n    static V make() { return null; }\n}\n",
+        "W.java": "class W {}\n",
+    })
+    edges = _internal_edges(graph)
+    assert (RelationKind.CALL, "V.run()", "U.make()") in edges
+    assert (RelationKind.CALL, "V.run()", "V.make()") not in edges
+    assert (RelationKind.USE, "V.run()", "W") in edges
+    neighbors = {n.qualified_name for n in efferent_neighbors(graph, corpus, corpus.type_decl("V").id)}
+    assert neighbors == {"U", "W"}
+
+
+def test_local_with_a_qualified_annotation_uses_its_type(analyzed_factory):
+    _, graph, facts = analyzed_factory({
+        "R.java": "class R { void f() { @java.lang.SuppressWarnings(\"x\") Q q = null; q.go(); } }\n",
+        "Q.java": "class Q { void go() {} }\n",
+    })
+    edges = _internal_edges(graph)
+    assert (RelationKind.USE, "R.f()", "Q") in edges
+    assert (RelationKind.CALL, "R.f()", "Q.go()") in edges
+
+
+def test_stray_delimiters_end_a_scan(analyzed_factory):
+    """An argument list, an array initializer or a try's resources cut short by
+    a stray delimiter ends there, and the scan goes on."""
+    bodies = ["f(a; b); new Q();", "int[] v = {a; b}; new Q();", "try (Q r = a ] b) { new Q(); }"]
+    for body in bodies:
+        files = {"A.java": f"class A {{ void m() {{ {body} }} void f(int x) {{}} }}\n", "Q.java": "class Q {}\n"}
+        _, graph, _ = within(30, lambda: analyzed_factory(files))
+        assert (RelationKind.CREATE, "A.m()", "Q") in _internal_edges(graph)
+
+
+INIT_BLOCKS = """
+package pkg;
+class Init {
+    static int n = new Base() { int k() { return (int) 1.5; } }.depth, m = new Repo().count();
+    static { new Repo().count(); }
+    { for (Repo r : new Repo[] { null }) { r.count(); } }
+}
+"""
+
+
+class _IndexOnly(tuple):
+    """A token run that may be read by index and length only."""
+
+    def __iter__(self):
+        raise AssertionError("a body scan iterated a token run")
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            raise AssertionError("a body scan sliced a token run")
+        return tuple.__getitem__(self, key)
+
+
+def test_body_scans_read_token_runs_by_index_only(corpus_factory):
+    files = dict(TORTURE, **{"pkg/Init.java": INIT_BLOCKS})
+    for fixture, _ in SMELL_FIXTURES.values():
+        files.update(fixture()[0])
+    files.update(TEN_RELATIONS_FILES)
+    corpus = corpus_factory(files)
+    expected = extract_dependencies(corpus)
+    for top in corpus.types:
+        for t in top.own_and_nested():
+            for m in t.methods + t.constructors:
+                if m.body is not None:
+                    m.body = _IndexOnly(m.body)
+            for f in t.fields:
+                f.initializer = _IndexOnly(f.initializer)
+            t.initializers = [_IndexOnly(run) for run in t.initializers]
+    graph, facts = extract_dependencies(corpus)
+    assert graph.edges == expected[0].edges
+    assert facts == expected[1]

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
+from simulate import nb2_draw
 from smellstab.stats import (
     DesignMatrix,
     DispersionError,
@@ -11,7 +12,6 @@ from smellstab.stats import (
 )
 from smellstab.stats.fitbase import GRAD_TOL, maximize, numerical_hessian
 from smellstab.stats.glm import negbin_objective
-from smellstab.stats.simulate import nb2_draw
 
 
 def _design(y, X, names=None):

@@ -3,11 +3,11 @@ import pytest
 from scipy.stats import nbinom
 
 from fit_oracle import oracle_fits
+from simulate import simulate_nb_glmm_design
 from smellstab.stats import fit_negbin_random_intercept, fit_poisson
 from smellstab.stats.fitbase import GRAD_TOL, numerical_hessian
 from smellstab.stats.glmm import _LaplaceObjective, laplace_loglik_and_grad
 from smellstab.stats.kernels import inner_modes, nb2_row_curvature, nb2_row_terms
-from smellstab.stats.simulate import simulate_nb_glmm_design
 
 
 def test_recovery_20x200():

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simulate import simulate_nb_glmm_design
 from smellstab.stats import (
     InferenceError,
     bh_adjust,
@@ -17,7 +18,6 @@ from smellstab.stats import (
 )
 from smellstab.stats.design import DesignMatrix
 from smellstab.stats.fitbase import FitResult
-from smellstab.stats.simulate import simulate_nb_glmm_design
 
 
 def _fit_with(beta, se, names):

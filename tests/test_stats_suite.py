@@ -6,10 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from simulate import simulate_observation_rows
 from smellstab.io_utils import read_csv, write_csv
 from smellstab.stats import ALPHA, BINARY, all_model_specs, run_hypothesis_suite
 from smellstab.stats.design import FAMILY_SIZES, DesignError, column_table, prepare_design, spec_columns
-from smellstab.stats.simulate import simulate_observation_rows
 from smellstab.stats.suite import (
     ACCEPTED, INCONCLUSIVE, REJECTED, export_fits_json, export_quantile_residuals, results_rows,
 )
@@ -98,7 +98,7 @@ def test_planted_signal_accepted():
     rows = simulate_observation_rows(
         10, 80, seed=77, iv_effects={"#SmellFoc": 0.9, "#SmellFoc:ChS": 0.9})
     suite = run_hypothesis_suite(rows)
-    res = suite.by_label("H1.2:ChF")
+    res = next(r for r in suite.results if r.spec.label == "H1.2:ChF")
     assert res.status == ACCEPTED
     assert res.fit.beta[res.fit.coef("#SmellFoc")] > 0
     assert res.p_bh < ALPHA
@@ -124,8 +124,9 @@ def test_degenerate_population_is_inconclusive_not_crash():
     for r in rows:
         r["IsSmelly"] = "true"  # non-smelly population empty
     suite = run_hypothesis_suite(rows)
+    results = {r.spec.label: r for r in suite.results}
     for label in ("H2.4:ChF", "H2.5:ChF", "H2.6:ChS"):
-        res = suite.by_label(label)
+        res = results[label]
         assert res.status == INCONCLUSIVE
         assert not res.accepted
     families = {}
@@ -152,8 +153,9 @@ def test_fits_json_records_fit_diagnostics(tmp_path):
     suite = run_hypothesis_suite(rows)
     export_fits_json(suite, tmp_path / "fits.json")
     doc = json.loads((tmp_path / "fits.json").read_text())
+    fits = {r.spec.label: r.fit for r in suite.results}
     for label, entry in doc["fits"].items():
-        fit = suite.by_label(label).fit
+        fit = fits[label]
         assert {k: entry["fit"][k] for k in ("iterations", "evaluations", "grad_norm", "pinned")} == {
             "iterations": fit.iterations, "evaluations": fit.evaluations,
             "grad_norm": fit.grad_norm, "pinned": fit.pinned,
