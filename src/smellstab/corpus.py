@@ -12,7 +12,7 @@ from fnmatch import fnmatch
 from pathlib import PurePosixPath
 
 from . import parser as jp
-from .lexer import Token
+from .lexer import TokenSpan
 from .model import (
     ArtifactId,
     ArtifactKind,
@@ -40,8 +40,8 @@ def _visibility(mods: frozenset[str], in_interface: bool) -> str:
     return "public" if in_interface else "package"
 
 
-def _member_loc(body: tuple[Token, ...] | None) -> int:
-    return len({t.line for t in body}) if body else 0
+def _member_loc(body: TokenSpan | None) -> int:
+    return body.line_count() if body is not None else 0
 
 
 def _build_method(raw: jp.RawMethod, type_id: ArtifactId, in_interface: bool) -> MethodDecl:
@@ -201,9 +201,10 @@ def _classify_members(corpus: SourceCorpus) -> None:
 
 def _classify_accessor(m: MethodDecl, field_names: set[str]) -> None:
     """Accessor iff the body is a single return-of-field or field-from-parameter assignment."""
-    if m.body is None:
+    body = m.body
+    if body is None or len(body) > 6:
         return
-    vals = [t.value for t in m.body]
+    vals = body.values[body.start : body.end]
     params = {name for _, name in m.params}
     if len(vals) == 3 and vals[0] == "return" and vals[2] == ";" and vals[1] in field_names:
         m.is_accessor, m.accessor_field = True, vals[1]

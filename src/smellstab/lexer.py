@@ -5,6 +5,12 @@ line numbers on every token, which is all the rest of the toolchain needs:
 a line is "logical" iff at least one token sits on it.  ``tokenize`` (for
 analysis) and ``logical_lines`` (for mining) both split the text with one
 compiled pattern, so the two stages see the same tokens.
+
+``tokenize`` returns a file's tokens as two columns, not one object per
+token: the values as a tuple of interned strings and their lines as an
+``array('I')``.  A method body, an initializer block or a field initializer
+is a ``TokenSpan`` window over those columns.  A token's kind follows from
+its value (``kind_of``).
 """
 
 from __future__ import annotations
@@ -13,13 +19,6 @@ import functools
 import re
 import sys
 from array import array
-from typing import NamedTuple
-
-
-class Token(NamedTuple):
-    kind: str  # "word" | "number" | "string" | "char" | "sym"
-    value: str
-    line: int  # 1-based
 
 
 JAVA_KEYWORDS = frozenset(
@@ -88,42 +87,84 @@ def _token_pattern(text: str) -> re.Pattern[str]:
     return _ASCII_TOKEN if text.isascii() else _unicode_token()
 
 
-def _kind(c: str) -> str:
-    """Kind of a token by its first char, outside newlines, comments and text blocks."""
-    if c.isdigit():
-        return "number"
-    if c.isalpha() or c in "_$":
-        return "word"
-    return "char" if c == "'" else "sym"
+class _KindByFirstChar(dict):
+    """A token's kind by its first char, filled in one distinct char at a time.
+
+    Only a token that starts with '.' needs a second look (``kind_of``), so a
+    hot loop tests for a word with ``KIND_BY_FIRST_CHAR[v[0]] == "word"``
+    and calls no Python function.
+    """
+
+    def __missing__(self, c: str) -> str:
+        if c.isdigit():
+            kind = "number"
+        elif c.isalpha() or c in "_$":
+            kind = "word"
+        elif c == '"':
+            kind = "string"
+        else:
+            kind = "char" if c == "'" else "sym"
+        self[c] = kind
+        return kind
 
 
-# the kinds of ASCII first chars that need no second look
-_KIND = {chr(i): _kind(chr(i)) for i in range(128) if chr(i) not in '\n/."'}
+KIND_BY_FIRST_CHAR = _KindByFirstChar()
 
 
-def tokenize(text: str) -> list[Token]:
-    """Tokenize Java source, skipping whitespace and comments."""
-    tokens: list[Token] = []
-    append = tokens.append
-    new = tuple.__new__  # a Token without the namedtuple's Python-level __new__
+def kind_of(value: str) -> str:
+    """``"word"``, ``"number"``, ``"string"``, ``"char"`` or ``"sym"``."""
+    if value[0] == "." and value not in (".", "..."):
+        return "number"  # .5
+    return KIND_BY_FIRST_CHAR[value[0]]
+
+
+class TokenSpan:
+    """The tokens ``start:end`` of one file, read through its shared columns.
+
+    ``values`` and ``lines`` are the whole file's columns, never a copy, so
+    a span costs one small object whatever its length.
+    """
+
+    __slots__ = ("values", "lines", "start", "end")
+
+    def __init__(self, values: tuple[str, ...], lines: array, start: int, end: int):
+        self.values = values
+        self.lines = lines
+        self.start = start
+        self.end = end
+
+    def __len__(self) -> int:
+        return self.end - self.start
+
+    def line_count(self) -> int:
+        """How many distinct lines the span's tokens sit on."""
+        return len(set(memoryview(self.lines)[self.start : self.end]))
+
+    def __repr__(self) -> str:
+        return f"TokenSpan({self.values[self.start:self.end]!r})"
+
+
+def tokenize(text: str) -> TokenSpan:
+    """Tokenize Java source, skipping whitespace and comments, into a span over the whole file."""
+    values: list[str] = []
+    append = values.append
+    lines = array("I")
+    add_line = lines.append
+    intern = sys.intern
     line = 1
     for tok in _token_pattern(text).findall(text):
-        kind = _KIND.get(tok[0])
-        if kind is None:
-            c = tok[0]
-            if c == "\n":
-                line += 1
-                continue
-            if tok[:2] in ("//", "/*"):
-                line += tok.count("\n")
-                continue
-            if c == '"':  # a text block may hold newlines
-                append(new(Token, ("string", tok, line)))
-                line += tok.count("\n")
-                continue
-            kind = "number" if c == "." and tok not in (".", "...") else _kind(c)
-        append(new(Token, (kind, tok, line)))
-    return tokens
+        c = tok[0]
+        if c == "\n":
+            line += 1
+            continue
+        if c == "/" and tok[:2] in ("//", "/*"):
+            line += tok.count("\n")
+            continue
+        append(intern(tok))
+        add_line(line)
+        if c == '"':  # a text block may hold newlines
+            line += tok.count("\n")
+    return TokenSpan(tuple(values), lines, 0, len(values))
 
 
 def logical_loc(text: str) -> int:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional
 
-from .lexer import Token
+from .lexer import TokenSpan
 
 EXTERNAL_PROJECT = ""
 
@@ -75,7 +75,7 @@ class FieldDecl:
     type_args: tuple[str, ...] = ()
     is_static: bool = False
     is_final: bool = False
-    initializer: tuple[Token, ...] = ()
+    initializer: Optional[TokenSpan] = None  # the tokens after '=', None without one
     line: int = 0
 
 
@@ -96,7 +96,7 @@ class MethodDecl:
     params: tuple[tuple[str, str], ...] = ()  # (erased type, name)
     param_type_args: tuple[str, ...] = ()
     throws: tuple[str, ...] = ()
-    body: Optional[tuple[Token, ...]] = None  # tokens inside the braces, None if no body
+    body: Optional[TokenSpan] = None  # tokens inside the braces, None if no body
     loc: int = 0  # logical lines strictly inside the body braces
     line: int = 0
 
@@ -116,7 +116,7 @@ class TypeDecl:
     methods: list[MethodDecl] = field(default_factory=list)
     constructors: list[MethodDecl] = field(default_factory=list)
     nested_types: list["TypeDecl"] = field(default_factory=list)
-    initializers: list[tuple[Token, ...]] = field(default_factory=list)
+    initializers: list[TokenSpan] = field(default_factory=list)
     enclosing: Optional[ArtifactId] = None  # enclosing top-level type for nested types
     loc: int = 0
     line: int = 0

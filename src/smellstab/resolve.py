@@ -19,10 +19,14 @@ from .model import (
 )
 
 
+_MISSING = object()
+
+
 class Resolver:
     def __init__(self, corpus: SourceCorpus):
         self.corpus = corpus
         self._ancestor_cache: dict[str, list[TypeDecl]] = {}
+        self._type_names: dict[tuple[str, str, frozenset[str]], ArtifactId | None] = {}
 
     # -- scope structure ------------------------------------------------------
 
@@ -82,7 +86,18 @@ class Resolver:
 
         Returns the internal artifact, an external artifact, or None when the
         name denotes no artifact at all (primitives, type variables, 'var').
+        The answer depends only on the finalized corpus, so each resolver
+        keeps it per (name, scope, extra type parameters).
         """
+        key = (raw, scope.id.qualified_name, extra_type_params)
+        answer = self._type_names.get(key, _MISSING)
+        if answer is _MISSING:
+            answer = self._type_names[key] = self._resolve_type_name(raw, scope, extra_type_params)
+        return answer
+
+    def _resolve_type_name(
+        self, raw: str, scope: TypeDecl, extra_type_params: frozenset[str] = frozenset()
+    ) -> ArtifactId | None:
         raw = raw.rstrip("[]")
         if not raw or raw in PRIMITIVE_TYPES or raw == "var":
             return None

@@ -15,8 +15,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
 
+from lexer_oracle import Token
 from parser_oracle import TypeRef, _Cursor, parse_type_ref
-from smellstab.lexer import PRIMITIVE_TYPES, Token
+from smellstab.lexer import PRIMITIVE_TYPES
 from smellstab.model import ArtifactId, ArtifactKind, MethodDecl, RelationKind, TypeDecl, external_artifact
 from smellstab.resolve import Resolver
 

@@ -1,13 +1,22 @@
 """The char-by-char Java lexer that ``smellstab.lexer`` replaced, kept as a test oracle.
 
-``tokenize`` walks the text one character at a time; ``logical_lines`` groups
-its tokens by line.  The differential tests compare the production lexer's
-output with these on generated text.
+``tokenize`` walks the text one character at a time and returns one
+``Token`` per token, as the production lexer did before it returned token
+columns; ``logical_lines`` groups its tokens by line.  The differential
+tests compare the production lexer's output with these on generated text,
+and ``parser_oracle`` and ``bodyscan_oracle`` run on these tokens.
 """
 
 from __future__ import annotations
 
-from smellstab.lexer import Token
+from typing import NamedTuple
+
+
+class Token(NamedTuple):
+    kind: str  # "word" | "number" | "string" | "char" | "sym"
+    value: str
+    line: int  # 1-based
+
 
 _MULTI_SYMS = [
     ">>>=", "<<=", "...", "->", "::", "&&", "||", "==", "!=", "<=", ">=",

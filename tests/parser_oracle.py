@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from smellstab.lexer import JAVA_KEYWORDS, PRIMITIVE_TYPES, Token, tokenize
+from lexer_oracle import Token, tokenize
+from smellstab.lexer import JAVA_KEYWORDS, PRIMITIVE_TYPES
 
 MODIFIER_WORDS = frozenset(
     """public protected private static abstract final native synchronized

@@ -1,6 +1,9 @@
+import gc
+
 import pytest
 
 from smellstab.corpus import ingest_corpus
+from smellstab.lexer import tokenize
 from smellstab.model import ArtifactKind, CorpusLookupError
 
 from testkit import build_corpus
@@ -153,3 +156,65 @@ def test_primary_type_of_file():
         "Main.java": "public class Main {}\nclass Side {}",
     })
     assert corpus.primary_type_of_file["Main.java"] == "Main"
+
+
+# -- memory shape: the corpus holds objects per declaration, none per token --------------
+
+
+def _generated(n_classes: int, statements: int) -> dict[str, str]:
+    """``n_classes`` classes with the same declarations, whose bodies hold ``statements`` statement pairs."""
+    files = {}
+    for i in range(n_classes):
+        nxt = f"C{(i + 1) % n_classes}"
+        body = " ".join(f"x += new {nxt}().get(a, {k}) * (int) y; if (x > {k}) {{ y = {nxt}.Z; }}"
+                        for k in range(statements))
+        files[f"p/C{i}.java"] = (
+            f"package p;\nimport java.util.List;\nclass C{i} {{\n"
+            f"    int x; double y = {nxt}.Z + 1;\n    static final int Z = 1;\n    List<String> names;\n"
+            f"    {{ x = {nxt}.Z; }}\n    C{i}(int a) {{ {body} }}\n"
+            f"    int get(int a, int b) {{ {body} return x; }}\n    void put(int a) {{ {body} }}\n"
+            f"    static class Inner {{ int k; void go() {{ {body} }} }}\n}}\n"
+        )
+    return files
+
+
+def _tracked_growth(files: dict[str, str]) -> tuple[int, object]:
+    """GC-tracked objects that ``ingest_corpus(files)`` leaves alive, and the corpus."""
+    gc.collect()
+    before = len(gc.get_objects())
+    corpus = ingest_corpus(files, "s0", project="p")
+    gc.collect()
+    return len(gc.get_objects()) - before, corpus
+
+
+def test_tracked_objects_grow_with_declarations_not_tokens():
+    """About 4 tracked objects per declaration (its decl, its id, a body span, a
+    list or two) were measured on these 200 classes; the bound of 8 leaves room
+    for a field or two more per declaration.  One object per token would pass
+    it nowhere: a declaration here carries at least 20 tokens.  Bodies four
+    times as long must leave the count as it is."""
+    short = _generated(200, 1)
+    grown, corpus = _tracked_growth(short)
+    declarations = sum(1 + len(t.fields) + len(t.methods) + len(t.constructors)
+                       for top in corpus.types for t in top.own_and_nested())
+    tokens = sum(len(tokenize(text)) for text in short.values())
+    assert declarations == 2200 and tokens > 20 * declarations
+    assert grown <= 8 * declarations
+    del corpus
+    grown_long, corpus = _tracked_growth(_generated(200, 4))
+    assert abs(grown_long - grown) <= 100
+
+
+def test_spans_share_their_files_columns():
+    files = _generated(3, 2)
+    corpus = ingest_corpus(files, "s0", project="p")
+    for top in corpus.types:
+        spans = []
+        for t in top.own_and_nested():
+            spans += [m.body for m in t.methods + t.constructors]
+            spans += [f.initializer for f in t.fields if f.initializer is not None]
+            spans += t.initializers
+        assert len(spans) == 7
+        values, lines = spans[0].values, spans[0].lines
+        assert all(s.values is values and s.lines is lines for s in spans)
+        assert len(values) == len(tokenize(files[top.file]))

@@ -1,19 +1,31 @@
 """The Java front end against the one it replaced.
 
 ``parser_oracle`` and ``bodyscan_oracle`` are the parser and body scanner
-from before one bounded cursor walked every bracket run.  On the same files
-both front ends must give the same ``corpus.json``, parse-failure
-diagnostics, captured token runs, edges and body facts, or fail in the same
-way.  No input here holds one of the constructs the new front end added:
-compact record constructors, annotation element defaults, explicit method
-type arguments (``a.<T>m()``) and qualified annotations on locals.
+from before one bounded cursor walked every bracket run, and they run on
+``lexer_oracle``'s one ``Token`` per token.  An adapter hands the corpus
+each oracle token run as a span over columns of its own and gives the
+oracle scanner the run back.  On the same files both front ends must give
+the same ``corpus.json``, parse-failure diagnostics, captured token runs,
+edges and body facts, or fail in the same way.  Two divergences are
+allowed, both faults of the oracle: a file that ends where a member or a
+type declaration should start makes it raise ``AttributeError``, where the
+new front end records a parse failure for the file, and a body scan that
+meets its window's end inside an annotation, a local type body or a ``for``
+header makes it raise ``JavaSyntaxError``, where the new one stops there.
+No input here holds one of the constructs the new front end added: compact
+record constructors, annotation element defaults, explicit method type
+arguments (``a.<T>m()``) and qualified annotations on locals.
 """
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
+import json
 import random
+from array import array
 from contextlib import ExitStack
+from types import SimpleNamespace
 from unittest import mock
 
 from hypothesis import HealthCheck, assume, given, settings
@@ -24,21 +36,78 @@ import parser_oracle
 from javafix import FIG1_FILES, FIG2_CASE_A_FILES, FIG2_CASE_B_FILES, SMELL_FIXTURES, TEN_RELATIONS_FILES
 from smellstab import corpus as corpus_module
 from smellstab import graph as graph_module
+from smellstab.cli import main as cli_main
 from smellstab.corpus import ingest_corpus
 from smellstab.graph import extract_dependencies
-from smellstab.lexer import tokenize
+from smellstab.lexer import TokenSpan, tokenize
 from smellstab.model import ArtifactKind
 from synth import synth_corpus
 from test_parser_torture import TORTURE
+from testkit import EPOCH, GitRepo
+
+
+class _OracleSpan(TokenSpan):
+    """An oracle token run as a span over columns of its own, keeping the run for ``bodyscan_oracle``."""
+
+    __slots__ = ("tokens",)
+
+    def __init__(self, tokens: tuple):
+        super().__init__(tuple(t.value for t in tokens), array("I", (t.line for t in tokens)), 0, len(tokens))
+        self.tokens = tokens
+
+
+def _oracle_parse(text: str):
+    """``parser_oracle``'s compilation unit, each token run held as the corpus reads it."""
+    unit = parser_oracle.parse_compilation_unit(text)
+    todo = list(unit.types)
+    while todo:
+        raw = todo.pop()
+        todo += raw.nested
+        for m in raw.methods + raw.constructors:
+            if m.body is not None:
+                m.body = _OracleSpan(m.body)
+        for f in raw.fields:
+            f.initializer = _OracleSpan(f.initializer) if f.initializer else None
+        raw.initializers = [_OracleSpan(run) for run in raw.initializers]
+    return unit
+
+
+def _oracle_scan_member_body(resolver, scope, member):
+    body = None if member.body is None else member.body.tokens
+    return bodyscan_oracle.scan_member_body(resolver, scope, dataclasses.replace(member, body=body))
+
+
+def _oracle_scan_initializer(resolver, scope, span):
+    return bodyscan_oracle.scan_initializer(resolver, scope, span.tokens)
+
+
+def _oracle_scan_expression(resolver, scope, span):
+    return bodyscan_oracle.scan_expression(resolver, scope, span.tokens)
+
+
+def _oracle_front_end(stack: ExitStack) -> None:
+    """Route ingest and the body scans through the oracles until ``stack`` closes."""
+    oracle_parser = SimpleNamespace(parse_compilation_unit=_oracle_parse,
+                                    JavaSyntaxError=parser_oracle.JavaSyntaxError)
+    stack.enter_context(mock.patch.object(corpus_module, "jp", oracle_parser))
+    stack.enter_context(mock.patch.object(graph_module, "scan_member_body", _oracle_scan_member_body))
+    stack.enter_context(mock.patch.object(graph_module, "scan_initializer", _oracle_scan_initializer))
+    stack.enter_context(mock.patch.object(graph_module, "scan_expression", _oracle_scan_expression))
+
+
+def _run(span: TokenSpan | None):
+    if span is None:
+        return None
+    return span.values[span.start : span.end], list(span.lines[span.start : span.end])
 
 
 def _token_runs(corpus) -> list:
     runs = []
     for top in corpus.types:
         for t in top.own_and_nested():
-            runs.append([m.body for m in t.methods + t.constructors])
-            runs.append([f.initializer for f in t.fields])
-            runs.append(list(t.initializers))
+            runs.append([_run(m.body) for m in t.methods + t.constructors])
+            runs.append([_run(f.initializer or None) for f in t.fields])  # '= ;' reads as none
+            runs.append([_run(block) for block in t.initializers])
     return runs
 
 
@@ -65,9 +134,7 @@ def _outcome(files: dict[str, str], oracle: bool) -> list:
             # list, an array initializer or a try's resources: f(a; b)
             budget = _budgeted(parser_oracle._Cursor.peek, 200_000)
             stack.enter_context(mock.patch.object(parser_oracle._Cursor, "peek", budget))
-            stack.enter_context(mock.patch.object(corpus_module, "jp", parser_oracle))
-            for name in ("scan_member_body", "scan_initializer", "scan_expression"):
-                stack.enter_context(mock.patch.object(graph_module, name, getattr(bodyscan_oracle, name)))
+            _oracle_front_end(stack)
         try:
             corpus = ingest_corpus(files, "s0", project="fix")
         except Exception as exc:
@@ -81,13 +148,25 @@ def _outcome(files: dict[str, str], oracle: bool) -> list:
 
 
 def _agrees(files: dict[str, str]) -> list | None:
-    """The new front end's outcome, once it equals the oracle's; None where the oracle never ends."""
+    """The new front end's outcome, once it equals the oracle's; None where the oracle never ends.
+
+    Where the oracle raises ``AttributeError`` at ingest, the new front end
+    must record the file as a parse failure at its end; where the oracle's
+    body scan raises ``JavaSyntaxError``, the new one must finish the graph
+    from the same corpus.
+    """
     new = _outcome(files, oracle=False)
     try:
         old = _outcome(files, oracle=True)
     except _OracleHang:
         return None
-    assert new == old
+    if old[:2] == ["ingest", "AttributeError"]:
+        assert len(new) == 5, new
+        assert any("parse failure" in message and "got '<eof>'" in message for _, message in new[1]), new[1]
+    elif old[3:5] == ["graph", "JavaSyntaxError"]:
+        assert new[:3] == old[:3] and len(new) == 5, new[3:]
+    else:
+        assert new == old
     return new
 
 
@@ -221,8 +300,8 @@ def _balanced(text: str, nest: dict[str, int] = BRACES) -> str:
     """``text`` with openers before it and closers after it, so that its depth
     by ``nest`` never falls below 0 and ends at 0."""
     depth = low = 0
-    for t in tokenize(text):
-        depth += nest.get(t.value, 0)
+    for v in tokenize(text).values:
+        depth += nest.get(v, 0)
         low = min(low, depth)
     opener, closer = (next(k for k, d in nest.items() if d == step) for step in (1, -1))
     return f"{opener} " * -low + text + f" {closer}" * (depth - low)
@@ -230,7 +309,7 @@ def _balanced(text: str, nest: dict[str, int] = BRACES) -> str:
 
 def _holds_a_new_construct(files: dict[str, str]) -> bool:
     for text in files.values():
-        toks = [t.value for t in tokenize(text)] + ["", ""]
+        toks = list(tokenize(text).values) + ["", ""]
         for i, v in enumerate(toks[:-2]):
             nxt = toks[i + 1]
             if (v == "." and nxt == "<") or (v == ")" and nxt == "default") or v == "record":
@@ -281,3 +360,46 @@ def test_pinned_soups_match_the_oracle():
     for text in bodies:
         for balanced in (False, True):
             _agrees({"p/A.java": _class_a([text] * 4, balanced), "p/B.java": B_TEXT})
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(soup_files())
+def test_body_scans_never_raise_on_soups(files):
+    """Ingest turns any file it cannot parse into a diagnostic, and no body scan raises."""
+    extract_dependencies(ingest_corpus(files, "s0", project="fix"))
+
+
+# -- the analyze stage, end to end --------------------------------------------------------
+
+ANALYZE_FILES = ("corpus.json", "edges.csv", "metrics_method.csv", "metrics_class.csv", "smells.csv",
+                 "observations.csv")
+
+
+def test_analyze_writes_the_same_bytes_as_the_oracle(tmp_path):
+    files = dict(TORTURE)
+    for fixture, _ in SMELL_FIXTURES.values():
+        files.update(fixture()[0])
+    files.update(TEN_RELATIONS_FILES)
+    repo = GitRepo(tmp_path / "repo")
+    for rel, text in files.items():
+        repo.write(rel, text)
+    snapshot = repo.commit_all("snapshot", EPOCH)
+    manifest = tmp_path / "manifest.jsonl"
+    manifest.write_text(json.dumps({
+        "repo": "fix/all", "stars": 500, "forks": 200, "contributors": 25, "java_fraction": 0.95,
+        "window_commits": 60, "education_flag": False, "clone_path": str(repo.path),
+        "snapshot": snapshot, "branch": "main",
+    }) + "\n")
+    written = {}
+    for side in ("new", "oracle"):
+        out = tmp_path / side
+        with ExitStack() as stack:
+            if side == "oracle":
+                _oracle_front_end(stack)
+            assert cli_main(["analyze", "--manifest", str(manifest), "--output-dir", str(out)]) == 0
+        analyze_dir = out / "projects" / "fix__all" / "analyze"
+        written[side] = {name: (analyze_dir / name).read_bytes() for name in ANALYZE_FILES}
+    assert written["new"] == written["oracle"]
+    smells = {line.split(",")[0] for line in written["new"]["smells.csv"].decode().splitlines()[1:]}
+    assert len(smells) >= 5, smells

@@ -1,13 +1,17 @@
 import dataclasses
 import random
+from unittest import mock
 
 import pytest
 
-from smellstab.graph import DependencyGraph, DomainError, efferent_neighbors
+from smellstab.corpus import ingest_corpus
+from smellstab.graph import DependencyGraph, DomainError, efferent_neighbors, extract_dependencies
 from smellstab.model import ArtifactId, ArtifactKind, RelationKind
+from smellstab.resolve import Resolver
 
-from javafix import FIG1_FILES, TEN_RELATIONS_FILES
+from javafix import FIG1_FILES, FIG2_CASE_A_FILES, FIG2_CASE_B_FILES, SMELL_FIXTURES, TEN_RELATIONS_FILES
 from synth import synth_corpus
+from test_frontend_oracle import _synth_java
 
 
 def _aid(qname, kind, sig=""):
@@ -219,3 +223,28 @@ def test_finalize_orders_edges_as_the_dataclass_order(analyzed_factory):
         shuffled = DependencyGraph(edges=list(edges))
         shuffled.finalize()
         assert shuffled.edges == sorted(edges)
+
+
+def test_memoised_type_names_agree_with_unmemoised():
+    corpora = [FIG1_FILES, FIG2_CASE_A_FILES, FIG2_CASE_B_FILES, TEN_RELATIONS_FILES]
+    for fixture, near_miss in SMELL_FIXTURES.values():
+        corpora += [fixture()[0], near_miss()[0]]
+    corpora += [_synth_java(seed) for seed in range(50)]
+    # one name, a method's type variable in one scope and a class in the next
+    corpora.append({"T.java": "class T {}\n",
+                    "G.java": "class G { <T> T pick(T a) { T b = a; return b; } T plain() { return new T(); } }\n"})
+    for files in corpora:
+        corpus = ingest_corpus(files, "s0", project="fix")
+        with mock.patch.object(Resolver, "_resolve_type_name", autospec=True,
+                               side_effect=Resolver._resolve_type_name) as spy:
+            memoised = extract_dependencies(corpus)
+        with mock.patch.object(Resolver, "resolve_type_name", Resolver._resolve_type_name):
+            unmemoised = extract_dependencies(corpus)
+        assert memoised[0].edges == unmemoised[0].edges
+        assert memoised[1] == unmemoised[1]
+        # each distinct question once, and the memo warmed in the reverse order gives the same answers
+        keys = [(raw, scope.id.qualified_name, extra) for _, raw, scope, extra in (c.args for c in spy.call_args_list)]
+        assert len(keys) == len(set(keys))
+        resolver = Resolver(corpus)
+        for _, raw, scope, extra in reversed([c.args for c in spy.call_args_list]):
+            assert resolver.resolve_type_name(raw, scope, extra) == Resolver(corpus)._resolve_type_name(raw, scope, extra)

@@ -1,8 +1,17 @@
+import sys
+from array import array
+
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lexer_oracle
-from smellstab.lexer import logical_lines, logical_loc, tokenize
+from smellstab.lexer import kind_of, logical_lines, logical_loc, tokenize
+
+
+def _tokens(text: str) -> list[tuple[str, str, int]]:
+    """The file's token columns as (kind, value, line) rows."""
+    cols = tokenize(text)
+    return [(kind_of(v), v, line) for v, line in zip(cols.values, cols.lines)]
 
 
 def test_empty_region_is_zero():
@@ -40,8 +49,16 @@ def test_comment_after_code_then_code_line():
 
 
 def test_tokenize_line_numbers():
-    toks = tokenize("a\nb\n\nc")
-    assert [(t.value, t.line) for t in toks] == [("a", 1), ("b", 2), ("c", 4)]
+    toks = _tokens("a\nb\n\nc")
+    assert [(value, line) for _, value, line in toks] == [("a", 1), ("b", 2), ("c", 4)]
+
+
+def test_tokenize_returns_whole_file_columns_of_interned_values():
+    cols = tokenize("class A { String s = \"a\" + b; }\nint b;")
+    assert len(cols) == 14 and (cols.start, cols.end) == (0, 14)
+    assert type(cols.values) is tuple and isinstance(cols.lines, array) and cols.lines.typecode == "I"
+    assert all(sys.intern(v) is v for v in cols.values)
+    assert list(cols.lines) == [1] * 11 + [2] * 3
 
 
 def test_logical_lines_normalize_whitespace_and_comments():
@@ -52,16 +69,16 @@ def test_logical_lines_normalize_whitespace_and_comments():
 
 def test_char_and_text_block_literals():
     text = "char c = '{';\nString s = \"\"\"\nbody { }\n\"\"\";\n"
-    toks = tokenize(text)
-    assert any(t.kind == "char" for t in toks)
-    assert any(t.kind == "string" and "body" in t.value for t in toks)
+    toks = _tokens(text)
+    assert any(kind == "char" for kind, _, _ in toks)
+    assert any(kind == "string" and "body" in value for kind, value, _ in toks)
 
 
 def test_unterminated_literal_stops_before_the_newline():
     for quote in "\"'":
-        toks = tokenize(f"a = {quote}abc\nint x;")
-        assert [(t.value, t.line) for t in toks][-3:] == [("int", 2), ("x", 2), (";", 2)]
-        assert toks[2].value == f"{quote}abc"
+        toks = _tokens(f"a = {quote}abc\nint x;")
+        assert [(value, line) for _, value, line in toks][-3:] == [("int", 2), ("x", 2), (";", 2)]
+        assert toks[2][1] == f"{quote}abc"
     assert logical_lines("s = \"abc\\\nint x;") == ['s = "abc\\', "int x ;"]
 
 
@@ -78,7 +95,7 @@ differential = settings(derandomize=True, database=None, max_examples=1500, dead
 
 
 def _agrees(text):
-    assert tokenize(text) == lexer_oracle.tokenize(text)
+    assert _tokens(text) == lexer_oracle.tokenize(text)
     assert logical_lines(text) == lexer_oracle.logical_lines(text)
 
 
@@ -99,5 +116,5 @@ def test_pattern_matches_the_oracle_on_pinned_cases():
                  "/* open\n comment", ".5.f", "1..2", "١٢ x", "Ⅳa", "a\x0bb", "a\r\fb", "a\n\x0b;"]:
         _agrees(text)
     # '½' is numeric but neither a letter nor a digit; '²' is a digit, not a decimal
-    assert [(t.kind, t.value) for t in tokenize("½a")] == [("sym", "½"), ("word", "a")]
-    assert [(t.kind, t.value) for t in tokenize("²$")] == [("number", "²"), ("word", "$")]
+    assert [(kind, value) for kind, value, _ in _tokens("½a")] == [("sym", "½"), ("word", "a")]
+    assert [(kind, value) for kind, value, _ in _tokens("²$")] == [("number", "²"), ("word", "$")]

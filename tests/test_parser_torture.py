@@ -2,8 +2,11 @@
 modern constructs without diagnostics and still resolve the edges that
 matter."""
 
+from array import array
+
 from javafix import SMELL_FIXTURES, TEN_RELATIONS_FILES
 from smellstab.graph import efferent_neighbors, extract_dependencies
+from smellstab.lexer import TokenSpan
 from smellstab.model import RelationKind
 from smellstab.smells import detect_smells
 from testkit import within
@@ -200,6 +203,29 @@ def test_stray_delimiters_end_a_scan(analyzed_factory):
         assert (RelationKind.CREATE, "A.m()", "Q") in _internal_edges(graph)
 
 
+def test_a_file_cut_short_is_a_parse_failure(corpus_factory):
+    corpus = corpus_factory({
+        "A.java": "class A { int x;", "M.java": "class M { int x; Q", "P.java": "public", "Q.java": "class Q {}\n",
+    })
+    assert [(d.file, d.message) for d in corpus.diagnostics] == [
+        ("A.java", "parse failure: line 1: expected member declaration, got '<eof>'"),
+        ("M.java", "parse failure: line 1: expected member name, got '<eof>'"),
+        ("P.java", "parse failure: line 1: expected type declaration, got '<eof>'"),
+    ]
+    assert [t.id.qualified_name for t in corpus.types] == ["Q"]
+
+
+def test_a_body_scan_stops_at_its_window_end(analyzed_factory):
+    """An annotation, a ``for`` header or a local type body that a body or a
+    parenthesised run cuts short ends there; the scan keeps what it found."""
+    cut_short = ["@A(", "@A.", "@", "for", "List<@A( x", "f(x -> { class L { ] ] ) } };"]
+    for tail in cut_short:
+        files = {"A.java": f"class A {{ void m() {{ new Q(); {tail} }} }}\n", "Q.java": "class Q {}\n"}
+        corpus, graph, _ = analyzed_factory(files)
+        assert corpus.diagnostics == [], tail
+        assert (RelationKind.CREATE, "A.m()", "Q") in _internal_edges(graph), tail
+
+
 INIT_BLOCKS = """
 package pkg;
 class Init {
@@ -211,15 +237,27 @@ class Init {
 
 
 class _IndexOnly(tuple):
-    """A token run that may be read by index and length only."""
+    """A value column that may be read by index and length only."""
 
     def __iter__(self):
-        raise AssertionError("a body scan iterated a token run")
+        raise AssertionError("a body scan iterated a token column")
 
     def __getitem__(self, key):
         if isinstance(key, slice):
-            raise AssertionError("a body scan sliced a token run")
+            raise AssertionError("a body scan sliced a token column")
         return tuple.__getitem__(self, key)
+
+
+class _IndexOnlyLines(array):
+    """A line column that may be read by index and length only."""
+
+    def __iter__(self):
+        raise AssertionError("a body scan iterated a line column")
+
+    def __getitem__(self, key):
+        if isinstance(key, slice):
+            raise AssertionError("a body scan sliced a line column")
+        return array.__getitem__(self, key)
 
 
 def test_body_scans_read_token_runs_by_index_only(corpus_factory):
@@ -229,14 +267,22 @@ def test_body_scans_read_token_runs_by_index_only(corpus_factory):
     files.update(TEN_RELATIONS_FILES)
     corpus = corpus_factory(files)
     expected = extract_dependencies(corpus)
+    guarded: dict[int, tuple] = {}  # one guarded pair of columns per file
+
+    def index_only(span):
+        if span is None:
+            return None
+        if id(span.values) not in guarded:
+            guarded[id(span.values)] = (_IndexOnly(span.values), _IndexOnlyLines("I", span.lines))
+        return TokenSpan(*guarded[id(span.values)], span.start, span.end)
+
     for top in corpus.types:
         for t in top.own_and_nested():
             for m in t.methods + t.constructors:
-                if m.body is not None:
-                    m.body = _IndexOnly(m.body)
+                m.body = index_only(m.body)
             for f in t.fields:
-                f.initializer = _IndexOnly(f.initializer)
-            t.initializers = [_IndexOnly(run) for run in t.initializers]
+                f.initializer = index_only(f.initializer)
+            t.initializers = [index_only(block) for block in t.initializers]
     graph, facts = extract_dependencies(corpus)
     assert graph.edges == expected[0].edges
     assert facts == expected[1]

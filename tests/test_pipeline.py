@@ -337,6 +337,28 @@ def test_cli_filter(tmp_path, fixture_projects, capsys):
     assert doc["accepted"] == ["fix/one", "fix/two"]
 
 
+def test_cli_analyze_keeps_a_project_with_files_cut_short(tmp_path, git_repo_factory):
+    """A file that ends inside a class body is a parse failure, and a method body
+    that ends inside an annotation's arguments is scanned up to there: neither
+    quarantines the project."""
+    repo = git_repo_factory()
+    repo.write("Q.java", "public class Q {}\n")
+    repo.write("A.java", "public class A {\n    void f() { new Q(); @A( }\n}\n")
+    repo.write("Cut.java", "public class Cut {\n    int x;\n")
+    snapshot = repo.commit_all("snapshot", EPOCH)
+    manifest = tmp_path / "cut_manifest.jsonl"
+    manifest.write_text(_manifest_line("fix/cut", repo, snapshot) + "\n")
+    out_dir = tmp_path / "cut_out"
+    assert cli_main(["analyze", "--manifest", str(manifest), "--output-dir", str(out_dir)]) == 0
+    assert json.loads((out_dir / "quarantine.json").read_text()) == {"quarantined": {}}
+    analyze_dir = out_dir / "projects" / "fix__cut" / "analyze"
+    corpus = json.loads((analyze_dir / "corpus.json").read_text())
+    assert corpus["diagnostics"] == [
+        {"file": "Cut.java", "message": "parse failure: line 2: expected member declaration, got '<eof>'"}]
+    _, edges = read_csv(analyze_dir / "edges.csv")
+    assert ["create", "A.f()", "Q"] in [[e["relation"], e["source"], e["target"]] for e in edges]
+
+
 # -- one parse per snapshot; stage keys from exactly the inputs a stage reads --
 
 KEEP_V0 = "public class Keep {\n    int k;\n}\n"
