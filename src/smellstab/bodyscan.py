@@ -467,22 +467,47 @@ class _Scanner:
                 self.array_initializer(c)
 
     def anonymous_body(self, c: _Cursor) -> None:
-        """Scan brace-blocks that follow a ')' inside an anonymous class body.
+        """Scan an anonymous class body, member by member.
 
-        Member signatures are skipped; method bodies merge into this member's
-        facts (nested/anonymous work is attributed to the enclosing top-level
-        type anyway).  Only braces count here; an unclosed body runs to the
-        window's end, and an unclosed member block to just before it.
+        Its work merges into this member's facts (nested/anonymous work is
+        attributed to the enclosing top-level type anyway).  Only braces
+        bound the body; an unclosed body runs to the window's end.
         """
         start = c.i + 1
         closed = c.skip_balanced("{", "}")
-        body = c.window(start, c.i - 1 if closed else c.i)
+        self.push()
+        self.class_members(c.window(start, c.i - 1 if closed else c.i))
+        self.pop()
+
+    def class_members(self, body: _Cursor) -> None:
+        """Scan a class body's initializer blocks, member bodies and field initializers.
+
+        Signatures are skipped: a member ends at ``;`` or at its body's
+        ``{``, a field initializer starts at ``=``, and a nested type's body
+        is a class body again.
+        """
+        nested_type = False
         while not body.eof():
-            if body.at("{") and body.i > start and body.vals[body.i - 1] == ")":
+            v = body.vals[body.i]
+            if v == "{":
                 block = body.i + 1
-                body.skip_balanced("{", "}")
-                self.scan_block(body.window(block, body.i - 1))
+                closed = body.skip_balanced("{", "}")
+                inner = body.window(block, body.i - 1 if closed else body.i)
+                if nested_type:
+                    self.class_members(inner)
+                else:
+                    self.scan_block(inner)
+                nested_type = False
+            elif v == "(":
+                body.skip_balanced("(", ")")
+            elif v == "=":
+                body.i += 1
+                self.expr(body, (",", ";"))
             else:
+                if v in ("class", "interface", "enum", "record"):
+                    nested_type = True
+                elif v == ";":
+                    nested_type = False
                 body.i += 1
 
     def paren_or_cast_or_lambda(self, c: _Cursor) -> None:

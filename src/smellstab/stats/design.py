@@ -10,9 +10,11 @@ positive throughout (encoded in the table, not assumed downstream).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
+
+from .kernels import Counts
 
 DVS = ("ChF", "ChS")
 BASE_CVS = ("ClSize", "#EffNei")
@@ -92,6 +94,11 @@ class DesignMatrix:
     n_groups: int
     project_labels: list[str]
     row_index: np.ndarray  # indices into the source dataset
+    counts: Counts | None = field(default=None, repr=False, compare=False)  # from y unless given
+
+    def __post_init__(self) -> None:
+        if self.counts is None:
+            self.counts = Counts(self.y)
 
 
 def _as_float(column: str, values: list) -> np.ndarray:
@@ -168,4 +175,5 @@ def null_design(design: DesignMatrix) -> DesignMatrix:
         n_groups=design.n_groups,
         project_labels=design.project_labels,
         row_index=design.row_index,
+        counts=design.counts,
     )

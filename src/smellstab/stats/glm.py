@@ -3,11 +3,10 @@
 from __future__ import annotations
 
 import numpy as np
-from scipy.special import gammaln
 
 from .design import DesignMatrix
 from .fitbase import FitResult, covariance_from_hessian, maximize
-from .kernels import nb2_row_curvature, nb2_row_terms
+from .kernels import Counts, as_counts, nb2_row_curvature, nb2_row_terms
 
 _ETA_CAP = 30.0
 _BETA_CAP = 30.0
@@ -17,8 +16,8 @@ class DispersionError(ValueError):
     pass
 
 
-def poisson_loglik(y: np.ndarray, eta: np.ndarray) -> float:
-    return float(np.sum(y * eta - np.exp(eta) - gammaln(y + 1.0)))
+def poisson_loglik(counts: Counts, eta: np.ndarray) -> float:
+    return float(np.sum(counts.y * eta - np.exp(eta) - counts.log_factorial))
 
 
 def fit_poisson(design: DesignMatrix) -> FitResult:
@@ -51,7 +50,7 @@ def fit_poisson(design: DesignMatrix) -> FitResult:
             message = "diverging coefficients"
             break
         beta = beta_new
-        ll = poisson_loglik(y, np.clip(X @ beta, -_ETA_CAP, _ETA_CAP))
+        ll = poisson_loglik(design.counts, np.clip(X @ beta, -_ETA_CAP, _ETA_CAP))
         if abs(ll - ll_old) < 1e-10 * (1.0 + abs(ll)):
             converged = True
             break
@@ -67,7 +66,7 @@ def fit_poisson(design: DesignMatrix) -> FitResult:
         beta=beta,
         se=se,
         cov=cov,
-        ll=poisson_loglik(y, eta),
+        ll=poisson_loglik(design.counts, eta),
         converged=converged and cov_ok,
         n_obs=n,
         mu_hat=mu,
@@ -87,23 +86,24 @@ def dispersion_statistic(fit: FitResult, design: DesignMatrix) -> float:
     return pearson / df
 
 
-def negbin_objective(y: np.ndarray, X: np.ndarray, theta_fixed: float | None = None):
-    """``obj(params) -> (ll, grad, hess)`` of the NB2 GLM.
+def negbin_objective(y, X: np.ndarray, theta_fixed: float | None = None):
+    """``obj(params) -> (ll, grad, hess)`` of the NB2 GLM; ``y`` is a ``Counts`` or an array of counts.
 
     ``params`` holds beta, then log theta unless ``theta_fixed`` pins theta.
     """
     p = X.shape[1]
+    counts = as_counts(y)
 
     def obj(params):
         beta = params[:p]
         theta = float(np.exp(params[p])) if theta_fixed is None else float(theta_fixed)
         eta = np.clip(X @ beta, -_ETA_CAP, _ETA_CAP)
-        ll, a, b, _c, lth, ath, _bth = nb2_row_terms(y, eta, theta)
+        ll, a, b, _c, lth, ath, _bth = nb2_row_terms(counts, eta, theta)
         hess_beta = -(X.T * b) @ X
         if theta_fixed is not None:
             return float(ll.sum()), X.T @ a, hess_beta
         grad_log_theta = theta * float(lth.sum())
-        lthth = nb2_row_curvature(y, eta, theta)[2]
+        lthth = nb2_row_curvature(counts, eta, theta)[2]
         hess = np.empty((p + 1, p + 1))
         hess[:p, :p] = hess_beta
         hess[:p, p] = hess[p, :p] = theta * (X.T @ ath)
@@ -119,7 +119,7 @@ def fit_negbin_glm(design: DesignMatrix, theta_fixed: float | None = None) -> Fi
     n, p = X.shape
     start = fit_poisson(design)
     beta0 = start.beta if np.all(np.isfinite(start.beta)) else np.zeros(p)
-    obj = negbin_objective(y, X, theta_fixed)
+    obj = negbin_objective(design.counts, X, theta_fixed)
     if theta_fixed is not None:
         out = maximize(obj, beta0)
         log_theta = np.log(theta_fixed)

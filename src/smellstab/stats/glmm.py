@@ -26,7 +26,7 @@ import numpy as np
 from .design import DesignMatrix
 from .fitbase import FitResult, covariance_from_hessian, maximize
 from .glm import fit_negbin_glm, fit_poisson
-from .kernels import inner_modes, nb2_row_curvature, nb2_row_terms
+from .kernels import as_counts, inner_modes, nb2_row_curvature, nb2_row_terms
 
 _ETA_CAP = 30.0
 _BETA_CAP = 30.0
@@ -35,20 +35,24 @@ _LOG_S2_BOUNDS = (-12.0, 8.0)
 
 
 class _LaplaceObjective:
-    """Laplace marginal LL, gradient and Hessian; warm-starts the inner modes."""
+    """Laplace marginal LL, gradient and Hessian; warm-starts the inner modes.
+
+    ``y`` is a ``Counts`` or an array of counts.
+    """
 
     def __init__(self, y, X, groups, n_groups):
         order = np.argsort(groups, kind="stable")
-        self.y = np.asarray(y, dtype=float)[order]
+        self.counts = as_counts(y).take(order)
+        self.y = self.counts.y
         self.X = np.asarray(X, dtype=float)[order]
         self.XT = np.ascontiguousarray(self.X.T)
         self.groups = np.asarray(groups, dtype=np.int64)[order]
         self.n_groups = int(n_groups)
         self.u = np.zeros(self.n_groups)
         self.p = self.X.shape[1]
-        counts = np.bincount(self.groups, minlength=self.n_groups)
-        self._filled = counts > 0
-        self._starts = (np.cumsum(counts) - counts)[self._filled]
+        sizes = np.bincount(self.groups, minlength=self.n_groups)
+        self._filled = sizes > 0
+        self._starts = (np.cumsum(sizes) - sizes)[self._filled]
         # one reused buffer for the per-row terms summed by group: fresh arrays of
         # this size cost a page-mapping round trip on every call
         self._rows = np.empty((8 + 3 * self.p, self.y.size))
@@ -68,8 +72,8 @@ class _LaplaceObjective:
         u = inner_modes(self.y, eta_fix, theta, s2, self.groups, self.u)
         self.u = u
         eta = eta_fix + u[self.groups]
-        ll_row, a, b, c, lth, ath, bth = nb2_row_terms(self.y, eta, theta)
-        d, cth, lthth, athth, bthth = nb2_row_curvature(self.y, eta, theta)
+        ll_row, a, b, c, lth, ath, bth = nb2_row_terms(self.counts, eta, theta)
+        d, cth, lthth, athth, bthth = nb2_row_curvature(self.counts, eta, theta)
         XT, rows = self.XT, self._rows
         for i, values in enumerate((b, c, d, ath, bth, cth, athth, bthth)):
             rows[i] = values
@@ -140,7 +144,7 @@ def fit_negbin_random_intercept(design: DesignMatrix) -> FitResult:
     theta0 = float(np.clip(theta0, 1e-2, 1e4))
     x0 = np.concatenate([beta0, [np.log(theta0), np.log(0.1)]])
     bounds = [(-_BETA_CAP, _BETA_CAP)] * p + [_LOG_THETA_BOUNDS, _LOG_S2_BOUNDS]
-    objective = _LaplaceObjective(y, X, groups, design.n_groups)
+    objective = _LaplaceObjective(design.counts, X, groups, design.n_groups)
     out = maximize(objective, x0, bounds)
     beta = out.x[:p]
     theta = float(np.exp(out.x[p]))
@@ -176,7 +180,7 @@ def fit_negbin_random_intercept(design: DesignMatrix) -> FitResult:
 
 def laplace_loglik_and_grad(design: DesignMatrix, beta, theta, sigma2):
     """Direct access to the Laplace objective (gradient checks, tests)."""
-    objective = _LaplaceObjective(design.y, design.X, design.groups, design.n_groups)
+    objective = _LaplaceObjective(design.counts, design.X, design.groups, design.n_groups)
     params = np.concatenate([np.asarray(beta, dtype=float), [np.log(theta), np.log(sigma2)]])
     ll, grad, _hess = objective(params)
     return ll, grad

@@ -27,47 +27,118 @@ With ``r = mu/q`` (so ``dr/deta = r(1-r)`` and ``dr/dth = -r/q``) and
     athth = d2a/dth2  = 2 r (mu - y)/q^2
     bthth = d2b/dth2  = -2 r (1-2r)/q + 2 (y+th) r (1-3r)/q^2
 
-(``psi1`` is the trigamma function).  ``log(q/th)`` is taken as
-``log1p(mu/th)``, and the terms of ``ll``, ``lth`` and ``lthth`` are grouped
-so that no two large terms cancel: at th near its upper bound e^14 the
-textbook forms lose about 1e-8 of ``ll`` to rounding, more than a Newton
-step near the optimum gains.
+(``psi`` is the digamma and ``psi1`` the trigamma function).  The gamma
+functions enter only as differences between ``y+th`` and ``th`` at a whole
+count ``y``, which are finite sums over ``j < y`` (``Counts``)::
+
+    lgamma(y+th) - lgamma(th) = y log th + sum log1p(j/th)
+    psi(y+th)    - psi(th)    = sum 1/(th+j)
+    psi1(y+th)   - psi1(th)   = -sum 1/(th+j)^2
+
+``log(q/th)`` is taken as ``log1p(mu/th)``, so ``ll`` is
+``sum log1p(j/th) - lgamma(y+1) + y*eta - (th+y) log1p(mu/th)``: no two large
+terms cancel, where at th near its upper bound e^14 the textbook form loses
+about 1e-8 of ``ll`` to rounding, more than a Newton step near the optimum
+gains.  ``lgamma(y+1)`` is a constant of the response.
 """
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.special import digamma as _sp_digamma, gammaln as _sp_gammaln, polygamma as _sp_polygamma
 
 _MAX_NEWTON = 100
 _STEP_TOL = 1e-12
 _STEP_CAP = 5.0
 
 
+class Counts:
+    """A count response and its per-row constants, computed once.
+
+    ``levels`` are the distinct counts, ``level_of_row`` maps each row to its
+    level and ``log_factorial`` holds ``lgamma(y+1)`` per row.  The sums over
+    ``j < y`` that stand in for the gamma-function differences are taken for
+    every ``j`` below the largest count, summed level to level, and read
+    back per row.
+    """
+
+    __slots__ = ("y", "levels", "level_of_row", "log_factorial", "_level_log_factorial", "_j", "_starts",
+                 "_positive")
+
+    def __init__(self, y):
+        y = np.asarray(y, dtype=float)
+        levels, level_of_row = np.unique(y, return_inverse=True)
+        if levels.size and not (levels[0] >= 0 and np.isfinite(levels[-1]) and np.all(levels == np.floor(levels))):
+            raise ValueError("counts must be non-negative whole numbers")
+        self._index(y, levels, level_of_row, np.array([math.lgamma(v + 1.0) for v in levels.tolist()]))
+
+    def _index(self, y, levels, level_of_row, level_log_factorial) -> None:
+        self.y = y
+        self.levels = levels
+        self.level_of_row = level_of_row
+        self._level_log_factorial = level_log_factorial
+        self.log_factorial = level_log_factorial[level_of_row]
+        self._j = np.arange(int(levels[-1]) if levels.size else 0, dtype=float)
+        self._positive = levels > 0
+        positive = levels[self._positive].astype(np.int64)
+        # segment k sums j from one positive level up to the next (the first from 0)
+        self._starts = np.concatenate([[0], positive[:-1]]) if positive.size else positive
+
+    def take(self, order: np.ndarray) -> "Counts":
+        """The same counts with the rows in ``order``; the levels are shared."""
+        out = Counts.__new__(Counts)
+        out._index(self.y[order], self.levels, self.level_of_row[order], self._level_log_factorial)
+        return out
+
+    def _per_row(self, terms: np.ndarray) -> np.ndarray:
+        """``sum(terms[:y])`` for every row, with ``terms`` given for ``j`` below the largest count."""
+        sums = np.zeros(self.levels.size)
+        if self._starts.size:
+            sums[self._positive] = np.cumsum(np.add.reduceat(terms, self._starts))
+        return sums[self.level_of_row]
+
+    def log_rising(self, theta: float) -> np.ndarray:
+        """``lgamma(y+theta) - lgamma(theta) - y log theta`` per row."""
+        return self._per_row(np.log1p(self._j / theta))
+
+    def digamma_step(self, theta: float) -> np.ndarray:
+        """``psi(y+theta) - psi(theta)`` per row."""
+        return self._per_row(1.0 / (theta + self._j))
+
+    def trigamma_step(self, theta: float) -> np.ndarray:
+        """``psi1(y+theta) - psi1(theta)`` per row."""
+        inv = 1.0 / (theta + self._j)
+        return -self._per_row(inv * inv)
+
+
+def as_counts(y) -> Counts:
+    return y if isinstance(y, Counts) else Counts(y)
+
+
 def nb2_row_terms(y, eta, theta):
+    """Per-row ll, a, b, c, lth, ath, bth; ``y`` is a ``Counts`` or an array of counts."""
+    counts = as_counts(y)
+    y = counts.y
     theta = float(theta)
     mu = np.exp(eta)
     q = theta + mu
     yt = y + theta
     log1p_mu_theta = np.log1p(mu / theta)  # log(q/th), exact where th >> mu
-    ll = (
-        _sp_gammaln(yt)
-        - _sp_gammaln(theta)
-        - _sp_gammaln(y + 1.0)
-        + y * eta
-        - theta * log1p_mu_theta
-        - y * np.log(q)
-    )
+    ll = counts.log_rising(theta) - counts.log_factorial + y * eta - yt * log1p_mu_theta
     a = y - yt * mu / q
     b = yt * theta * mu / (q * q)
     c = -yt * theta * mu * (theta - mu) / (q * q * q)
-    lth = _sp_digamma(yt) - _sp_digamma(theta) - log1p_mu_theta + (mu - y) / q
+    lth = counts.digamma_step(theta) - log1p_mu_theta + (mu - y) / q
     ath = -mu / q + yt * mu / (q * q)
     bth = (y + 2.0 * theta) * mu / (q * q) - 2.0 * yt * theta * mu / (q * q * q)
     return ll, a, b, c, lth, ath, bth
 
 
 def nb2_row_curvature(y, eta, theta):
+    """Per-row d, cth, lthth, athth, bthth; ``y`` is a ``Counts`` or an array of counts."""
+    counts = as_counts(y)
+    y = counts.y
     theta = float(theta)
     mu = np.exp(eta)
     q = theta + mu
@@ -77,10 +148,7 @@ def nb2_row_curvature(y, eta, theta):
     quartic = 1.0 - 6.0 * r + 6.0 * r * r
     d = -yt * s * quartic
     cth = -s * (1.0 - 2.0 * r) + yt * quartic * r / q
-    # trigamma is costly per element; counts take few distinct values
-    levels, level_of_row = np.unique(y, return_inverse=True)
-    trigamma_yt = _sp_polygamma(1, levels + theta)[level_of_row]
-    lthth = trigamma_yt - float(_sp_polygamma(1, theta)) + (mu * mu + theta * y) / (theta * q * q)
+    lthth = counts.trigamma_step(theta) + (mu * mu + theta * y) / (theta * q * q)
     athth = 2.0 * r * (mu - y) / (q * q)
     bthth = -2.0 * r * (1.0 - 2.0 * r) / q + 2.0 * yt * r * (1.0 - 3.0 * r) / (q * q)
     return d, cth, lthth, athth, bthth

@@ -248,3 +248,34 @@ def test_memoised_type_names_agree_with_unmemoised():
         resolver = Resolver(corpus)
         for _, raw, scope, extra in reversed([c.args for c in spy.call_args_list]):
             assert resolver.resolve_type_name(raw, scope, extra) == Resolver(corpus)._resolve_type_name(raw, scope, extra)
+
+
+ANON_HOST = "class B { static B make() { return null; } static int go() { return 0; } static void run() {} }"
+
+
+def _calls_to_b(analyzed_factory, body: str) -> set[str]:
+    _, graph, _ = analyzed_factory({"A.java": f"class A {{ void m() {{ {body} }} }}", "B.java": ANON_HOST})
+    return {e.target.qualified_name for e in graph.edges
+            if e.relation == RelationKind.CALL and str(e.source) == "A.m()"}
+
+
+def test_anonymous_class_initializer_block_and_field_initializer_are_scanned(analyzed_factory):
+    body = "new Object() { { B.make(); } int v = B.go(); void r() { B.run(); } };"
+    assert _calls_to_b(analyzed_factory, body) == {"B.make", "B.go", "B.run"}
+
+
+def test_anonymous_class_method_with_a_throws_clause_is_scanned(analyzed_factory):
+    body = "new Runnable() { public void run() throws Exception { B.run(); } };"
+    assert _calls_to_b(analyzed_factory, body) == {"B.run"}
+
+
+def test_anonymous_class_members_of_every_shape_are_scanned(analyzed_factory):
+    body = (
+        "Object o = new Object() {"
+        "  @Override public String toString() { return null; }"
+        "  int[] xs = { B.go() }, ys;"
+        "  <T> T pick(T a) throws RuntimeException, Error { B.make(); return a; }"
+        "  class Inner { int w = B.go(); void q() { B.run(); } }"
+        "};"
+    )
+    assert _calls_to_b(analyzed_factory, body) == {"B.go", "B.make", "B.run"}

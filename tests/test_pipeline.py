@@ -24,6 +24,7 @@ from smellstab.pipeline import (
 )
 from smellstab.smells import ThresholdConfig
 
+from simulate import simulate_observation_rows
 from testkit import EPOCH, GitRepo, record_processes
 
 DAY = 86400
@@ -319,12 +320,25 @@ def test_cli_defaults_to_one_blas_thread_unless_set(monkeypatch):
     assert os.environ["OPENBLAS_NUM_THREADS"] == "1"
 
 
-def test_cli_import_loads_neither_scipy_optimize_nor_scipy_stats():
+def test_no_command_loads_scipy(tmp_path):
+    """scipy is a test oracle only: neither the CLI's import nor a stats run loads any of it."""
     src = str(Path(smellstab.cli.__file__).parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
-    code = "import sys, smellstab.cli; print([m for m in ('scipy.optimize', 'scipy.stats') if m in sys.modules])"
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    rows = simulate_observation_rows(4, 30, seed=3)
+    write_csv(out_dir / "dataset.csv", list(rows[0]), [list(r.values()) for r in rows])
+    code = (
+        "import sys, smellstab.cli\n"
+        "loaded = lambda: sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(loaded())\n"
+        f"assert smellstab.cli.main(['stats', '--output-dir', {str(out_dir)!r}]) == 0\n"
+        "print(loaded())\n"
+    )
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "[]"
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[]")
+    assert (out_dir / "quantile_residuals.csv").exists()
 
 
 def test_cli_filter(tmp_path, fixture_projects, capsys):
