@@ -7,6 +7,7 @@ previous file intact, never a truncated one.
 from __future__ import annotations
 
 import csv
+import io
 import json
 import os
 import threading
@@ -26,12 +27,15 @@ def format_value(v) -> str:
 
 
 @contextmanager
-def atomic_writer(path: str | Path):
-    """Text handle on a temp file beside ``path``, moved over it on success."""
+def atomic_writer(path: str | Path, mode: str = "w"):
+    """Handle on a temp file beside ``path``, moved over it on success.
+
+    Text by default; ``mode="wb"`` gives a binary handle.
+    """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
     try:
-        with open(tmp, "w", newline="") as fh:
+        with open(tmp, mode, newline=None if "b" in mode else "") as fh:
             yield fh
         os.replace(tmp, path)
     except BaseException:
@@ -65,6 +69,11 @@ def write_json(path: str | Path, doc: dict) -> None:
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[dict[str, str]]]:
-    with open(path, newline="") as fh:
+    return parse_csv(Path(path).read_bytes())
+
+
+def parse_csv(data: bytes) -> tuple[list[str], list[dict[str, str]]]:
+    """Header and rows of a CSV file's bytes, decoded as ``open`` decodes the file."""
+    with io.TextIOWrapper(io.BytesIO(data), newline="") as fh:
         reader = csv.DictReader(fh)
         return list(reader.fieldnames or []), list(reader)

@@ -3,9 +3,10 @@
 Each project's snapshot is read from git by blob id and parsed at most once
 per run, and only when a stage that reads the parse is stale.  Per-project
 stages are cached under a key derived from exactly the inputs each reads
-(``stage_inputs``), and a project failure quarantines the project without
-stopping the run.  All outputs are deterministic byte-for-byte for a fixed
-config.
+(``stage_inputs``) and from the package's own sources, and a project failure
+quarantines the project without stopping the run.  The stats stage caches
+its fits the same way, keyed on the bytes of ``dataset.csv``.  All outputs
+are deterministic byte-for-byte for a fixed config.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ import functools
 import hashlib
 import json
 import logging
+import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields as dc_fields
@@ -22,7 +24,7 @@ from pathlib import Path
 from . import __version__ as _version
 from .corpus import ingest_corpus
 from .graph import extract_dependencies
-from .io_utils import read_csv, write_csv, write_json, write_meta, write_text
+from .io_utils import parse_csv, read_csv, write_csv, write_json, write_meta, write_text
 from .manifest import ProjectManifestEntry, Rejection, filter_manifest, load_manifest
 from .metrics import build_metrics_context, compute_class_metrics, compute_method_metrics
 from .mining import (
@@ -38,10 +40,13 @@ from .model import SourceCorpus
 from .neighborhood import OBSERVATION_HEADER, build_all_observations, observation_row
 from .smells import ThresholdConfig, detect_smells_with_diagnostics, per_strategy_counts
 from .stats.suite import (
+    SuiteResult,
     export_fits_json,
     export_quantile_residuals,
     export_results_csv,
+    load_suite,
     run_hypothesis_suite,
+    save_suite,
 )
 
 DATASET_HEADER = OBSERVATION_HEADER + ["ChF", "ChS", "lineage_status"]
@@ -149,8 +154,28 @@ def stage_inputs(entry: ProjectManifestEntry, config: PipelineConfig,
     return inputs
 
 
+@functools.cache
+def code_digest() -> str:
+    """sha256 of the package's own ``*.py`` files, by sorted relative path.
+
+    Part of every stage key, so an edited program never reuses what an
+    older one computed; the sidecars do not echo it.
+    """
+    root = os.path.dirname(os.path.abspath(__file__))
+    rels = sorted(os.path.join(d, n)[len(root) + 1:]
+                  for d, _, names in os.walk(root) for n in names if n.endswith(".py"))
+    h = hashlib.sha256()
+    for rel in rels:
+        with open(os.path.join(root, rel), "rb") as fh:
+            data = fh.read()
+        h.update(f"{rel}\0{len(data)}\0".encode())
+        h.update(data)
+    return h.hexdigest()
+
+
 def _stage_key(inputs: dict) -> str:
-    return hashlib.sha256(json.dumps(inputs, sort_keys=True).encode()).hexdigest()
+    """sha256 of a stage's inputs and of the code that computes from them."""
+    return hashlib.sha256((json.dumps(inputs, sort_keys=True) + code_digest()).encode()).hexdigest()
 
 
 def _snapshot_loader(entry: ProjectManifestEntry, config: PipelineConfig) -> Callable[[], SourceCorpus]:
@@ -306,11 +331,43 @@ def export_dataset(all_rows: list[list], config: PipelineConfig) -> Path:
     return path
 
 
+def _cached_suite(stage_dir: Path, key: str) -> SuiteResult | None:
+    """The suite cached in ``stage_dir`` under ``key``, or None on a miss.
+
+    A cache that cannot be read is a miss: its marker is dropped and the
+    suite is fitted again.
+    """
+    if not _cache_hit(stage_dir, key):
+        return None
+    try:
+        return load_suite(stage_dir)
+    except Exception as exc:
+        _log.warning("stats cache in %s unreadable (%s: %s)", stage_dir, type(exc).__name__, exc)
+        (stage_dir / "stage.json").unlink(missing_ok=True)
+        return None
+
+
 def run_stats(config: PipelineConfig) -> None:
-    dataset_path = Path(config.output_dir) / "dataset.csv"
-    _, rows = read_csv(dataset_path)
-    suite = run_hypothesis_suite(rows, seed=config.seed)
+    """Fit the 34 models on ``dataset.csv``, or reuse the fits cached for its bytes, and export.
+
+    The fits read only the dataset, so ``out/stats/`` is keyed on its sha256
+    and the code, not on the seed: a seed-changed rerun draws new quantile
+    residuals from the cached fits, and writes what a cold run would.
+    """
     out = Path(config.output_dir)
+    data = (out / "dataset.csv").read_bytes()
+    stage_dir = out / "stats"
+    key = _stage_key({"tool_version": _version, "dataset_sha256": hashlib.sha256(data).hexdigest()})
+    suite = _cached_suite(stage_dir, key)
+    if suite is None:
+        _log.info("stats: fitting the suite (key %s)", key[:12])
+        rows = parse_csv(data)[1]
+        del data  # the rows hold the dataset now; the bytes would only raise the peak RSS
+        suite = run_hypothesis_suite(rows)
+        save_suite(suite, stage_dir)
+        _write_stage_marker(stage_dir, key)
+    else:
+        _log.info("stats: reusing the cached fits (key %s)", key[:12])
     export_results_csv(suite, out / "results.csv")
     write_meta(out / "results.csv", config_echo=config.echo())
     export_fits_json(suite, out / "fits.json", seed=config.seed, config_echo=config.echo())

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
+import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
 import numpy as np
@@ -73,7 +74,7 @@ class SuiteResult:
     results: list[HypothesisResult]
 
 
-def run_hypothesis_suite(rows: list[dict], seed: int = 0) -> SuiteResult:
+def run_hypothesis_suite(rows: list[dict]) -> SuiteResult:
     """Fit all 34 models, BH-adjust within each RQ, set each status.
 
     Non-converged or unfittable models carry a conservative raw p of 1.0
@@ -131,6 +132,70 @@ def run_hypothesis_suite(rows: list[dict], seed: int = 0) -> SuiteResult:
             in_direction = (beta_iv > 0) if r.spec.direction > 0 else (beta_iv < 0)
             r.status = ACCEPTED if (in_direction and r.p_bh < ALPHA) else REJECTED
 
+    return SuiteResult(results)
+
+
+# The fields the three exporters read of a model beside its spec, fit and rows.
+_OUTCOME_FIELDS = ("status", "note", "p_raw", "p_bh", "irr", "ame", "mcfadden", "null_ll",
+                   "dispersion_stat")
+
+
+def save_suite(suite: SuiteResult, directory: str | Path) -> None:
+    """Store what the three exporters read of ``suite`` in ``directory``.
+
+    ``suite.json`` holds per model its label, outcome fields and the scalar
+    fields of its fit; ``suite.npz`` (uncompressed, no pickled objects) holds
+    each fit's arrays, with the fitted means of converged fits only, and the
+    response and source rows once per (dv, population), which alone choose
+    a design's rows.  The Poisson fits are not kept.  Each file is replaced
+    atomically.
+    """
+    directory = Path(directory)
+    models, arrays = [], {}
+    for i, r in enumerate(suite.results):
+        entry: dict = {"label": r.spec.label, **{k: getattr(r, k) for k in _OUTCOME_FIELDS}}
+        if r.fit is not None:
+            entry["fit"] = {}
+            for f in dc_fields(FitResult):
+                value = getattr(r.fit, f.name)
+                if not isinstance(value, np.ndarray):
+                    entry["fit"][f.name] = value
+                elif f.name != "mu_hat" or r.fit.converged:
+                    arrays[f"{i}.{f.name}"] = value
+        if r.y is not None:
+            entry["sample"] = sample = f"{r.spec.dv}.{r.spec.population}"
+            arrays.setdefault(f"{sample}.y", r.y)
+            arrays.setdefault(f"{sample}.row_index", r.row_index)
+        models.append(entry)
+    with atomic_writer(directory / "suite.npz", "wb") as fh:
+        np.savez(fh, **arrays)
+    write_json(directory / "suite.json", {"models": models})
+
+
+def load_suite(directory: str | Path) -> SuiteResult:
+    """The suite ``save_suite`` stored in ``directory``, for the three exporters.
+
+    Raises on a missing, truncated or foreign file; arrays are read without
+    unpickling.  An unconverged fit comes back with empty fitted means.
+    """
+    directory = Path(directory)
+    models = json.loads((directory / "suite.json").read_text())["models"]
+    with np.load(directory / "suite.npz", allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    specs = {spec.label: spec for spec in all_model_specs()}
+    if [m["label"] for m in models] != list(specs):
+        raise ValueError(f"{directory}: the cached models are not the suite's 34")
+    results = []
+    for i, m in enumerate(models):
+        r = HypothesisResult(specs[m["label"]], **{k: m[k] for k in _OUTCOME_FIELDS})
+        if "fit" in m:
+            fit_arrays = {"mu_hat": np.empty(0)}
+            fit_arrays.update((name.split(".", 1)[1], a) for name, a in arrays.items()
+                              if name.startswith(f"{i}."))
+            r.fit = FitResult(**m["fit"], **fit_arrays)
+        if "sample" in m:
+            r.y, r.row_index = arrays[f"{m['sample']}.y"], arrays[f"{m['sample']}.row_index"]
+        results.append(r)
     return SuiteResult(results)
 
 

@@ -1,5 +1,6 @@
 import importlib
 import json
+import logging
 import os
 import subprocess
 import sys
@@ -12,6 +13,7 @@ from smellstab.cli import main as cli_main
 import smellstab.mining.gitio
 import smellstab.mining.miner
 import smellstab.pipeline
+import smellstab.stats.suite
 from smellstab.io_utils import read_csv, write_csv
 from smellstab.manifest import filter_manifest, load_manifest
 from smellstab.pipeline import (
@@ -20,6 +22,7 @@ from smellstab.pipeline import (
     PipelineIntegrityError,
     export_dataset,
     run_pipeline,
+    run_stats,
     stage_inputs,
 )
 from smellstab.smells import ThresholdConfig
@@ -168,9 +171,12 @@ def test_rerun_is_byte_identical(tmp_path, fixture_projects):
 def test_cached_rerun_skips_and_matches(tmp_path, fixture_projects):
     config, _ = _run(tmp_path, fixture_projects, name="cached")
     first = (Path(config.output_dir) / "dataset.csv").read_bytes()
+    stats = {name: (Path(config.output_dir) / name).read_bytes() for name in ("results.csv", "fits.json")}
     outcome = run_pipeline(config)  # second run over the same output dir
     assert not outcome.quarantined
     assert (Path(config.output_dir) / "dataset.csv").read_bytes() == first
+    for name, before in stats.items():
+        assert (Path(config.output_dir) / name).read_bytes() == before, name
 
 
 def test_quarantine_isolates_broken_project(tmp_path, fixture_projects, caplog):
@@ -539,3 +545,124 @@ def test_no_git_process_outlives_a_quarantined_mine(tmp_path, fixture_projects, 
     readers = [p for p in started if p.args[3] == "cat-file"]
     assert len(readers) == 4  # per project: the snapshot's blobs, then the window's
     assert all(p.returncode is not None for p in started)
+
+
+def _counting(monkeypatch, module, name, calls):
+    real = getattr(module, name)
+
+    def counting(*args, **kwargs):
+        calls.append(name)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+
+
+def test_code_change_invalidates_every_stage(tmp_path, fixture_projects, monkeypatch):
+    config, _ = _run(tmp_path, fixture_projects, name="digest")
+    calls = []
+    _counting(monkeypatch, smellstab.pipeline, "ingest_corpus", calls)
+    _counting(monkeypatch, smellstab.pipeline, "mine_window", calls)
+    _counting(monkeypatch, smellstab.stats.suite, "fit_negbin_random_intercept", calls)
+    run_pipeline(config)
+    assert calls == []
+    monkeypatch.setattr(smellstab.pipeline, "code_digest", lambda: "0" * 64)
+    run_pipeline(config)
+    assert set(calls) == {"ingest_corpus", "mine_window", "fit_negbin_random_intercept"}
+
+
+# -- the stats stage's fit cache ---------------------------------------------------
+
+STATS_OUTPUTS = ("results.csv", "results.csv.meta.json", "fits.json",
+                 "quantile_residuals.csv", "quantile_residuals.csv.meta.json")
+
+
+@pytest.fixture
+def stats_out(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    rows = simulate_observation_rows(6, 40, seed=41)
+    write_csv(out / "dataset.csv", list(rows[0]), [list(r.values()) for r in rows])
+    return out
+
+
+@pytest.fixture
+def fits(monkeypatch):
+    calls = []
+    _counting(monkeypatch, smellstab.stats.suite, "fit_negbin_random_intercept", calls)
+    return calls
+
+
+def _stats(out, seed):
+    run_stats(PipelineConfig(output_dir=str(out), seed=seed))
+    return {name: (out / name).read_bytes() for name in STATS_OUTPUTS}
+
+
+def _edit_one_cell(out):
+    header, rows = read_csv(out / "dataset.csv")
+    rows[0]["ChF"] = str(int(rows[0]["ChF"]) + 1)
+    write_csv(out / "dataset.csv", header, [[r[c] for c in header] for r in rows])
+
+
+def test_warm_stats_rerun_writes_what_a_cold_run_writes(stats_out, fits, caplog):
+    caplog.set_level(logging.INFO, logger="smellstab.pipeline")
+    cold = _stats(stats_out, seed=5)
+    assert len(fits) > 34  # the 34 models and the null models
+    fitted = len(fits)
+    other = _stats(stats_out, seed=6)
+    assert other["results.csv"] == cold["results.csv"]
+    assert other["quantile_residuals.csv"] != cold["quantile_residuals.csv"]
+    assert _stats(stats_out, seed=5) == cold
+    assert len(fits) == fitted
+    key = json.loads((stats_out / "stats" / "stage.json").read_text())["key"][:12]
+    said = [r.getMessage() for r in caplog.records if r.getMessage().startswith("stats: ")]
+    assert said == [f"stats: fitting the suite (key {key})",
+                    f"stats: reusing the cached fits (key {key})",
+                    f"stats: reusing the cached fits (key {key})"]
+    for blob in cold.values():
+        assert b"stats: " not in blob and key.encode() not in blob
+
+
+def test_changed_dataset_cell_refits(stats_out, fits):
+    cold = _stats(stats_out, seed=5)
+    fitted = len(fits)
+    _edit_one_cell(stats_out)
+    changed = _stats(stats_out, seed=5)
+    assert len(fits) == 2 * fitted
+    assert changed["results.csv"] != cold["results.csv"]
+
+
+def test_stats_crash_leaves_no_valid_marker(stats_out, monkeypatch):
+    _stats(stats_out, seed=5)
+    marker = stats_out / "stats" / "stage.json"
+    assert marker.exists()
+    real = smellstab.stats.suite.fit_negbin_random_intercept
+    calls = []
+
+    def crash_on_fifth(design):
+        calls.append(design)
+        if len(calls) == 5:
+            raise RuntimeError("crash mid-suite")
+        return real(design)
+
+    monkeypatch.setattr(smellstab.stats.suite, "fit_negbin_random_intercept", crash_on_fifth)
+    _edit_one_cell(stats_out)
+    with pytest.raises(RuntimeError, match="crash mid-suite"):
+        run_stats(PipelineConfig(output_dir=str(stats_out), seed=5))
+    assert not marker.exists()
+
+
+@pytest.mark.parametrize("damage", ["delete", "truncate"])
+@pytest.mark.parametrize("name", ["suite.json", "suite.npz"])
+def test_unreadable_stats_cache_refits(stats_out, fits, caplog, name, damage):
+    cold = _stats(stats_out, seed=5)
+    fitted = len(fits)
+    path = stats_out / "stats" / name
+    if damage == "delete":
+        path.unlink()
+    else:
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    assert _stats(stats_out, seed=5) == cold
+    assert len(fits) == 2 * fitted
+    assert [r.levelname for r in caplog.records if "stats cache" in r.getMessage()] == ["WARNING"]
+    assert _stats(stats_out, seed=5) == cold  # the rewritten cache is read again
+    assert len(fits) == 2 * fitted

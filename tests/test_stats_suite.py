@@ -10,8 +10,10 @@ from simulate import simulate_observation_rows
 from smellstab.io_utils import read_csv, write_csv
 from smellstab.stats import ALPHA, BINARY, all_model_specs, run_hypothesis_suite
 from smellstab.stats.design import FAMILY_SIZES, DesignError, column_table, prepare_design, spec_columns
+from smellstab.stats.glm import fit_negbin_glm, fit_poisson
 from smellstab.stats.suite import (
-    ACCEPTED, INCONCLUSIVE, REJECTED, export_fits_json, export_quantile_residuals, results_rows,
+    ACCEPTED, INCONCLUSIVE, REJECTED, export_fits_json, export_quantile_residuals, export_results_csv,
+    load_suite, results_rows, save_suite,
 )
 
 import stats_oracle
@@ -237,7 +239,7 @@ def test_non_smelly_codes_are_renumbered_like_the_oracle():
 
 def test_residual_file_matches_the_oracle_writer(tmp_path):
     rows = simulate_observation_rows(6, 40, seed=35)
-    suite = run_hypothesis_suite(rows, seed=4)
+    suite = run_hypothesis_suite(rows)
     assert sum(r.converged for r in suite.results) >= 30
     export_quantile_residuals(suite, tmp_path / "new.csv", seed=4)
     stats_oracle.export_quantile_residuals(suite, tmp_path / "old.csv", seed=4)
@@ -336,3 +338,45 @@ def test_failed_residual_export_keeps_the_previous_file(tmp_path, monkeypatch):
     assert len(calls) == 5
     assert path.read_bytes() == before
     assert sorted(p.name for p in tmp_path.iterdir()) == ["quantile_residuals.csv"]
+
+
+# -- the stats stage's cache round trip -------------------------------------------
+
+def _export_all(suite, directory, seed):
+    directory.mkdir()
+    export_results_csv(suite, directory / "results.csv")
+    export_fits_json(suite, directory / "fits.json", seed=seed)
+    export_quantile_residuals(suite, directory / "quantile_residuals.csv", seed=seed)
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def test_saved_suite_exports_the_same_bytes(tmp_path):
+    rows = simulate_observation_rows(4, 30, seed=21)
+    for r in rows:
+        r["IsSmelly"] = "true"  # the non-smelly population is empty: no design
+    suite = run_hypothesis_suite(rows)
+    table = column_table(rows)
+    by_label = {r.spec.label: r for r in suite.results}
+    for label, fit in (("H1.2:ChF", fit_poisson), ("H1.3:ChS", fit_negbin_glm)):
+        by_label[label].fit = fit(prepare_design(table, by_label[label].spec))
+    assert by_label["H1.2:ChF"].fit.theta is None and by_label["H1.2:ChF"].fit.converged
+    assert by_label["H1.3:ChS"].fit.sigma2 is None and by_label["H1.3:ChS"].fit.u_hat is None
+    assert any(r.fit is not None and not r.fit.converged for r in suite.results)
+    assert any(r.fit is None and "empty population" in r.note for r in suite.results)
+    assert any(np.isnan(r.null_ll) for r in suite.results)
+
+    (tmp_path / "cache").mkdir()
+    save_suite(suite, tmp_path / "cache")
+    loaded = load_suite(tmp_path / "cache")
+    assert _export_all(loaded, tmp_path / "loaded", seed=9) == _export_all(suite, tmp_path / "fitted", seed=9)
+
+
+def test_load_suite_unpickles_nothing(tmp_path):
+    suite = run_hypothesis_suite(simulate_observation_rows(6, 40, seed=42))
+    save_suite(suite, tmp_path)
+    with np.load(tmp_path / "suite.npz") as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    arrays["0.beta"] = np.array([object()], dtype=object)
+    np.savez(tmp_path / "suite.npz", **arrays)
+    with pytest.raises(ValueError, match="allow_pickle=False"):
+        load_suite(tmp_path)
