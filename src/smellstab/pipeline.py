@@ -38,7 +38,12 @@ from .mining import (
 from .mining.miner import ACTIVITY_HEADER
 from .model import SourceCorpus
 from .neighborhood import OBSERVATION_HEADER, build_all_observations, observation_row
-from .smells import ThresholdConfig, detect_smells_with_diagnostics, per_strategy_counts
+from .smells import (
+    THRESHOLD_SCHEMA_VERSION,
+    ThresholdConfig,
+    detect_smells_with_diagnostics,
+    per_strategy_counts,
+)
 from .stats.suite import (
     SuiteResult,
     export_fits_json,
@@ -105,15 +110,25 @@ class PipelineConfig:
         """Load a config JSON; a config echo from a previous run is accepted.
 
         An unknown key is an error, so a misspelt field cannot silently fall
-        back to its default; ``tool_version`` is echo-only and ignored.
+        back to its default; ``tool_version`` is echo-only and ignored.  The
+        same holds under ``thresholds``, whose values must be numbers and
+        whose echoed ``threshold_schema_version``, if given, must be current.
         """
         doc = json.loads(Path(path).read_text())
         known = {f.name for f in dc_fields(cls)}
         unknown = sorted(doc.keys() - known - {"tool_version"})
         if unknown:
             raise ValueError(f"{path}: unknown config keys {', '.join(unknown)}")
-        threshold_doc = {k: v for k, v in doc.get("thresholds", {}).items()
-                         if k != "threshold_schema_version"}
+        threshold_doc = dict(doc.get("thresholds", {}))
+        version = threshold_doc.pop("threshold_schema_version", THRESHOLD_SCHEMA_VERSION)
+        if version != THRESHOLD_SCHEMA_VERSION:
+            raise ValueError(f"{path}: unsupported threshold_schema_version {version!r}")
+        unknown = sorted(threshold_doc.keys() - {f.name for f in dc_fields(ThresholdConfig)})
+        if unknown:
+            raise ValueError(f"{path}: unknown threshold keys {', '.join(unknown)}")
+        for name, value in threshold_doc.items():
+            if isinstance(value, bool) or not isinstance(value, (int, float)):
+                raise ValueError(f"{path}: threshold {name} must be a number, got {value!r}")
         thresholds = ThresholdConfig(**threshold_doc)
         kwargs = {k: v for k, v in doc.items() if k not in ("tool_version", "thresholds")}
         if "path_excludes" in kwargs:
@@ -196,9 +211,9 @@ def _cache_hit(stage_dir: Path, key: str) -> bool:
     """
     marker = stage_dir / "stage.json"
     try:
-        if json.loads(marker.read_text()).get("key") == key:
+        if json.loads(marker.read_bytes()) == {"key": key}:
             return True
-    except (FileNotFoundError, json.JSONDecodeError):
+    except (OSError, ValueError):  # missing, unreadable, or not JSON in UTF-8
         pass
     stage_dir.mkdir(parents=True, exist_ok=True)
     marker.unlink(missing_ok=True)

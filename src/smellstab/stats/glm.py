@@ -1,4 +1,8 @@
-"""Fixed-effect count GLMs: Poisson via IRLS, NB2 via Newton with the exact Hessian."""
+"""Fixed-effect count GLMs: Poisson via IRLS, NB2 via Newton with the exact Hessian.
+
+``fit_nb2`` fits both NB2 models, the GLM here and the random-intercept GLMM
+of ``glmm``: each supplies only its objective and its own fields.
+"""
 
 from __future__ import annotations
 
@@ -8,8 +12,9 @@ from .design import DesignMatrix
 from .fitbase import FitResult, covariance_from_hessian, maximize
 from .kernels import Counts, as_counts, nb2_row_curvature, nb2_row_terms
 
-_ETA_CAP = 30.0
+ETA_CAP = 30.0  # |eta| bound of every log link
 _BETA_CAP = 30.0
+_LOG_THETA_BOUNDS = (-6.0, 14.0)
 
 
 class DispersionError(ValueError):
@@ -35,7 +40,7 @@ def fit_poisson(design: DesignMatrix) -> FitResult:
     converged = False
     message = ""
     for _ in range(200):
-        eta = np.clip(X @ beta, -_ETA_CAP, _ETA_CAP)
+        eta = np.clip(X @ beta, -ETA_CAP, ETA_CAP)
         mu = np.exp(eta)
         W = mu
         z = eta + (y - mu) / np.maximum(mu, 1e-12)
@@ -50,12 +55,12 @@ def fit_poisson(design: DesignMatrix) -> FitResult:
             message = "diverging coefficients"
             break
         beta = beta_new
-        ll = poisson_loglik(design.counts, np.clip(X @ beta, -_ETA_CAP, _ETA_CAP))
+        ll = poisson_loglik(design.counts, np.clip(X @ beta, -ETA_CAP, ETA_CAP))
         if abs(ll - ll_old) < 1e-10 * (1.0 + abs(ll)):
             converged = True
             break
         ll_old = ll
-    eta = np.clip(X @ beta, -_ETA_CAP, _ETA_CAP)
+    eta = np.clip(X @ beta, -ETA_CAP, ETA_CAP)
     mu = np.exp(eta)
     info = (X.T * mu) @ X
     cov, cov_ok = covariance_from_hessian(info)
@@ -86,26 +91,23 @@ def dispersion_statistic(fit: FitResult, design: DesignMatrix) -> float:
     return pearson / df
 
 
-def negbin_objective(y, X: np.ndarray, theta_fixed: float | None = None):
-    """``obj(params) -> (ll, grad, hess)`` of the NB2 GLM; ``y`` is a ``Counts`` or an array of counts.
+def negbin_objective(y, X: np.ndarray):
+    """``obj(params) -> (ll, grad, hess)`` of the NB2 GLM in ``params = (beta, log theta)``.
 
-    ``params`` holds beta, then log theta unless ``theta_fixed`` pins theta.
+    ``y`` is a ``Counts`` or an array of counts.
     """
     p = X.shape[1]
     counts = as_counts(y)
 
     def obj(params):
         beta = params[:p]
-        theta = float(np.exp(params[p])) if theta_fixed is None else float(theta_fixed)
-        eta = np.clip(X @ beta, -_ETA_CAP, _ETA_CAP)
+        theta = float(np.exp(params[p]))
+        eta = np.clip(X @ beta, -ETA_CAP, ETA_CAP)
         ll, a, b, _c, lth, ath, _bth = nb2_row_terms(counts, eta, theta)
-        hess_beta = -(X.T * b) @ X
-        if theta_fixed is not None:
-            return float(ll.sum()), X.T @ a, hess_beta
         grad_log_theta = theta * float(lth.sum())
         lthth = nb2_row_curvature(counts, eta, theta)[2]
         hess = np.empty((p + 1, p + 1))
-        hess[:p, :p] = hess_beta
+        hess[:p, :p] = -(X.T * b) @ X
         hess[:p, p] = hess[p, :p] = theta * (X.T @ ath)
         hess[p, p] = theta * theta * float(lthth.sum()) + grad_log_theta
         return float(ll.sum()), np.append(X.T @ a, grad_log_theta), hess
@@ -113,47 +115,50 @@ def negbin_objective(y, X: np.ndarray, theta_fixed: float | None = None):
     return obj
 
 
-def fit_negbin_glm(design: DesignMatrix, theta_fixed: float | None = None) -> FitResult:
-    """NB2 GLM with log link; theta estimated jointly unless pinned."""
+def fit_nb2(design: DesignMatrix, objective, model: str, extra=()) -> tuple[FitResult, np.ndarray]:
+    """Maximize an NB2 ``objective`` over ``(beta, log theta, *extra)`` and build the fit.
+
+    ``objective(params) -> (ll, grad, hess)``; ``extra`` holds ``(name, start,
+    bounds)`` for each parameter after log theta.  beta starts at the Poisson
+    GLM's and theta at its moment estimate.  The SEs come from the beta block
+    of the inverse over all free parameters, so theta's uncertainty is in
+    them.  Returns the fit, whose ``mu_hat`` and model-specific fields the
+    caller sets, and the estimates of the ``extra`` parameters.
+    """
     y, X = design.y, design.X
     n, p = X.shape
     start = fit_poisson(design)
     beta0 = start.beta if np.all(np.isfinite(start.beta)) else np.zeros(p)
-    obj = negbin_objective(design.counts, X, theta_fixed)
-    if theta_fixed is not None:
-        out = maximize(obj, beta0)
-        log_theta = np.log(theta_fixed)
-        param_names = list(design.names)
-    else:
-        m, v = float(y.mean()), float(y.var())
-        theta0 = m * m / (v - m) if v > m and m > 0 else 10.0
-        theta0 = float(np.clip(theta0, 1e-2, 1e4))
-        bounds = [(-_BETA_CAP, _BETA_CAP)] * p + [(-6.0, 14.0)]
-        out = maximize(obj, np.append(beta0, np.log(theta0)), bounds)
-        log_theta = out.x[p]
-        param_names = [*design.names, "log_theta"]
-    beta = out.x[:p]
-    theta = float(np.exp(log_theta))
-    eta = np.clip(X @ beta, -_ETA_CAP, _ETA_CAP)
-    mu = np.exp(eta)
-    cov_full, _ = covariance_from_hessian(out.hessian, out.active)
-    cov = cov_full[:p, :p]  # beta block of the full inverse (theta uncertainty included)
+    m, v = float(y.mean()), float(y.var())
+    theta0 = m * m / (v - m) if v > m and m > 0 else 10.0
+    theta0 = float(np.clip(theta0, 1e-2, 1e4))
+    names, starts, bounds = zip(*extra) if extra else ((), (), ())
+    x0 = np.concatenate([beta0, [np.log(theta0), *starts]])
+    out = maximize(objective, x0, [(-_BETA_CAP, _BETA_CAP)] * p + [_LOG_THETA_BOUNDS, *bounds])
+    cov = covariance_from_hessian(out.hessian, out.active)[0][:p, :p]
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    cov_ok = bool(np.all(se[:p] > 0))
-    return FitResult(
-        model="nb_glm",
+    fit = FitResult(
+        model=model,
         names=list(design.names),
-        beta=beta,
-        se=se[:p],
+        beta=out.x[:p],
+        se=se,
         cov=cov,
         ll=out.ll,
-        converged=out.converged and cov_ok and bool(y.sum() > 0),
+        converged=out.converged and bool(np.all(se > 0)) and bool(y.sum() > 0),
         n_obs=n,
-        mu_hat=mu,
-        theta=theta,
+        mu_hat=np.empty(0),
+        theta=float(np.exp(out.x[p])),
         message=out.message,
         grad_norm=out.grad_norm,
         iterations=out.iterations,
         evaluations=out.evaluations,
-        pinned=[name for name, pin in zip(param_names, out.active) if pin],
+        pinned=[name for name, pin in zip([*design.names, "log_theta", *names], out.active) if pin],
     )
+    return fit, out.x[p + 1:]
+
+
+def fit_negbin_glm(design: DesignMatrix) -> FitResult:
+    """NB2 GLM with log link; theta estimated jointly."""
+    fit, _ = fit_nb2(design, negbin_objective(design.counts, design.X), "nb_glm")
+    fit.mu_hat = np.exp(np.clip(design.X @ fit.beta, -ETA_CAP, ETA_CAP))
+    return fit

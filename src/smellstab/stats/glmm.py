@@ -24,13 +24,10 @@ import warnings
 import numpy as np
 
 from .design import DesignMatrix
-from .fitbase import FitResult, covariance_from_hessian, maximize
-from .glm import fit_negbin_glm, fit_poisson
+from .fitbase import FitResult
+from .glm import ETA_CAP, fit_nb2, fit_negbin_glm
 from .kernels import as_counts, inner_modes, nb2_row_curvature, nb2_row_terms
 
-_ETA_CAP = 30.0
-_BETA_CAP = 30.0
-_LOG_THETA_BOUNDS = (-6.0, 14.0)
 _LOG_S2_BOUNDS = (-12.0, 8.0)
 
 
@@ -68,7 +65,7 @@ class _LaplaceObjective:
         beta = params[:p]
         theta = float(np.exp(params[p]))
         s2 = float(np.exp(params[p + 1]))
-        eta_fix = np.clip(X @ beta, -_ETA_CAP, _ETA_CAP)
+        eta_fix = np.clip(X @ beta, -ETA_CAP, ETA_CAP)
         u = inner_modes(self.y, eta_fix, theta, s2, self.groups, self.u)
         self.u = u
         eta = eta_fix + u[self.groups]
@@ -135,52 +132,11 @@ def fit_negbin_random_intercept(design: DesignMatrix) -> FitResult:
         fit = fit_negbin_glm(design)
         fit.message = (fit.message + "; single-project fixed-intercept fallback").strip("; ")
         return fit
-    y, X, groups = design.y, design.X, design.groups
-    n, p = X.shape
-    start = fit_poisson(design)
-    beta0 = start.beta if np.all(np.isfinite(start.beta)) else np.zeros(p)
-    m, v = float(y.mean()), float(y.var())
-    theta0 = m * m / (v - m) if v > m and m > 0 else 10.0
-    theta0 = float(np.clip(theta0, 1e-2, 1e4))
-    x0 = np.concatenate([beta0, [np.log(theta0), np.log(0.1)]])
-    bounds = [(-_BETA_CAP, _BETA_CAP)] * p + [_LOG_THETA_BOUNDS, _LOG_S2_BOUNDS]
-    objective = _LaplaceObjective(design.counts, X, groups, design.n_groups)
-    out = maximize(objective, x0, bounds)
-    beta = out.x[:p]
-    theta = float(np.exp(out.x[p]))
-    sigma2 = float(np.exp(out.x[p + 1]))
-    cov_full, _ = covariance_from_hessian(out.hessian, out.active)
-    cov = cov_full[:p, :p]
-    se = np.sqrt(np.maximum(np.diag(cov), 0.0))
-    cov_ok = bool(np.all(se > 0))
-    u_sorted = objective.u
-    eta = np.clip(X @ beta, -_ETA_CAP, _ETA_CAP) + u_sorted[np.asarray(groups, dtype=np.int64)]
-    mu = np.exp(np.clip(eta, -_ETA_CAP, _ETA_CAP))
-    return FitResult(
-        model="nb_glmm",
-        names=list(design.names),
-        beta=beta,
-        se=se,
-        cov=cov,
-        ll=out.ll,
-        converged=out.converged and cov_ok and bool(y.sum() > 0),
-        n_obs=n,
-        mu_hat=mu,
-        theta=theta,
-        sigma2=sigma2,
-        n_groups=design.n_groups,
-        u_hat=u_sorted,
-        message=out.message,
-        grad_norm=out.grad_norm,
-        iterations=out.iterations,
-        evaluations=out.evaluations,
-        pinned=[name for name, pin in zip([*design.names, "log_theta", "log_sigma2"], out.active) if pin],
-    )
-
-
-def laplace_loglik_and_grad(design: DesignMatrix, beta, theta, sigma2):
-    """Direct access to the Laplace objective (gradient checks, tests)."""
     objective = _LaplaceObjective(design.counts, design.X, design.groups, design.n_groups)
-    params = np.concatenate([np.asarray(beta, dtype=float), [np.log(theta), np.log(sigma2)]])
-    ll, grad, _hess = objective(params)
-    return ll, grad
+    fit, (log_sigma2,) = fit_nb2(design, objective, "nb_glmm", [("log_sigma2", np.log(0.1), _LOG_S2_BOUNDS)])
+    eta = np.clip(design.X @ fit.beta, -ETA_CAP, ETA_CAP) + objective.u[design.groups]
+    fit.mu_hat = np.exp(np.clip(eta, -ETA_CAP, ETA_CAP))
+    fit.sigma2 = float(np.exp(log_sigma2))
+    fit.n_groups = design.n_groups
+    fit.u_hat = objective.u
+    return fit

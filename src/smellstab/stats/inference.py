@@ -1,10 +1,10 @@
 """Wald tests, BH adjustment, effect sizes, fit quality, residual export.
 
 The normal CDF is ``erfc``; its inverse is Wichura's algorithm AS 241
-(PPND16, about 1e-16 relative).  The count CDFs that the quantile residuals
-need (Dunn & Smyth 1996) are regularized incomplete beta and gamma
-functions, each evaluated as one continued fraction per row by the modified
-Lentz method, all rows at once.
+(PPND16, about 1e-16 relative).  The NB2 CDF that the quantile residuals
+need (Dunn & Smyth 1996) is a regularized incomplete beta function,
+evaluated as one continued fraction per row by the modified Lentz method,
+all rows at once.
 """
 
 from __future__ import annotations
@@ -15,9 +15,9 @@ import numpy as np
 
 from .design import BINARY, DesignMatrix
 from .fitbase import FitResult
+from .glm import ETA_CAP
 from .kernels import Counts, as_counts
 
-_ETA_CAP = 30.0
 _SQRT_HALF = math.sqrt(0.5)
 _LOG_SQRT_2PI = 0.5 * math.log(2.0 * math.pi)
 # continued fractions: a row stops once a step changes its value by less than
@@ -119,7 +119,7 @@ def predict_mu(fit: FitResult, design: DesignMatrix, X: np.ndarray | None = None
     eta = X @ fit.beta
     if fit.u_hat is not None:
         eta = eta + fit.u_hat[design.groups]
-    return np.exp(np.clip(eta, -_ETA_CAP, _ETA_CAP))
+    return np.exp(np.clip(eta, -ETA_CAP, ETA_CAP))
 
 
 def effect_sizes(fit: FitResult, design: DesignMatrix, iv: str) -> tuple[float, float]:
@@ -199,21 +199,6 @@ def _beta_term(n: int, a, b, x):
     return num, 1.0
 
 
-def _upper_gamma_term(n: int, a, x):
-    """Terms of ``Q(a, x) = x^a e^-x / Gamma(a) * 1/(x+1-a - 1(1-a)/(x+3-a - 2(2-a)/(x+5-a - ...)))``."""
-    if n == 1:
-        return 1.0, x + 1.0 - a
-    return -(n - 1) * (n - 1 - a), x + (2 * n - 1) - a
-
-
-def _lower_gamma_term(n: int, a, x):
-    """Terms of ``P(a, x) = x^a e^-x / Gamma(a) * 1/(a - ax/(a+1 + x/(a+2 - (a+1)x/(a+3 + 2x/(a+4 - ...)))))``."""
-    if n == 1:
-        return 1.0, a
-    k = n // 2
-    return (-(a + k - 1) * x if n % 2 == 0 else k * x), a + (n - 1)
-
-
 def _stirling_error(z: np.ndarray) -> np.ndarray:
     """``lgamma(z+1) - (z+1/2) log z + z - log sqrt(2 pi)``, which falls like 1/(12 z)."""
     out = np.empty(z.shape)
@@ -244,8 +229,8 @@ def _deviance(x: np.ndarray, m: np.ndarray) -> np.ndarray:
     return out
 
 
-def _log_pmf(counts: Counts, mu: np.ndarray, theta: float | None) -> np.ndarray:
-    """Log-pmf of NB2(mu, theta), or of Poisson(mu) when ``theta`` is None, per row.
+def _log_pmf(counts: Counts, mu: np.ndarray, theta: float) -> np.ndarray:
+    """Log-pmf of NB2(mu, theta) per row.
 
     Loader's (2000) saddle-point form: Stirling errors and deviances, each small
     where the pmf is not, so that a count near 1e5 keeps the pmf to about
@@ -254,19 +239,13 @@ def _log_pmf(counts: Counts, mu: np.ndarray, theta: float | None) -> np.ndarray:
     ``theta+y`` trials with success probability ``theta/(theta+mu)``.
     """
     y = counts.y
-    if theta is None:
-        out = -mu
-    else:
-        out = -theta * np.log1p(mu / theta)
+    out = -theta * np.log1p(mu / theta)
     some = np.flatnonzero(y >= 1)
     ys, ms = y[some], mu[some]
     positive = counts.levels >= 1
     stirling_y = np.zeros(counts.levels.size)
     stirling_y[positive] = _stirling_error(counts.levels[positive])
     stirling_y = stirling_y[counts.level_of_row[some]]
-    if theta is None:
-        out[some] = -stirling_y - _deviance(ys, ms) - 0.5 * np.log(ys) - _LOG_SQRT_2PI
-        return out
     stirling_n = _stirling_error(theta + counts.levels)[counts.level_of_row[some]]
     n = theta + ys
     out[some] = (
@@ -278,47 +257,37 @@ def _log_pmf(counts: Counts, mu: np.ndarray, theta: float | None) -> np.ndarray:
     return out
 
 
-def count_cdf_bounds(y, mu: np.ndarray, theta: float | None) -> tuple[np.ndarray, np.ndarray]:
-    """``P(Y < y)`` and ``P(Y = y)`` per row for NB2(mu, theta), or Poisson(mu) when ``theta`` is None.
+def count_cdf_bounds(y, mu: np.ndarray, theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """``P(Y < y)`` and ``P(Y = y)`` per row for NB2(mu, theta).
 
     ``y`` is a ``Counts`` or an array of counts.  ``P(Y < y)`` is
-    ``I_p(theta, y)`` with ``p = theta/(theta+mu)``, or ``Q(y, mu)``; each row
-    evaluates the continued fraction of that function or of its complement,
-    whichever converges fast at its argument.
+    ``I_p(theta, y)`` with ``p = theta/(theta+mu)``; each row evaluates the
+    continued fraction of that function or of its complement, whichever
+    converges fast at its argument.
     """
     counts = as_counts(y)
     y = counts.y
     mu = np.asarray(mu, dtype=float)
-    theta = None if theta is None else float(theta)
+    theta = float(theta)
     pmf = np.exp(_log_pmf(counts, mu, theta))
     lower = np.zeros(y.size)
     some = np.flatnonzero(y >= 1)
     ys, ms, pmfs = y[some], mu[some], pmf[some]
-    if theta is None:
-        # Q(y, mu) where mu >= y + 1, else 1 - P(y, mu)
-        upper_tail = ms >= ys + 1.0
-        direct = _continued_fraction(_upper_gamma_term, (ys[upper_tail], ms[upper_tail]))
-        complement = _continued_fraction(_lower_gamma_term, (ys[~upper_tail], ms[~upper_tail]))
-        lower[some[upper_tail]] = ys[upper_tail] * pmfs[upper_tail] * direct
-        lower[some[~upper_tail]] = 1.0 - ys[~upper_tail] * pmfs[~upper_tail] * complement
-    else:
-        thetas = np.full(some.size, theta)
-        p, one_minus_p = theta / (theta + ms), ms / (theta + ms)
-        # I_p(theta, y) where p < (theta+1)/(theta+y+2), else 1 - I_{1-p}(y, theta)
-        small = p * (theta + ys + 2.0) < theta + 1.0
-        direct = _continued_fraction(_beta_term, (thetas[small], ys[small], p[small]))
-        complement = _continued_fraction(_beta_term, (ys[~small], thetas[~small], one_minus_p[~small]))
-        lower[some[small]] = ys[small] / theta * pmfs[small] * direct
-        lower[some[~small]] = 1.0 - pmfs[~small] * complement
+    thetas = np.full(some.size, theta)
+    p, one_minus_p = theta / (theta + ms), ms / (theta + ms)
+    # I_p(theta, y) where p < (theta+1)/(theta+y+2), else 1 - I_{1-p}(y, theta)
+    small = p * (theta + ys + 2.0) < theta + 1.0
+    direct = _continued_fraction(_beta_term, (thetas[small], ys[small], p[small]))
+    complement = _continued_fraction(_beta_term, (ys[~small], thetas[~small], one_minus_p[~small]))
+    lower[some[small]] = ys[small] / theta * pmfs[small] * direct
+    lower[some[~small]] = 1.0 - pmfs[~small] * complement
     return lower, pmf
 
 
-def randomized_quantile_residuals(
-    y, mu: np.ndarray, theta: float | None, seed: int
-) -> np.ndarray:
-    """Quantile residuals (normal scores) for QQ export; plotting is external.
+def randomized_quantile_residuals(y, mu: np.ndarray, theta: float, seed: int) -> np.ndarray:
+    """Quantile residuals (normal scores) of an NB2 fit for QQ export; plotting is external.
 
-    ``y`` is a ``Counts`` or an array of counts; ``theta`` None means Poisson.
+    ``y`` is a ``Counts`` or an array of counts.
     """
     rng = np.random.default_rng(seed)
     counts = as_counts(y)

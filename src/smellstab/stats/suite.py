@@ -34,7 +34,6 @@ INCONCLUSIVE = "inconclusive"
 class HypothesisResult:
     spec: ModelSpec
     fit: FitResult | None = None
-    poisson_fit: FitResult | None = None
     # the design's response and source rows, kept for the residual export
     y: np.ndarray | None = None
     row_index: np.ndarray | None = None
@@ -95,10 +94,10 @@ def run_hypothesis_suite(rows: list[dict]) -> SuiteResult:
             res.note = str(exc)
             continue
         res.y, res.row_index = design.y, design.row_index
-        res.poisson_fit = fit_poisson(design)
-        if res.poisson_fit.converged:
+        poisson = fit_poisson(design)
+        if poisson.converged:
             try:
-                res.dispersion_stat = dispersion_statistic(res.poisson_fit, design)
+                res.dispersion_stat = dispersion_statistic(poisson, design)
             except DispersionError:
                 pass
         fit = fit_negbin_random_intercept(design)

@@ -14,7 +14,7 @@ from contextlib import contextmanager
 import numpy as np
 from scipy.optimize import minimize
 
-from smellstab.stats import glm, glmm
+from smellstab.stats import glm
 from smellstab.stats.fitbase import (
     GRAD_TOL,
     MAX_ITER,
@@ -94,10 +94,13 @@ def maximize(obj, x0: np.ndarray, bounds=None) -> MaximizeOutcome:
 
 @contextmanager
 def oracle_fits():
-    """Run every GLM and GLMM fit on the oracle path while the block is open."""
-    saved = glm.maximize, glmm.maximize
-    glm.maximize = glmm.maximize = maximize
+    """Run every GLM and GLMM fit on the oracle path while the block is open.
+
+    Both NB2 models maximize through ``glm.fit_nb2``.
+    """
+    saved = glm.maximize
+    glm.maximize = maximize
     try:
         yield
     finally:
-        glm.maximize, glmm.maximize = saved
+        glm.maximize = saved

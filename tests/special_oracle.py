@@ -3,8 +3,8 @@ kept as a test oracle.
 
 The NB2 row terms took ``lgamma``, ``digamma`` and ``trigamma`` at ``y+theta``
 and ``theta`` and subtracted; the Poisson log-likelihood took ``gammaln(y+1)``
-on every call; the quantile residuals took both count CDFs from
-``betainc``/``pdtr`` and the normal scores from ``ndtri``; the Wald p-value
+on every call; the quantile residuals took the NB2 CDF from ``betainc``
+and the normal scores from ``ndtri``; the Wald p-value
 was ``ndtr``.  ``scipy_special()`` routes the fits, the p-values and the
 residual export through these until the block closes.
 """
@@ -15,7 +15,7 @@ from contextlib import ExitStack, contextmanager
 from unittest import mock
 
 import numpy as np
-from scipy.special import betainc, digamma, gammaln, ndtr, ndtri, pdtr, polygamma
+from scipy.special import betainc, digamma, gammaln, ndtr, ndtri, polygamma
 
 from smellstab.stats import glm, glmm, inference, suite
 
@@ -64,10 +64,8 @@ def poisson_loglik(y, eta) -> float:
 
 
 def cdf_bounds(y, mu, theta):
-    """``P(Y < y)`` and ``P(Y <= y)`` of NB2(mu, theta), or of Poisson(mu) when ``theta`` is None."""
+    """``P(Y < y)`` and ``P(Y <= y)`` of NB2(mu, theta)."""
     y = _y(y)
-    if theta is None:
-        return np.where(y >= 1, pdtr(np.maximum(y - 1, 0), mu), 0.0), pdtr(y, mu)
     p = theta / (theta + mu)
     return np.where(y >= 1, betainc(theta, np.maximum(y, 1), p), 0.0), betainc(theta, y + 1, p)
 

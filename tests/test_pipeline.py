@@ -306,6 +306,26 @@ def test_unknown_config_key_is_rejected(tmp_path):
         PipelineConfig.from_file(path)
 
 
+@pytest.mark.parametrize("thresholds, named", [
+    ({"WMC_V": 40}, "unknown threshold keys WMC_V"),
+    ({"threshold_schema_version": 7}, "threshold_schema_version 7"),
+    ({"FEW": "5"}, "threshold FEW must be a number"),
+    ({"MANY": True}, "threshold MANY must be a number"),
+])
+def test_bad_threshold_config_names_the_key(tmp_path, thresholds, named):
+    path = tmp_path / "thresholds.json"
+    path.write_text(json.dumps({"thresholds": thresholds}))
+    with pytest.raises(ValueError, match=named):
+        PipelineConfig.from_file(path)
+
+
+def test_threshold_echo_with_its_schema_version_loads(tmp_path):
+    path = tmp_path / "echo.json"
+    path.write_text(json.dumps({"thresholds": ThresholdConfig(FEW=4).echo()}))
+    assert ThresholdConfig(FEW=4).echo()["threshold_schema_version"] == 1
+    assert PipelineConfig.from_file(path).thresholds == ThresholdConfig(FEW=4)
+
+
 def test_cli_stage_sequence(tmp_path, fixture_projects, capsys):
     manifest = _write_manifest(tmp_path / "seq_manifest.jsonl", fixture_projects)
     out_dir = tmp_path / "seq_out"
@@ -518,6 +538,21 @@ def test_stage_crash_leaves_no_valid_marker(tmp_path, three_commits, monkeypatch
     assert not marker.exists()
 
 
+GARBLED_MARKERS = [b"[]", b'"x"', b"null", b"\xff\xfe{"]
+
+
+@pytest.mark.parametrize("garbled", GARBLED_MARKERS, ids=["list", "string", "null", "not-utf8"])
+def test_garbled_stage_marker_is_a_miss(tmp_path, three_commits, garbled):
+    repo, first, _ = three_commits
+    config = _single_project(tmp_path, repo, first)
+    project = Path(config.output_dir) / "projects" / "fix__three"
+    before = {p: p.read_bytes() for p in sorted(project.rglob("*")) if p.is_file()}
+    for stage in ("analyze", "mine"):
+        (project / stage / "stage.json").write_bytes(garbled)
+    _single_project(tmp_path, repo, first)  # asserts that nothing is quarantined
+    assert {p: p.read_bytes() for p in sorted(project.rglob("*")) if p.is_file()} == before
+
+
 def test_project_sidecars_echo_their_stage_inputs(tmp_path, three_commits):
     repo, first, _ = three_commits
     config = _single_project(tmp_path, repo, first, seed=3)
@@ -649,6 +684,18 @@ def test_stats_crash_leaves_no_valid_marker(stats_out, monkeypatch):
     with pytest.raises(RuntimeError, match="crash mid-suite"):
         run_stats(PipelineConfig(output_dir=str(stats_out), seed=5))
     assert not marker.exists()
+
+
+@pytest.mark.parametrize("garbled", GARBLED_MARKERS, ids=["list", "string", "null", "not-utf8"])
+def test_garbled_stats_marker_refits(stats_out, fits, garbled):
+    cold = _stats(stats_out, seed=5)
+    fitted = len(fits)
+    marker = stats_out / "stats" / "stage.json"
+    valid = marker.read_bytes()
+    marker.write_bytes(garbled)
+    assert _stats(stats_out, seed=5) == cold
+    assert len(fits) == 2 * fitted
+    assert marker.read_bytes() == valid
 
 
 @pytest.mark.parametrize("damage", ["delete", "truncate"])

@@ -99,18 +99,6 @@ def test_dispersion_df_error():
         dispersion_statistic(fit, design)
 
 
-def test_negbin_glm_with_poisson_limit_theta_matches_poisson():
-    rng = np.random.default_rng(31)
-    n = 1500
-    x = rng.normal(size=n)
-    y = rng.poisson(np.exp(0.7 + 0.4 * x))
-    design = _design(y, np.column_stack([np.ones(n), x]))
-    pois = fit_poisson(design)
-    nb = fit_negbin_glm(design, theta_fixed=1e8)
-    assert nb.converged
-    assert np.max(np.abs(nb.beta - pois.beta)) < 1e-4
-
-
 def test_negbin_glm_recovers_theta():
     rng = np.random.default_rng(41)
     n = 4000
@@ -142,15 +130,14 @@ def test_newton_polish_converges_at_large_log_likelihood():
     assert out.converged and np.max(np.abs(out.grad)) < GRAD_TOL
 
 
-@pytest.mark.parametrize("theta_fixed", [None, 2.5])
-def test_negbin_glm_hessian_matches_finite_differences(theta_fixed):
+def test_negbin_glm_hessian_matches_finite_differences():
     rng = np.random.default_rng(43)
     n = 500
     x = rng.normal(size=n)
     X = np.column_stack([np.ones(n), x])
     y = nb2_draw(rng, np.exp(1.0 + 0.4 * x), theta=2.0).astype(float)
-    obj = negbin_objective(y, X, theta_fixed)
-    params = np.array([0.9, 0.3] + ([np.log(1.7)] if theta_fixed is None else []))
+    obj = negbin_objective(y, X)
+    params = np.array([0.9, 0.3, np.log(1.7)])
     _ll, _grad, hess = obj(params)
     fd = numerical_hessian(lambda z: obj(z)[1], params)
     np.testing.assert_allclose(hess, fd, rtol=1e-5)

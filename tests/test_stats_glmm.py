@@ -1,12 +1,19 @@
+import math
+from dataclasses import fields as dc_fields
+
 import numpy as np
 import pytest
 from scipy.stats import nbinom
 
+import nb_fit_oracle
+import smellstab.stats.suite
 from fit_oracle import oracle_fits
-from simulate import simulate_nb_glmm_design
-from smellstab.stats import fit_negbin_random_intercept, fit_poisson
+from simulate import simulate_nb_glmm_design, simulate_observation_rows
+from smellstab.stats import (
+    FitResult, fit_negbin_glm, fit_negbin_random_intercept, fit_poisson, null_design, run_hypothesis_suite,
+)
 from smellstab.stats.fitbase import GRAD_TOL, numerical_hessian
-from smellstab.stats.glmm import _LaplaceObjective, laplace_loglik_and_grad
+from smellstab.stats.glmm import _LaplaceObjective
 from smellstab.stats.kernels import inner_modes, nb2_row_curvature, nb2_row_terms
 
 
@@ -66,13 +73,6 @@ def test_gradient_matches_finite_differences():
         pm[i] -= h
         fd = (obj(pp)[0] - obj(pm)[0]) / (2 * h)
         assert grad[i] == pytest.approx(fd, rel=1e-5)
-
-
-def test_laplace_loglik_helper_consistency():
-    design, _ = simulate_nb_glmm_design(5, 20, [0.3], 0.2, 2.0, seed=8)
-    ll, grad = laplace_loglik_and_grad(design, beta=[0.9, 0.3], theta=2.0, sigma2=0.2)
-    assert np.isfinite(ll)
-    assert grad.shape == (4,)
 
 
 def test_single_project_falls_back_with_warning():
@@ -174,3 +174,54 @@ def test_poisson_limit_converges_near_the_theta_bound(seed):
     assert fit.converged, fit.message
     assert fit.theta > 1e4 and fit.pinned in ([], ["log_theta"])
     assert fit.grad_norm < GRAD_TOL
+
+
+# -- the shared NB2 driver against the two fits it replaced, bit for bit ---------
+
+
+def _same(a, b) -> bool:
+    if isinstance(a, float) and isinstance(b, float) and math.isnan(a):
+        return math.isnan(b)
+    return a == b
+
+
+def _assert_same_fit(new: FitResult, old: FitResult, where: str = "") -> None:
+    for f in dc_fields(FitResult):
+        a, b = getattr(new, f.name), getattr(old, f.name)
+        if isinstance(b, np.ndarray):
+            assert isinstance(a, np.ndarray) and a.dtype == b.dtype and np.array_equal(a, b), (where, f.name)
+        else:
+            assert type(a) is type(b) and _same(a, b), (where, f.name, a, b)
+
+
+@pytest.mark.filterwarnings("ignore:single project")
+@pytest.mark.parametrize("n_groups, sigma2, theta, pinned", [
+    (6, 0.25, 1.5, []),
+    (6, 0.0, 1.5, ["log_sigma2"]),
+    (6, 0.45, 1e6, ["log_theta"]),
+    (1, 0.0, 1.5, []),  # the fixed-effect fallback
+    (1, 0.0, 1e6, ["log_theta"]),
+])
+def test_driver_fits_equal_the_oracle_bitwise(n_groups, sigma2, theta, pinned):
+    design, _ = simulate_nb_glmm_design(n_groups, 300 // n_groups, [0.5, -0.3], sigma2, theta, seed=7)
+    new = fit_negbin_random_intercept(design)
+    assert (new.model, new.converged, new.pinned) == ("nb_glmm" if n_groups > 1 else "nb_glm", True, pinned)
+    _assert_same_fit(new, nb_fit_oracle.fit_negbin_random_intercept(design))
+    _assert_same_fit(fit_negbin_random_intercept(null_design(design)),
+                     nb_fit_oracle.fit_negbin_random_intercept(null_design(design)))
+    _assert_same_fit(fit_negbin_glm(design), nb_fit_oracle.fit_negbin_glm(design))
+
+
+@pytest.mark.filterwarnings("ignore:single project")
+@pytest.mark.parametrize("n_projects, per_project", [(6, 40), (1, 80)])
+def test_suite_on_the_driver_equals_the_oracle_bitwise(monkeypatch, n_projects, per_project):
+    rows = simulate_observation_rows(n_projects, per_project, seed=13)
+    new = run_hypothesis_suite(rows)
+    monkeypatch.setattr(smellstab.stats.suite, "fit_negbin_random_intercept",
+                        nb_fit_oracle.fit_negbin_random_intercept)
+    old = run_hypothesis_suite(rows)
+    assert sum(r.fit is not None for r in old.results) == 34
+    for r, o in zip(new.results, old.results):
+        _assert_same_fit(r.fit, o.fit, r.spec.label)
+        for name in smellstab.stats.suite._OUTCOME_FIELDS:
+            assert _same(getattr(r, name), getattr(o, name)), (r.spec.label, name)

@@ -86,7 +86,7 @@ def test_bh_rejects_invalid():
         bh_adjust([])
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
 @given(st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=2, max_size=12),
        st.integers(min_value=0, max_value=11), st.floats(min_value=0.0, max_value=0.2))
 def test_bh_monotone_in_each_p(ps, idx, bump):
@@ -98,7 +98,7 @@ def test_bh_monotone_in_each_p(ps, idx, bump):
     assert np.all(after >= before - 1e-12)
 
 
-@settings(max_examples=100, deadline=None)
+@settings(max_examples=100, deadline=None, derandomize=True, database=None)
 @given(st.floats(min_value=-5, max_value=5))
 def test_irr_inverse_identity(beta):
     assert math.exp(beta) * math.exp(-beta) == pytest.approx(1.0, rel=1e-12)

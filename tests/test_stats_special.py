@@ -1,7 +1,7 @@
 """The numpy-only special functions against the scipy code they replaced.
 
 ``special_oracle`` holds that code.  Differences of the gamma functions at
-whole counts, the normal CDF and its inverse, and both count CDFs are drawn
+whole counts, the normal CDF and its inverse, and the NB2 CDF are drawn
 over theta from 1e-3 to e^14, counts up to 1e5 and u in [1e-12, 1 - 1e-12];
 the fits and residual export of the whole suite are diffed on simulated
 rows.
@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.special import digamma, gammaln, ndtr, ndtri, pdtr, polygamma
+from scipy.special import digamma, gammaln, ndtr, ndtri, polygamma
 
 import special_oracle
 from simulate import simulate_observation_rows
@@ -127,12 +127,6 @@ def test_nb_cdf_matches_betainc(y_mu, log_theta):
     _assert_bounds_match(*y_mu, math.exp(log_theta))
 
 
-@SETTINGS
-@given(counts_and_means())
-def test_poisson_cdf_matches_pdtr(y_mu):
-    _assert_bounds_match(*y_mu, None)
-
-
 def _assert_residuals_match(y, mu, theta, seed):
     """The same draws agree within 1e-9 on the probability scale.
 
@@ -149,23 +143,9 @@ def _assert_residuals_match(y, mu, theta, seed):
 
 
 @SETTINGS
-@given(counts_and_means(), st.one_of(st.none(), log_thetas), st.integers(0, 2**32 - 1))
+@given(counts_and_means(), log_thetas, st.integers(0, 2**32 - 1))
 def test_quantile_residuals_match_the_oracle(y_mu, log_theta, seed):
-    _assert_residuals_match(*y_mu, None if log_theta is None else math.exp(log_theta), seed)
-
-
-def test_poisson_fallback_residuals_match_pdtr_on_a_grid():
-    """theta None: the residuals of a fit without a dispersion parameter."""
-    ys = np.array([0, 1, 2, 5, 10, 50, 200, 1000, 100_000], dtype=float)
-    mus = np.array([1e-13, 1e-3, 0.5, 1.0, 10.0, 100.0, 1e3, 1e4, 1e5, 1e6, 1e13])
-    y, mu = (a.ravel() for a in np.meshgrid(ys, mus))
-    lower, pmf = count_cdf_bounds(y, mu, None)
-    np.testing.assert_allclose(lower, np.where(y >= 1, pdtr(np.maximum(y - 1, 0), mu), 0.0), rtol=0, atol=1e-9)
-    np.testing.assert_allclose(lower + pmf, pdtr(y, mu), rtol=0, atol=1e-9)
-    for seed in range(3):
-        _assert_residuals_match(y, mu, None, seed)
-    resid = randomized_quantile_residuals(y, mu, None, 0)
-    assert np.all(np.isfinite(resid)) and np.all(np.abs(resid) <= ndtri(1.0 - 1e-12))
+    _assert_residuals_match(*y_mu, math.exp(log_theta), seed)
 
 
 def test_suite_matches_the_scipy_oracle():

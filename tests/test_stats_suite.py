@@ -10,7 +10,7 @@ from simulate import simulate_observation_rows
 from smellstab.io_utils import read_csv, write_csv
 from smellstab.stats import ALPHA, BINARY, all_model_specs, run_hypothesis_suite
 from smellstab.stats.design import FAMILY_SIZES, DesignError, column_table, prepare_design, spec_columns
-from smellstab.stats.glm import fit_negbin_glm, fit_poisson
+from smellstab.stats.glm import fit_negbin_glm
 from smellstab.stats.suite import (
     ACCEPTED, INCONCLUSIVE, REJECTED, export_fits_json, export_quantile_residuals, export_results_csv,
     load_suite, results_rows, save_suite,
@@ -74,7 +74,7 @@ def _verdict_rule(beta, p_bh, converged, direction=+1):
     return ACCEPTED if (in_dir and p_bh < ALPHA) else REJECTED
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
 @given(
     beta=st.floats(min_value=-3, max_value=3, allow_nan=False),
     p=st.floats(min_value=0, max_value=1, allow_nan=False),
@@ -355,12 +355,9 @@ def test_saved_suite_exports_the_same_bytes(tmp_path):
     for r in rows:
         r["IsSmelly"] = "true"  # the non-smelly population is empty: no design
     suite = run_hypothesis_suite(rows)
-    table = column_table(rows)
-    by_label = {r.spec.label: r for r in suite.results}
-    for label, fit in (("H1.2:ChF", fit_poisson), ("H1.3:ChS", fit_negbin_glm)):
-        by_label[label].fit = fit(prepare_design(table, by_label[label].spec))
-    assert by_label["H1.2:ChF"].fit.theta is None and by_label["H1.2:ChF"].fit.converged
-    assert by_label["H1.3:ChS"].fit.sigma2 is None and by_label["H1.3:ChS"].fit.u_hat is None
+    planted = next(r for r in suite.results if r.spec.label == "H1.2:ChF")
+    planted.fit = fit_negbin_glm(prepare_design(column_table(rows), planted.spec))
+    assert planted.fit.converged and planted.fit.sigma2 is None and planted.fit.u_hat is None
     assert any(r.fit is not None and not r.fit.converged for r in suite.results)
     assert any(r.fit is None and "empty population" in r.note for r in suite.results)
     assert any(np.isnan(r.null_ll) for r in suite.results)
