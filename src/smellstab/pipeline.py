@@ -111,24 +111,33 @@ class PipelineConfig:
 
         An unknown key is an error, so a misspelt field cannot silently fall
         back to its default; ``tool_version`` is echo-only and ignored.  The
-        same holds under ``thresholds``, whose values must be numbers and
-        whose echoed ``threshold_schema_version``, if given, must be current.
+        same holds under ``thresholds``, an object whose values must be
+        numbers, whole ones where the default is, and whose echoed
+        ``threshold_schema_version``, if given, must be current.
         """
         doc = json.loads(Path(path).read_text())
+        if not isinstance(doc, dict):
+            raise ValueError(f"{path}: config is not a JSON object")
         known = {f.name for f in dc_fields(cls)}
         unknown = sorted(doc.keys() - known - {"tool_version"})
         if unknown:
             raise ValueError(f"{path}: unknown config keys {', '.join(unknown)}")
-        threshold_doc = dict(doc.get("thresholds", {}))
+        threshold_doc = doc.get("thresholds", {})
+        if not isinstance(threshold_doc, dict):
+            raise ValueError(f"{path}: thresholds must be a JSON object, got {threshold_doc!r}")
+        threshold_doc = dict(threshold_doc)
         version = threshold_doc.pop("threshold_schema_version", THRESHOLD_SCHEMA_VERSION)
         if version != THRESHOLD_SCHEMA_VERSION:
             raise ValueError(f"{path}: unsupported threshold_schema_version {version!r}")
-        unknown = sorted(threshold_doc.keys() - {f.name for f in dc_fields(ThresholdConfig)})
+        defaults = {f.name: f.default for f in dc_fields(ThresholdConfig)}
+        unknown = sorted(threshold_doc.keys() - defaults.keys())
         if unknown:
             raise ValueError(f"{path}: unknown threshold keys {', '.join(unknown)}")
         for name, value in threshold_doc.items():
             if isinstance(value, bool) or not isinstance(value, (int, float)):
                 raise ValueError(f"{path}: threshold {name} must be a number, got {value!r}")
+            if isinstance(defaults[name], int) and not isinstance(value, int):
+                raise ValueError(f"{path}: threshold {name} must be a whole number, got {value!r}")
         thresholds = ThresholdConfig(**threshold_doc)
         kwargs = {k: v for k, v in doc.items() if k not in ("tool_version", "thresholds")}
         if "path_excludes" in kwargs:
@@ -367,7 +376,8 @@ def run_stats(config: PipelineConfig) -> None:
 
     The fits read only the dataset, so ``out/stats/`` is keyed on its sha256
     and the code, not on the seed: a seed-changed rerun draws new quantile
-    residuals from the cached fits, and writes what a cold run would.
+    residuals from the CDF bounds cached with the fits, and writes what a cold
+    run would.  A cold run exports through those cached bounds as well.
     """
     out = Path(config.output_dir)
     data = (out / "dataset.csv").read_bytes()
@@ -378,8 +388,7 @@ def run_stats(config: PipelineConfig) -> None:
         _log.info("stats: fitting the suite (key %s)", key[:12])
         rows = parse_csv(data)[1]
         del data  # the rows hold the dataset now; the bytes would only raise the peak RSS
-        suite = run_hypothesis_suite(rows)
-        save_suite(suite, stage_dir)
+        suite = save_suite(run_hypothesis_suite(rows), stage_dir)
         _write_stage_marker(stage_dir, key)
     else:
         _log.info("stats: reusing the cached fits (key %s)", key[:12])

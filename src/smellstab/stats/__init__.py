@@ -15,6 +15,7 @@ from .glmm import fit_negbin_random_intercept
 from .inference import (
     InferenceError,
     bh_adjust,
+    count_cdf_bounds,
     effect_sizes,
     fit_quality,
     one_sided_p,
@@ -35,7 +36,7 @@ __all__ = [
     "ModelSpec", "all_model_specs", "column_table", "null_design", "prepare_design", "FitResult",
     "DispersionError", "dispersion_statistic", "fit_negbin_glm", "fit_poisson",
     "fit_negbin_random_intercept", "InferenceError",
-    "bh_adjust", "effect_sizes", "fit_quality", "one_sided_p", "predict_mu",
+    "bh_adjust", "count_cdf_bounds", "effect_sizes", "fit_quality", "one_sided_p", "predict_mu",
     "randomized_quantile_residuals", "inner_modes", "nb2_row_terms",
     "ALPHA", "export_fits_json",
     "export_quantile_residuals", "export_results_csv", "run_hypothesis_suite",

@@ -115,19 +115,21 @@ def negbin_objective(y, X: np.ndarray):
     return obj
 
 
-def fit_nb2(design: DesignMatrix, objective, model: str, extra=()) -> tuple[FitResult, np.ndarray]:
+def fit_nb2(design: DesignMatrix, objective, model: str, extra=(),
+            start: FitResult | None = None) -> tuple[FitResult, np.ndarray]:
     """Maximize an NB2 ``objective`` over ``(beta, log theta, *extra)`` and build the fit.
 
-    ``objective(params) -> (ll, grad, hess)``; ``extra`` holds ``(name, start,
-    bounds)`` for each parameter after log theta.  beta starts at the Poisson
-    GLM's and theta at its moment estimate.  The SEs come from the beta block
-    of the inverse over all free parameters, so theta's uncertainty is in
-    them.  Returns the fit, whose ``mu_hat`` and model-specific fields the
-    caller sets, and the estimates of the ``extra`` parameters.
+    ``objective(params) -> (ll, grad, hess)``; ``extra`` holds ``(name,
+    initial value, bounds)`` for each parameter after log theta.  beta starts
+    at the Poisson GLM's, ``start`` when the caller has fitted it, and theta
+    at its moment estimate.  The SEs come from the beta block of the inverse
+    over all free parameters, so theta's uncertainty is in them.  Returns the
+    fit, whose ``mu_hat`` and model-specific fields the caller sets, and the
+    estimates of the ``extra`` parameters.
     """
     y, X = design.y, design.X
     n, p = X.shape
-    start = fit_poisson(design)
+    start = fit_poisson(design) if start is None else start
     beta0 = start.beta if np.all(np.isfinite(start.beta)) else np.zeros(p)
     m, v = float(y.mean()), float(y.var())
     theta0 = m * m / (v - m) if v > m and m > 0 else 10.0
@@ -157,8 +159,8 @@ def fit_nb2(design: DesignMatrix, objective, model: str, extra=()) -> tuple[FitR
     return fit, out.x[p + 1:]
 
 
-def fit_negbin_glm(design: DesignMatrix) -> FitResult:
-    """NB2 GLM with log link; theta estimated jointly."""
-    fit, _ = fit_nb2(design, negbin_objective(design.counts, design.X), "nb_glm")
+def fit_negbin_glm(design: DesignMatrix, start: FitResult | None = None) -> FitResult:
+    """NB2 GLM with log link; theta estimated jointly.  ``start``: the design's Poisson fit, if made."""
+    fit, _ = fit_nb2(design, negbin_objective(design.counts, design.X), "nb_glm", start=start)
     fit.mu_hat = np.exp(np.clip(design.X @ fit.beta, -ETA_CAP, ETA_CAP))
     return fit

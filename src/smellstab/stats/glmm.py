@@ -122,18 +122,23 @@ class _LaplaceObjective:
         return ll, grad * jac, hess
 
 
-def fit_negbin_random_intercept(design: DesignMatrix) -> FitResult:
+def fit_negbin_random_intercept(design: DesignMatrix, start: FitResult | None = None) -> FitResult:
     """Fit the NB2 random-intercept model; single-group designs fall back
-    to the fixed-effect NB GLM with a warning."""
+    to the fixed-effect NB GLM with a warning.
+
+    ``start`` is the design's Poisson fit, if the caller has made it; it is
+    fitted here otherwise.
+    """
     if design.n_groups < 2:
         warnings.warn(
             "single project: falling back to fixed-intercept NB GLM", stacklevel=2
         )
-        fit = fit_negbin_glm(design)
+        fit = fit_negbin_glm(design, start)
         fit.message = (fit.message + "; single-project fixed-intercept fallback").strip("; ")
         return fit
     objective = _LaplaceObjective(design.counts, design.X, design.groups, design.n_groups)
-    fit, (log_sigma2,) = fit_nb2(design, objective, "nb_glmm", [("log_sigma2", np.log(0.1), _LOG_S2_BOUNDS)])
+    extra = [("log_sigma2", np.log(0.1), _LOG_S2_BOUNDS)]
+    fit, (log_sigma2,) = fit_nb2(design, objective, "nb_glmm", extra, start)
     eta = np.clip(design.X @ fit.beta, -ETA_CAP, ETA_CAP) + objective.u[design.groups]
     fit.mu_hat = np.exp(np.clip(eta, -ETA_CAP, ETA_CAP))
     fit.sigma2 = float(np.exp(log_sigma2))

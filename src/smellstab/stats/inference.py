@@ -284,14 +284,14 @@ def count_cdf_bounds(y, mu: np.ndarray, theta: float) -> tuple[np.ndarray, np.nd
     return lower, pmf
 
 
-def randomized_quantile_residuals(y, mu: np.ndarray, theta: float, seed: int) -> np.ndarray:
+def randomized_quantile_residuals(lower: np.ndarray, pmf: np.ndarray, seed: int) -> np.ndarray:
     """Quantile residuals (normal scores) of an NB2 fit for QQ export; plotting is external.
 
-    ``y`` is a ``Counts`` or an array of counts.
+    ``lower`` and ``pmf`` are the fit's ``count_cdf_bounds``, which do not
+    depend on the seed: each row's ``P(Y < y) + U * P(Y = y)``, ``U``
+    uniform, goes through the normal quantile.
     """
     rng = np.random.default_rng(seed)
-    counts = as_counts(y)
-    lower, pmf = count_cdf_bounds(counts, mu, theta)
-    u = lower + rng.uniform(size=counts.y.size) * np.maximum(pmf, 1e-12)
+    u = lower + rng.uniform(size=lower.size) * np.maximum(pmf, 1e-12)
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
     return normal_quantile(u)

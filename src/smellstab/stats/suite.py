@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import zipfile
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
@@ -21,7 +22,14 @@ from .design import (
 from .fitbase import FitResult
 from .glm import DispersionError, dispersion_statistic, fit_poisson
 from .glmm import fit_negbin_random_intercept
-from .inference import bh_adjust, effect_sizes, fit_quality, one_sided_p, randomized_quantile_residuals
+from .inference import (
+    bh_adjust,
+    count_cdf_bounds,
+    effect_sizes,
+    fit_quality,
+    one_sided_p,
+    randomized_quantile_residuals,
+)
 
 ALPHA = 0.05
 
@@ -34,7 +42,7 @@ INCONCLUSIVE = "inconclusive"
 class HypothesisResult:
     spec: ModelSpec
     fit: FitResult | None = None
-    # the design's response and source rows, kept for the residual export
+    # the design's response and source rows, one copy per (dv, population), for the residual export
     y: np.ndarray | None = None
     row_index: np.ndarray | None = None
     null_ll: float = float("nan")
@@ -71,6 +79,8 @@ class HypothesisResult:
 @dataclass
 class SuiteResult:
     results: list[HypothesisResult]
+    # the suite.npz that holds each converged model's CDF bounds, once saved
+    store: Path | None = None
 
 
 def run_hypothesis_suite(rows: list[dict]) -> SuiteResult:
@@ -85,6 +95,8 @@ def run_hypothesis_suite(rows: list[dict]) -> SuiteResult:
     table = column_table(rows)
     results: list[HypothesisResult] = []
     null_cache: dict[tuple[str, str], float] = {}
+    # a design's rows depend only on its (dv, population): one copy of each sample is kept
+    samples: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
     for spec in specs:
         res = HypothesisResult(spec)
         results.append(res)
@@ -93,19 +105,19 @@ def run_hypothesis_suite(rows: list[dict]) -> SuiteResult:
         except DesignError as exc:
             res.note = str(exc)
             continue
-        res.y, res.row_index = design.y, design.row_index
+        key = (spec.dv, spec.population)
+        res.y, res.row_index = samples.setdefault(key, (design.y, design.row_index))
         poisson = fit_poisson(design)
         if poisson.converged:
             try:
                 res.dispersion_stat = dispersion_statistic(poisson, design)
             except DispersionError:
                 pass
-        fit = fit_negbin_random_intercept(design)
+        fit = fit_negbin_random_intercept(design, poisson)
         res.fit = fit
         if not fit.converged:
             res.note = f"fit not converged: {fit.message}".strip()
             continue
-        key = (spec.dv, spec.population)
         if key not in null_cache:
             null_fit = fit_negbin_random_intercept(null_design(design))
             null_cache[key] = null_fit.ll if null_fit.converged else float("nan")
@@ -139,15 +151,38 @@ _OUTCOME_FIELDS = ("status", "note", "p_raw", "p_bh", "irr", "ame", "mcfadden", 
                    "dispersion_stat")
 
 
-def save_suite(suite: SuiteResult, directory: str | Path) -> None:
+def _cdf_bounds(suite: SuiteResult):
+    """``(index, result, P(Y < y), P(Y = y))`` per converged model, in suite order.
+
+    Read one model at a time from the suite's store once saved, else computed
+    from the fitted means.
+    """
+    npz = np.load(suite.store, allow_pickle=False) if suite.store is not None else None
+    try:
+        for i, r in enumerate(suite.results):
+            if not r.converged:
+                continue
+            if npz is None:
+                yield i, r, *count_cdf_bounds(r.y, r.fit.mu_hat, r.fit.theta)
+            else:
+                yield i, r, npz[f"{i}.cdf_lower"], npz[f"{i}.cdf_pmf"]
+    finally:
+        if npz is not None:
+            npz.close()
+
+
+def save_suite(suite: SuiteResult, directory: str | Path) -> SuiteResult:
     """Store what the three exporters read of ``suite`` in ``directory``.
 
     ``suite.json`` holds per model its label, outcome fields and the scalar
     fields of its fit; ``suite.npz`` (uncompressed, no pickled objects) holds
-    each fit's arrays, with the fitted means of converged fits only, and the
-    response and source rows once per (dv, population), which alone choose
-    a design's rows.  The Poisson fits are not kept.  Each file is replaced
-    atomically.
+    each fit's arrays but the fitted means, the response and source rows once
+    per (dv, population), which alone choose a design's rows, and per
+    converged fit its ``count_cdf_bounds``, the seed-free half of its quantile
+    residuals.  Each pair of bounds is written as it is computed (or copied
+    from the suite's own store), so at most one is held.  The Poisson fits
+    are not kept.  Each file is replaced atomically.  Returns ``suite``
+    reading its bounds from the new store.
     """
     directory = Path(directory)
     models, arrays = [], {}
@@ -159,43 +194,71 @@ def save_suite(suite: SuiteResult, directory: str | Path) -> None:
                 value = getattr(r.fit, f.name)
                 if not isinstance(value, np.ndarray):
                     entry["fit"][f.name] = value
-                elif f.name != "mu_hat" or r.fit.converged:
+                elif f.name != "mu_hat":
                     arrays[f"{i}.{f.name}"] = value
         if r.y is not None:
             entry["sample"] = sample = f"{r.spec.dv}.{r.spec.population}"
             arrays.setdefault(f"{sample}.y", r.y)
             arrays.setdefault(f"{sample}.row_index", r.row_index)
         models.append(entry)
-    with atomic_writer(directory / "suite.npz", "wb") as fh:
-        np.savez(fh, **arrays)
+    path = directory / "suite.npz"
+    # the members np.savez writes, with a fixed timestamp so that equal suites give equal bytes
+    with atomic_writer(path, "wb") as fh, zipfile.ZipFile(fh, "w", allowZip64=True) as zf:
+        def put(name: str, array: np.ndarray) -> None:
+            info = zipfile.ZipInfo(f"{name}.npy")
+            info.external_attr = 0o600 << 16
+            with zf.open(info, "w", force_zip64=True) as member:
+                np.lib.format.write_array(member, np.asanyarray(array), allow_pickle=False)
+
+        for name, array in arrays.items():
+            put(name, array)
+        for i, _, lower, pmf in _cdf_bounds(suite):
+            put(f"{i}.cdf_lower", lower)
+            put(f"{i}.cdf_pmf", pmf)
     write_json(directory / "suite.json", {"models": models})
+    return SuiteResult(suite.results, store=path)
+
+
+def _npy_shape(npz, name: str) -> tuple[int, ...]:
+    """The shape of array ``name`` in an open ``np.load`` archive, from its header alone."""
+    with npz.zip.open(f"{name}.npy") as fh:
+        if np.lib.format.read_magic(fh) == (1, 0):
+            return np.lib.format.read_array_header_1_0(fh)[0]
+        return np.lib.format.read_array_header_2_0(fh)[0]
 
 
 def load_suite(directory: str | Path) -> SuiteResult:
     """The suite ``save_suite`` stored in ``directory``, for the three exporters.
 
-    Raises on a missing, truncated or foreign file; arrays are read without
-    unpickling.  An unconverged fit comes back with empty fitted means.
+    Raises on a missing, truncated or foreign file, and on a converged model
+    whose CDF bounds are missing or not one per row of its sample; arrays
+    are read without unpickling.  The bounds stay on disk until exported.
+    Fits come back with empty fitted means.
     """
     directory = Path(directory)
+    path = directory / "suite.npz"
     models = json.loads((directory / "suite.json").read_text())["models"]
-    with np.load(directory / "suite.npz", allow_pickle=False) as npz:
-        arrays = {name: npz[name] for name in npz.files}
     specs = {spec.label: spec for spec in all_model_specs()}
     if [m["label"] for m in models] != list(specs):
         raise ValueError(f"{directory}: the cached models are not the suite's 34")
-    results = []
-    for i, m in enumerate(models):
-        r = HypothesisResult(specs[m["label"]], **{k: m[k] for k in _OUTCOME_FIELDS})
-        if "fit" in m:
-            fit_arrays = {"mu_hat": np.empty(0)}
-            fit_arrays.update((name.split(".", 1)[1], a) for name, a in arrays.items()
-                              if name.startswith(f"{i}."))
-            r.fit = FitResult(**m["fit"], **fit_arrays)
-        if "sample" in m:
-            r.y, r.row_index = arrays[f"{m['sample']}.y"], arrays[f"{m['sample']}.row_index"]
-        results.append(r)
-    return SuiteResult(results)
+    with np.load(path, allow_pickle=False) as npz:
+        arrays = {name: npz[name] for name in npz.files if ".cdf_" not in name}
+        results = []
+        for i, m in enumerate(models):
+            r = HypothesisResult(specs[m["label"]], **{k: m[k] for k in _OUTCOME_FIELDS})
+            if "fit" in m:
+                fit_arrays = {"mu_hat": np.empty(0)}
+                fit_arrays.update((name.split(".", 1)[1], a) for name, a in arrays.items()
+                                  if name.startswith(f"{i}."))
+                r.fit = FitResult(**m["fit"], **fit_arrays)
+            if "sample" in m:
+                r.y, r.row_index = arrays[f"{m['sample']}.y"], arrays[f"{m['sample']}.row_index"]
+            if r.converged:
+                for name in (f"{i}.cdf_lower", f"{i}.cdf_pmf"):  # a missing one raises KeyError
+                    if _npy_shape(npz, name) != r.y.shape:
+                        raise ValueError(f"{path}: {name} does not hold one value per row of {r.spec.label}")
+            results.append(r)
+    return SuiteResult(results, store=path)
 
 
 RESULTS_HEADER = [
@@ -260,10 +323,8 @@ def export_quantile_residuals(suite: SuiteResult, path: str | Path, seed: int = 
     """
     with atomic_writer(path) as fh:
         fh.write("hypothesis,row,quantile_residual\n")
-        for r in suite.results:
-            if r.fit is None or not r.fit.converged:
-                continue
-            resid = randomized_quantile_residuals(r.y, r.fit.mu_hat, r.fit.theta, seed)
+        for _, r, lower, pmf in _cdf_bounds(suite):
+            resid = randomized_quantile_residuals(lower, pmf, seed)
             label = r.spec.label
             fh.write("".join([f"{label},{i},{v!r}\n"
                               for i, v in zip(r.row_index.tolist(), resid.tolist())]))

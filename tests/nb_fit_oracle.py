@@ -5,7 +5,8 @@ test oracle.
 Poisson start, moment start for theta, bounds, covariance and ``FitResult``
 assembly.  They are kept verbatim but for the GLM's ``theta_fixed`` branch,
 which no fit took; the objectives, ``maximize`` and the Poisson start are
-the program's own, so a fit here must equal the driver's bit for bit.
+the program's own, so a fit here must equal ``glm.fit_nb2``'s bit for bit,
+also where the suite hands ``fit_nb2`` the Poisson fit it already made.
 """
 
 from __future__ import annotations
@@ -66,9 +67,12 @@ def fit_negbin_glm(design: DesignMatrix) -> FitResult:
     )
 
 
-def fit_negbin_random_intercept(design: DesignMatrix) -> FitResult:
+def fit_negbin_random_intercept(design: DesignMatrix, start: FitResult | None = None) -> FitResult:
     """Fit the NB2 random-intercept model; single-group designs fall back
-    to the fixed-effect NB GLM with a warning."""
+    to the fixed-effect NB GLM with a warning.
+
+    The suite's Poisson fit, ``start``, is ignored: this fit makes its own.
+    """
     if design.n_groups < 2:
         warnings.warn(
             "single project: falling back to fixed-intercept NB GLM", stacklevel=2

@@ -6,7 +6,8 @@ and ``theta`` and subtracted; the Poisson log-likelihood took ``gammaln(y+1)``
 on every call; the quantile residuals took the NB2 CDF from ``betainc``
 and the normal scores from ``ndtri``; the Wald p-value
 was ``ndtr``.  ``scipy_special()`` routes the fits, the p-values and the
-residual export through these until the block closes.
+residual export (the bounds a suite stores when saved and the draw from
+them) through these until the block closes.
 """
 
 from __future__ import annotations
@@ -70,10 +71,15 @@ def cdf_bounds(y, mu, theta):
     return np.where(y >= 1, betainc(theta, np.maximum(y, 1), p), 0.0), betainc(theta, y + 1, p)
 
 
-def randomized_quantile_residuals(y, mu, theta, seed):
-    rng = np.random.default_rng(seed)
+def count_cdf_bounds(y, mu, theta):
+    """``P(Y < y)`` and ``P(Y = y)``, the halves the residual draw takes."""
     lower, upper = cdf_bounds(y, mu, theta)
-    u = lower + rng.uniform(size=lower.size) * np.maximum(upper - lower, 1e-12)
+    return lower, upper - lower
+
+
+def randomized_quantile_residuals(lower, pmf, seed):
+    rng = np.random.default_rng(seed)
+    u = lower + rng.uniform(size=lower.size) * np.maximum(pmf, 1e-12)
     u = np.clip(u, 1e-12, 1.0 - 1e-12)
     return ndtri(u)
 
@@ -93,6 +99,7 @@ def scipy_special():
             (glmm, "nb2_row_terms", nb2_row_terms),
             (glmm, "nb2_row_curvature", nb2_row_curvature),
             (inference, "normal_cdf", normal_cdf),
+            (suite, "count_cdf_bounds", count_cdf_bounds),
             (suite, "randomized_quantile_residuals", randomized_quantile_residuals),
         ):
             stack.enter_context(mock.patch.object(module, name, value))

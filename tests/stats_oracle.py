@@ -3,7 +3,9 @@ stats input replaced, kept as a test oracle.
 
 ``prepare_design`` converts the joined rows' strings again for every model;
 ``export_quantile_residuals`` builds one Python row per residual and formats
-each cell through ``io_utils.write_csv``.  The differential tests compare the
+each cell through ``io_utils.write_csv``; ``randomized_quantile_residuals``
+computes a fit's CDF bounds from its fitted means on every draw, where the
+program stores them with the suite.  The differential tests compare the
 production designs and file bytes with these.
 """
 
@@ -22,7 +24,8 @@ from smellstab.stats.design import (
     DesignMatrix,
     ModelSpec,
 )
-from smellstab.stats.inference import randomized_quantile_residuals
+from smellstab.stats.inference import count_cdf_bounds, normal_quantile
+from smellstab.stats.kernels import as_counts
 
 
 def _as_float(column: str, values: list) -> np.ndarray:
@@ -65,6 +68,19 @@ def prepare_design(rows: list[dict], spec: ModelSpec) -> DesignMatrix:
         project_labels=labels,
         row_index=np.array(keep, dtype=np.int64),
     )
+
+
+def randomized_quantile_residuals(y, mu: np.ndarray, theta: float, seed: int) -> np.ndarray:
+    """Quantile residuals (normal scores) of an NB2 fit for QQ export; plotting is external.
+
+    ``y`` is a ``Counts`` or an array of counts.
+    """
+    rng = np.random.default_rng(seed)
+    counts = as_counts(y)
+    lower, pmf = count_cdf_bounds(counts, mu, theta)
+    u = lower + rng.uniform(size=counts.y.size) * np.maximum(pmf, 1e-12)
+    u = np.clip(u, 1e-12, 1.0 - 1e-12)
+    return normal_quantile(u)
 
 
 def export_quantile_residuals(suite, path: str | Path, seed: int = 0) -> None:

@@ -2,10 +2,13 @@ import importlib
 import json
 import logging
 import os
+import re
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import smellstab.cli
@@ -26,7 +29,9 @@ from smellstab.pipeline import (
     stage_inputs,
 )
 from smellstab.smells import ThresholdConfig
+from smellstab.stats import run_hypothesis_suite
 
+import stats_oracle
 from simulate import simulate_observation_rows
 from testkit import EPOCH, GitRepo, record_processes
 
@@ -317,6 +322,26 @@ def test_bad_threshold_config_names_the_key(tmp_path, thresholds, named):
     path.write_text(json.dumps({"thresholds": thresholds}))
     with pytest.raises(ValueError, match=named):
         PipelineConfig.from_file(path)
+
+
+@pytest.mark.parametrize("doc, named", [
+    ({"thresholds": {"FEW": 5.5}}, "threshold FEW must be a whole number, got 5.5"),
+    ({"thresholds": {"NOM_AVG": 7.0}}, "threshold NOM_AVG must be a whole number, got 7.0"),
+    ([], "config is not a JSON object"),
+    ({"thresholds": "x"}, "thresholds must be a JSON object, got 'x'"),
+    ({"thresholds": None}, "thresholds must be a JSON object, got None"),
+], ids=["fractional-FEW", "fractional-NOM_AVG", "list", "string-thresholds", "null-thresholds"])
+def test_malformed_config_is_refused_naming_the_key(tmp_path, doc, named):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=re.escape(named)):
+        PipelineConfig.from_file(path)
+
+
+def test_whole_number_given_for_a_fractional_threshold_loads(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps({"thresholds": {"AMW_AVG": 3, "FEW": 4}}))
+    assert PipelineConfig.from_file(path).thresholds == ThresholdConfig(AMW_AVG=3, FEW=4)
 
 
 def test_threshold_echo_with_its_schema_version_loads(tmp_path):
@@ -673,11 +698,11 @@ def test_stats_crash_leaves_no_valid_marker(stats_out, monkeypatch):
     real = smellstab.stats.suite.fit_negbin_random_intercept
     calls = []
 
-    def crash_on_fifth(design):
+    def crash_on_fifth(design, *args):
         calls.append(design)
         if len(calls) == 5:
             raise RuntimeError("crash mid-suite")
-        return real(design)
+        return real(design, *args)
 
     monkeypatch.setattr(smellstab.stats.suite, "fit_negbin_random_intercept", crash_on_fifth)
     _edit_one_cell(stats_out)
@@ -713,3 +738,54 @@ def test_unreadable_stats_cache_refits(stats_out, fits, caplog, name, damage):
     assert [r.levelname for r in caplog.records if "stats cache" in r.getMessage()] == ["WARNING"]
     assert _stats(stats_out, seed=5) == cold  # the rewritten cache is read again
     assert len(fits) == 2 * fitted
+
+
+def _first_converged_model(out) -> int:
+    models = json.loads((out / "stats" / "suite.json").read_text())["models"]
+    return next(i for i, m in enumerate(models) if m.get("fit", {}).get("converged"))
+
+
+@pytest.mark.parametrize("members", [("cdf_lower",), ("cdf_pmf",), ("cdf_lower", "cdf_pmf")],
+                         ids=["lower", "pmf", "both"])
+@pytest.mark.parametrize("damage", ["delete", "shorten"])
+def test_incomplete_cached_bounds_refit(stats_out, fits, caplog, damage, members):
+    cold = _stats(stats_out, seed=5)
+    fitted = len(fits)
+    path = stats_out / "stats" / "suite.npz"
+    with np.load(path) as npz:
+        arrays = {name: npz[name] for name in npz.files}
+    i = _first_converged_model(stats_out)
+    for member in members:
+        if damage == "delete":
+            del arrays[f"{i}.{member}"]
+        else:
+            arrays[f"{i}.{member}"] = arrays[f"{i}.{member}"][:-1]  # one row short of the sample
+    np.savez(path, **arrays)
+    assert _stats(stats_out, seed=5) == cold
+    assert len(fits) == 2 * fitted
+    assert [r.levelname for r in caplog.records if "stats cache" in r.getMessage()] == ["WARNING"]
+    assert _stats(stats_out, seed=5) == cold  # the rewritten cache is read again
+    assert len(fits) == 2 * fitted
+
+
+def test_cache_hit_computes_no_bounds_and_fits_nothing(stats_out, fits, monkeypatch):
+    bounds = []
+    _counting(monkeypatch, smellstab.stats.suite, "count_cdf_bounds", bounds)
+    _stats(stats_out, seed=5)
+    doc = json.loads((stats_out / "fits.json").read_text())["fits"]
+    assert len(bounds) == sum(f["fit"]["converged"] for f in doc.values() if "fit" in f) > 0
+    fitted = len(fits)
+    bounds.clear()
+    _stats(stats_out, seed=6)
+    assert bounds == [] and len(fits) == fitted
+
+
+def test_residuals_equal_the_oracle_cold_and_warm(stats_out):
+    """The residual file, drawn from the cached bounds, against the draw from the fitted means."""
+    fitted = run_hypothesis_suite(read_csv(stats_out / "dataset.csv")[1])
+    oracle = stats_out.parent / "oracle.csv"
+    for first, second in ((5, 6), (6, 5)):
+        shutil.rmtree(stats_out / "stats", ignore_errors=True)
+        for seed in (first, second):  # cold, then warm
+            stats_oracle.export_quantile_residuals(fitted, oracle, seed=seed)
+            assert _stats(stats_out, seed=seed)["quantile_residuals.csv"] == oracle.read_bytes()

@@ -9,6 +9,7 @@ from simulate import simulate_nb_glmm_design
 from smellstab.stats import (
     InferenceError,
     bh_adjust,
+    count_cdf_bounds,
     effect_sizes,
     fit_negbin_random_intercept,
     fit_quality,
@@ -182,8 +183,9 @@ def test_mcfadden_signal_exceeds_noise():
 
 def test_quantile_residuals_roughly_normal_and_seeded():
     design, fit = _toy_design_and_fit(seed=9)
-    r1 = randomized_quantile_residuals(design.y, fit.mu_hat, fit.theta, seed=4)
-    r2 = randomized_quantile_residuals(design.y, fit.mu_hat, fit.theta, seed=4)
+    lower, pmf = count_cdf_bounds(design.y, fit.mu_hat, fit.theta)
+    r1 = randomized_quantile_residuals(lower, pmf, seed=4)
+    r2 = randomized_quantile_residuals(lower, pmf, seed=4)
     np.testing.assert_array_equal(r1, r2)
     assert abs(np.mean(r1)) < 0.2
     assert 0.8 < np.std(r1) < 1.25
