@@ -29,20 +29,13 @@ from .pipeline import PipelineConfig, run_pipeline, run_stats, selection_doc
 
 
 def _load_config(args: argparse.Namespace) -> PipelineConfig:
-    config = PipelineConfig.from_file(args.config) if args.config else PipelineConfig()
-    if args.manifest:
-        config.manifest = args.manifest
-    if args.output_dir:
-        config.output_dir = args.output_dir
-    if args.workers is not None:
-        config.workers = args.workers
-    if args.seed is not None:
-        config.seed = args.seed
-    return config
+    overrides = {"manifest": args.manifest, "output_dir": args.output_dir,
+                 "workers": args.workers, "seed": args.seed}
+    return PipelineConfig.from_file(args.config or None,
+                                    **{k: v for k, v in overrides.items() if v not in ("", None)})
 
 
-def cmd_filter(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def cmd_filter(config: PipelineConfig) -> int:
     accepted, rejections = filter_manifest(load_manifest(config.manifest), config.project_limit)
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -53,8 +46,7 @@ def cmd_filter(args: argparse.Namespace) -> int:
     return 0
 
 
-def _stage(args: argparse.Namespace, stages: tuple[str, ...]) -> int:
-    config = _load_config(args)
+def _stage(config: PipelineConfig, stages: tuple[str, ...]) -> int:
     outcome = run_pipeline(config, stages=stages)
     if outcome.quarantined:
         for repo, why in outcome.quarantined.items():
@@ -64,15 +56,16 @@ def _stage(args: argparse.Namespace, stages: tuple[str, ...]) -> int:
     return 0
 
 
-def cmd_stats(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def cmd_stats(config: PipelineConfig) -> int:
+    if not (Path(config.output_dir) / "dataset.csv").exists():
+        print("no dataset.csv yet; run `smellstab join` first", file=sys.stderr)
+        return 1
     run_stats(config)
     print(f"wrote {Path(config.output_dir) / 'results.csv'}")
     return 0
 
 
-def cmd_report(args: argparse.Namespace) -> int:
-    config = _load_config(args)
+def cmd_report(config: PipelineConfig) -> int:
     out = Path(config.output_dir)
     results_path = out / "results.csv"
     if not results_path.exists():
@@ -112,20 +105,24 @@ def main(argv: list[str] | None = None) -> int:
         p.add_argument("--workers", type=int, default=None)
         p.add_argument("--seed", type=int, default=None)
     args = parser.parse_args(argv)
+    try:
+        config = _load_config(args)
+    except ValueError as exc:  # a malformed setting: one line and exit 2, as for a bad flag
+        parser.error(str(exc))
     if args.command == "filter":
-        return cmd_filter(args)
+        return cmd_filter(config)
     if args.command == "analyze":
-        return _stage(args, ("analyze",))
+        return _stage(config, ("analyze",))
     if args.command == "mine":
-        return _stage(args, ("mine",))
+        return _stage(config, ("mine",))
     if args.command == "join":
-        return _stage(args, ("analyze", "mine", "join"))
+        return _stage(config, ("analyze", "mine", "join"))
     if args.command == "stats":
-        return cmd_stats(args)
+        return cmd_stats(config)
     if args.command == "report":
-        return cmd_report(args)
+        return cmd_report(config)
     if args.command == "all":
-        return _stage(args, ("analyze", "mine", "join", "stats"))
+        return _stage(config, ("analyze", "mine", "join", "stats"))
     return 2
 
 

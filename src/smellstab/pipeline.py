@@ -15,10 +15,11 @@ import functools
 import hashlib
 import json
 import logging
+import math
 import os
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, fields as dc_fields
+from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import __version__ as _version
@@ -89,6 +90,10 @@ class PipelineConfig:
     workers: int = 1
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
+
     def echo(self) -> dict:
         return {
             "tool_version": _version,
@@ -106,43 +111,60 @@ class PipelineConfig:
         }
 
     @classmethod
-    def from_file(cls, path: str | Path) -> "PipelineConfig":
-        """Load a config JSON; a config echo from a previous run is accepted.
+    def from_file(cls, path: str | Path | None, **overrides) -> "PipelineConfig":
+        """Load a config JSON, or the defaults if ``path`` is None, with ``overrides`` on top.
 
-        An unknown key is an error, so a misspelt field cannot silently fall
-        back to its default; ``tool_version`` is echo-only and ignored.  The
-        same holds under ``thresholds``, an object whose values must be
-        numbers, whole ones where the default is, and whose echoed
-        ``threshold_schema_version``, if given, must be current.
+        A config echo from a previous run is accepted.  Every value, at the
+        top level and under ``thresholds``, must have the JSON type of its
+        default in the echo: ``true``/``false`` for a flag, a whole number
+        for a count, a finite number for a fraction, a string for a path and
+        a list of strings for ``path_excludes``.  An unknown key is an
+        error, so a misspelt field cannot silently fall back to its default;
+        ``tool_version`` is echo-only and ignored, and an echoed
+        ``threshold_schema_version`` must be current.
         """
-        doc = json.loads(Path(path).read_text())
+        where = f"{path}: " if path else ""
+        doc = json.loads(Path(path).read_text()) if path else {}
         if not isinstance(doc, dict):
-            raise ValueError(f"{path}: config is not a JSON object")
-        known = {f.name for f in dc_fields(cls)}
-        unknown = sorted(doc.keys() - known - {"tool_version"})
-        if unknown:
-            raise ValueError(f"{path}: unknown config keys {', '.join(unknown)}")
-        threshold_doc = doc.get("thresholds", {})
-        if not isinstance(threshold_doc, dict):
-            raise ValueError(f"{path}: thresholds must be a JSON object, got {threshold_doc!r}")
-        threshold_doc = dict(threshold_doc)
+            raise ValueError(f"{where}config is not a JSON object")
+        doc = _typed(where, "config", {**doc, **overrides}, cls().echo())
+        threshold_doc = _typed(where, "threshold", doc.pop("thresholds", {}), ThresholdConfig().echo())
         version = threshold_doc.pop("threshold_schema_version", THRESHOLD_SCHEMA_VERSION)
         if version != THRESHOLD_SCHEMA_VERSION:
-            raise ValueError(f"{path}: unsupported threshold_schema_version {version!r}")
-        defaults = {f.name: f.default for f in dc_fields(ThresholdConfig)}
-        unknown = sorted(threshold_doc.keys() - defaults.keys())
-        if unknown:
-            raise ValueError(f"{path}: unknown threshold keys {', '.join(unknown)}")
-        for name, value in threshold_doc.items():
+            raise ValueError(f"{where}unsupported threshold_schema_version {version!r}")
+        doc.pop("tool_version", None)
+        return cls(thresholds=ThresholdConfig(**threshold_doc),
+                   path_excludes=tuple(doc.pop("path_excludes", ())), **doc)
+
+
+def _typed(where: str, what: str, doc: dict, defaults: dict) -> dict:
+    """A copy of ``doc``, refused unless each value has the JSON type of its default."""
+    unknown = sorted(doc.keys() - defaults.keys())
+    if unknown:
+        raise ValueError(f"{where}unknown {what} keys {', '.join(unknown)}")
+    for name, value in doc.items():
+        default, wanted = defaults[name], None
+        if isinstance(default, bool):
+            if not isinstance(value, bool):
+                wanted = "true or false"
+        elif isinstance(default, (int, float)):
             if isinstance(value, bool) or not isinstance(value, (int, float)):
-                raise ValueError(f"{path}: threshold {name} must be a number, got {value!r}")
-            if isinstance(defaults[name], int) and not isinstance(value, int):
-                raise ValueError(f"{path}: threshold {name} must be a whole number, got {value!r}")
-        thresholds = ThresholdConfig(**threshold_doc)
-        kwargs = {k: v for k, v in doc.items() if k not in ("tool_version", "thresholds")}
-        if "path_excludes" in kwargs:
-            kwargs["path_excludes"] = tuple(kwargs["path_excludes"])
-        return cls(thresholds=thresholds, **kwargs)
+                wanted = "a number"
+            elif isinstance(value, float) and not math.isfinite(value):
+                wanted = "a finite number"
+            elif isinstance(default, int) and not isinstance(value, int):
+                wanted = "a whole number"
+        elif isinstance(default, str):
+            if not isinstance(value, str):
+                wanted = "a string"
+        elif isinstance(default, list):
+            if not (isinstance(value, list) and all(isinstance(v, str) for v in value)):
+                wanted = "a list of strings"
+        elif not isinstance(value, dict):
+            wanted = "a JSON object"
+        if wanted:
+            raise ValueError(f"{where}{what} {name} must be {wanted}, got {value!r}")
+    return dict(doc)
 
 
 def _safe_name(repo: str) -> str:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields as dc_fields
 from enum import Enum
-from pathlib import Path
 
 from .bodyscan import BodyFacts
 from .graph import DependencyGraph
@@ -91,34 +90,6 @@ class ThresholdConfig:
         for f in dc_fields(self):
             out[f.name] = getattr(self, f.name)
         return out
-
-    @classmethod
-    def from_file(cls, path: str | Path) -> "ThresholdConfig":
-        """Parse a versioned key=value file ('#' comments allowed)."""
-        known = {f.name: f for f in dc_fields(cls)}
-        values: dict[str, float] = {}
-        for raw_line in Path(path).read_text().splitlines():
-            line = raw_line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ThresholdConfigError(f"malformed threshold line: {raw_line!r}")
-            key, _, value = line.partition("=")
-            key, value = key.strip(), value.strip()
-            if key == "version":
-                if int(value) != THRESHOLD_SCHEMA_VERSION:
-                    raise ThresholdConfigError(f"unsupported threshold schema version {value}")
-                continue
-            if key not in known:
-                raise ThresholdConfigError(f"unknown threshold {key!r}")
-            values[key] = int(value) if known[key].type == "int" else float(value)
-        return cls(**values)
-
-    def to_file(self, path: str | Path) -> None:
-        lines = [f"version={THRESHOLD_SCHEMA_VERSION}"]
-        for f in dc_fields(self):
-            lines.append(f"{f.name}={getattr(self, f.name)!r}")
-        Path(path).write_text("\n".join(lines) + "\n")
 
 
 # -- the ten strategies --------------------------------------------------------

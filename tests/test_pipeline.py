@@ -330,7 +330,21 @@ def test_bad_threshold_config_names_the_key(tmp_path, thresholds, named):
     ([], "config is not a JSON object"),
     ({"thresholds": "x"}, "thresholds must be a JSON object, got 'x'"),
     ({"thresholds": None}, "thresholds must be a JSON object, got None"),
-], ids=["fractional-FEW", "fractional-NOM_AVG", "list", "string-thresholds", "null-thresholds"])
+    ({"thresholds": {"AMW_AVG": float("nan")}}, "threshold AMW_AVG must be a finite number, got nan"),
+    ({"rename_threshold": float("inf")}, "rename_threshold must be a finite number, got inf"),
+    ({"split_threshold": float("-inf")}, "split_threshold must be a finite number, got -inf"),
+    ({"path_excludes": "gen/*"}, "path_excludes must be a list of strings, got 'gen/*'"),
+    ({"include_deleted": "false"}, "include_deleted must be true or false, got 'false'"),
+    ({"window_days": "365"}, "window_days must be a number, got '365'"),
+    ({"seed": "3"}, "seed must be a number, got '3'"),
+    ({"workers": 1.5}, "workers must be a whole number, got 1.5"),
+    ({"project_limit": True}, "project_limit must be a number, got True"),
+    ({"manifest": 5}, "manifest must be a string, got 5"),
+    ({"seed": -1}, "seed must be non-negative, got -1"),
+], ids=["fractional-FEW", "fractional-NOM_AVG", "list", "string-thresholds", "null-thresholds",
+        "nan-AMW_AVG", "infinite-rename", "minus-infinite-split", "string-path_excludes",
+        "string-include_deleted", "string-window_days", "string-seed", "fractional-workers",
+        "bool-project_limit", "int-manifest", "negative-seed"])
 def test_malformed_config_is_refused_naming_the_key(tmp_path, doc, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
@@ -360,6 +374,21 @@ def test_cli_stage_sequence(tmp_path, fixture_projects, capsys):
         assert cli_main([command, "--config", str(cfg_path)]) == 0
     assert (out_dir / "dataset.csv").exists()
     assert (out_dir / "results.csv").exists()
+
+
+def test_negative_seed_on_the_command_line_changes_nothing(stats_out, capsys):
+    _stats(stats_out, seed=5)
+    before = {p: p.read_bytes() for p in stats_out.rglob("*") if p.is_file()}
+    with pytest.raises(SystemExit) as exited:
+        cli_main(["stats", "--output-dir", str(stats_out), "--seed", "-1"])
+    assert exited.value.code == 2
+    assert "seed must be non-negative, got -1" in capsys.readouterr().err
+    assert {p: p.read_bytes() for p in stats_out.rglob("*") if p.is_file()} == before
+
+
+def test_stats_without_a_dataset_says_to_join_first(tmp_path, capsys):
+    assert cli_main(["stats", "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "no dataset.csv yet; run `smellstab join` first\n"
 
 
 def test_cli_defaults_to_one_blas_thread_unless_set(monkeypatch):

@@ -105,20 +105,7 @@ def test_detection_is_sorted_and_deterministic(analyzed_factory):
     assert keys == sorted(keys)
 
 
-def test_config_file_roundtrip(tmp_path):
-    cfg = ThresholdConfig(FEW=6, CYCLO_RATIO=0.3)
-    path = tmp_path / "thresholds.cfg"
-    cfg.to_file(path)
-    loaded = ThresholdConfig.from_file(path)
-    assert loaded == cfg
-    assert loaded.echo()["FEW"] == 6
-
-
-def test_config_rejects_unknown_and_invalid(tmp_path):
-    path = tmp_path / "bad.cfg"
-    path.write_text("version=1\nNOT_A_KEY=3\n")
-    with pytest.raises(ThresholdConfigError):
-        ThresholdConfig.from_file(path)
+def test_config_rejects_unknown_and_invalid():
     with pytest.raises(ThresholdConfigError):
         ThresholdConfig(FEW=-1)
     with pytest.raises(ThresholdConfigError):
