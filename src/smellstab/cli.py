@@ -76,8 +76,8 @@ def cmd_report(config: PipelineConfig) -> int:
     for r in rows:
         verdict = "accepted" if r["accepted"] == "true" else (
             "inconclusive" if r["converged"] != "true" else "rejected")
-        beta = r["beta"][:8]
-        print(f"{r['hypothesis']:<12}{r['dv']:<6}{beta:>10}{r['p_raw'][:8]:>10}{r['p_bh'][:8]:>10}  {verdict}")
+        numbers = "".join(f"{float(r[name]):>10.4g}" for name in ("beta", "p_raw", "p_bh"))
+        print(f"{r['hypothesis']:<12}{r['dv']:<6}{numbers}  {verdict}")
     activity = out / "activity.csv"
     if activity.exists():
         print("\nactivity summary (across projects):")
@@ -107,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         config = _load_config(args)
-    except ValueError as exc:  # a malformed setting: one line and exit 2, as for a bad flag
+    except (ValueError, OSError) as exc:  # a malformed setting or unreadable config: one line and exit 2
         parser.error(str(exc))
     if args.command == "filter":
         return cmd_filter(config)

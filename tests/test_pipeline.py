@@ -1,3 +1,4 @@
+import dataclasses
 import importlib
 import json
 import logging
@@ -30,6 +31,7 @@ from smellstab.pipeline import (
 )
 from smellstab.smells import ThresholdConfig
 from smellstab.stats import run_hypothesis_suite
+from smellstab.stats.suite import RESULTS_HEADER
 
 import stats_oracle
 from simulate import simulate_observation_rows
@@ -300,7 +302,8 @@ def test_config_echo_replays(tmp_path, fixture_projects):
     accepted, _ = filter_manifest(load_manifest(config.manifest), config.project_limit)
     assert [e.repo for e in accepted] == outcome.accepted
     for entry in accepted:
-        assert stage_inputs(entry, replayed) == stage_inputs(entry, config)
+        for stage in ("analyze", "mine"):
+            assert stage_inputs(stage, entry, replayed) == stage_inputs(stage, entry, config)
     assert replayed.thresholds == config.thresholds
 
 
@@ -341,15 +344,33 @@ def test_bad_threshold_config_names_the_key(tmp_path, thresholds, named):
     ({"project_limit": True}, "project_limit must be a number, got True"),
     ({"manifest": 5}, "manifest must be a string, got 5"),
     ({"seed": -1}, "seed must be non-negative, got -1"),
+    ({"rename_threshold": 1.5}, "rename_threshold must be between 0 and 1, got 1.5"),
+    ({"split_threshold": -0.1}, "split_threshold must be between 0 and 1, got -0.1"),
+    ({"window_days": -30}, "window_days must be at least 1, got -30"),
+    ({"window_days": 0}, "window_days must be at least 1, got 0"),
+    ({"project_limit": -1}, "project_limit must be non-negative, got -1"),
+    ({"workers": -4}, "workers must be at least 1, got -4"),
+    ({"workers": 0}, "workers must be at least 1, got 0"),
 ], ids=["fractional-FEW", "fractional-NOM_AVG", "list", "string-thresholds", "null-thresholds",
         "nan-AMW_AVG", "infinite-rename", "minus-infinite-split", "string-path_excludes",
         "string-include_deleted", "string-window_days", "string-seed", "fractional-workers",
-        "bool-project_limit", "int-manifest", "negative-seed"])
+        "bool-project_limit", "int-manifest", "negative-seed", "rename-above-1", "negative-split",
+        "negative-window_days", "zero-window_days", "negative-project_limit", "negative-workers",
+        "zero-workers"])
 def test_malformed_config_is_refused_naming_the_key(tmp_path, doc, named):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(doc))
     with pytest.raises(ValueError, match=re.escape(named)):
         PipelineConfig.from_file(path)
+
+
+def test_settings_at_the_ends_of_their_ranges_load(tmp_path):
+    path = tmp_path / "config.json"
+    edges = {"rename_threshold": 0, "split_threshold": 1.0, "window_days": 1,
+             "project_limit": 0, "workers": 1, "seed": 0}
+    path.write_text(json.dumps(edges))
+    echo = PipelineConfig.from_file(path).echo()
+    assert {name: echo[name] for name in edges} == edges
 
 
 def test_whole_number_given_for_a_fractional_threshold_loads(tmp_path):
@@ -376,6 +397,23 @@ def test_cli_stage_sequence(tmp_path, fixture_projects, capsys):
     assert (out_dir / "results.csv").exists()
 
 
+def test_report_prints_each_number_with_its_exponent(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    row = dict.fromkeys(RESULTS_HEADER, "nan")
+    row.update(hypothesis="H1.1", dv="ChF", beta="1.2345678e-05", p_raw="3.3333333e-07",
+               p_bh="2.0000001e-06", converged="true", accepted="true")
+    unfitted = dict(row, hypothesis="H1.2", beta="nan", p_raw="nan", p_bh="nan",
+                    converged="false", accepted="false")
+    write_csv(out_dir / "results.csv", RESULTS_HEADER,
+              [[r[c] for c in RESULTS_HEADER] for r in (row, unfitted)])
+    assert cli_main(["report", "--output-dir", str(out_dir)]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[1].split() == ["H1.1", "ChF", "1.235e-05", "3.333e-07", "2e-06", "accepted"]
+    assert lines[2].split() == ["H1.2", "ChF", "nan", "nan", "nan", "inconclusive"]
+    assert len(lines[1]) == len(lines[0]) - len("verdict") + len("accepted")
+
+
 def test_negative_seed_on_the_command_line_changes_nothing(stats_out, capsys):
     _stats(stats_out, seed=5)
     before = {p: p.read_bytes() for p in stats_out.rglob("*") if p.is_file()}
@@ -389,6 +427,16 @@ def test_negative_seed_on_the_command_line_changes_nothing(stats_out, capsys):
 def test_stats_without_a_dataset_says_to_join_first(tmp_path, capsys):
     assert cli_main(["stats", "--output-dir", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == "no dataset.csv yet; run `smellstab join` first\n"
+
+
+def test_missing_config_file_is_a_one_line_error(tmp_path, capsys):
+    missing = tmp_path / "missing.json"
+    with pytest.raises(SystemExit) as exited:
+        cli_main(["stats", "--config", str(missing)])
+    assert exited.value.code == 2
+    err = capsys.readouterr().err
+    assert str(missing) in err and "Traceback" not in err
+    assert err.splitlines()[-1].startswith("smellstab: error: ")
 
 
 def test_cli_defaults_to_one_blas_thread_unless_set(monkeypatch):
@@ -607,11 +655,86 @@ def test_garbled_stage_marker_is_a_miss(tmp_path, three_commits, garbled):
     assert {p: p.read_bytes() for p in sorted(project.rglob("*")) if p.is_file()} == before
 
 
+ANALYZE_OUTPUTS = ["corpus.json", "edges.csv", "metrics_method.csv", "metrics_method.csv.meta.json",
+                   "metrics_class.csv", "metrics_class.csv.meta.json", "smells.csv",
+                   "smells.csv.meta.json", "observations.csv", "observations.csv.meta.json"]
+STAGE_OUTPUTS = [("analyze", name) for name in ANALYZE_OUTPUTS] + [
+    ("mine", "outcomes.csv"), ("mine", "outcomes.csv.meta.json")]
+
+
+def _tree(root: Path) -> dict[Path, bytes]:
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def test_stage_outputs_are_the_listed_files(tmp_path, three_commits):
+    repo, first, _ = three_commits
+    config = _single_project(tmp_path, repo, first)
+    project = Path(config.output_dir) / "projects" / "fix__three"
+    written = [(p.parent.name, p.name) for p in project.rglob("*") if p.is_file()]
+    assert sorted(written) == sorted(STAGE_OUTPUTS + [("analyze", "stage.json"), ("mine", "stage.json")])
+
+
+@pytest.mark.parametrize("stage, name", STAGE_OUTPUTS, ids=[f"{s}/{n}" for s, n in STAGE_OUTPUTS])
+def test_deleted_stage_output_is_a_miss(tmp_path, three_commits, monkeypatch, caplog, stage, name):
+    """A stage output gone from under a valid marker is recomputed, not a quarantine for good."""
+    repo, first, _ = three_commits
+    config = _single_project(tmp_path, repo, first)
+    out = Path(config.output_dir)
+    before = _tree(out)
+    stage_dir = out / "projects" / "fix__three" / stage
+    (stage_dir / name).unlink()
+    calls = []
+    _counting(monkeypatch, smellstab.pipeline, "extract_dependencies", calls)
+    _counting(monkeypatch, smellstab.pipeline, "mine_window", calls)
+    caplog.set_level(logging.WARNING)
+    _single_project(tmp_path, repo, first)  # asserts that nothing is quarantined
+    warned = [r.getMessage() for r in caplog.records if r.levelno >= logging.WARNING]
+    assert len(warned) == 1
+    assert warned[0].startswith(f"{stage} cache in {stage_dir} unreadable (FileNotFoundError: ")
+    assert calls == [{"analyze": "extract_dependencies", "mine": "mine_window"}[stage]]
+    assert _tree(out) == before
+
+
+# The README's table of what invalidates each per-project stage, field by field.
+INVALIDATES = {
+    "thresholds": {"analyze"},
+    "window_days": {"mine"}, "rename_threshold": {"mine"}, "split_threshold": {"mine"},
+    "include_deleted": {"mine"}, "branch": {"mine"},
+    "snapshot": {"analyze", "mine"}, "path_excludes": {"analyze", "mine"},
+    "seed": set(), "workers": set(), "project_limit": set(), "output_dir": set(), "manifest": set(),
+}
+CHANGED = {
+    "thresholds": ThresholdConfig(FEW=4), "window_days": 30, "rename_threshold": 0.7,
+    "split_threshold": 0.4, "include_deleted": False, "branch": "side", "path_excludes": ("gen/*",),
+    "seed": 9, "workers": 3, "project_limit": 5, "output_dir": "elsewhere", "manifest": "other.jsonl",
+}
+
+
+@pytest.mark.parametrize("field", sorted(INVALIDATES))
+def test_readme_invalidation_table_matches_stage_inputs(tmp_path, three_commits, field):
+    repo, first, second = three_commits
+    repo.git("branch", "side")
+    manifest = tmp_path / "single.jsonl"
+    manifest.write_text(_manifest_line("fix/three", repo, first) + "\n")
+    config = PipelineConfig(manifest=str(manifest), output_dir=str(tmp_path / "out"))
+    entry = filter_manifest(load_manifest(config.manifest))[0][0]
+    changed_entry, changed_config = entry, config
+    if field == "snapshot":
+        changed_entry = dataclasses.replace(entry, snapshot=second)
+    elif field == "branch":
+        changed_entry = dataclasses.replace(entry, branch=CHANGED[field])
+    else:
+        changed_config = dataclasses.replace(config, **{field: CHANGED[field]})
+    stale = {stage for stage in ("analyze", "mine")
+             if stage_inputs(stage, changed_entry, changed_config) != stage_inputs(stage, entry, config)}
+    assert stale == INVALIDATES[field]
+
+
 def test_project_sidecars_echo_their_stage_inputs(tmp_path, three_commits):
     repo, first, _ = three_commits
     config = _single_project(tmp_path, repo, first, seed=3)
     entry = filter_manifest(load_manifest(config.manifest))[0][0]
-    inputs = stage_inputs(entry, config)
+    inputs = {stage: stage_inputs(stage, entry, config) for stage in ("analyze", "mine")}
     project = Path(config.output_dir) / "projects" / "fix__three"
     for stage, name in (("analyze", "observations.csv"), ("analyze", "smells.csv"),
                         ("mine", "outcomes.csv")):
