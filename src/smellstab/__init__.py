@@ -13,7 +13,7 @@ from .corpus import ingest_corpus
 from .lexer import logical_lines, logical_loc
 from .graph import DependencyEdge, DependencyGraph, efferent_neighbors, extract_dependencies
 from .metrics import ClassMetrics, MethodMetrics, build_metrics_context, compute_class_metrics, compute_method_metrics
-from .smells import SmellInstance, SmellType, ThresholdConfig, detect_smells
+from .smells import SmellInstance, SmellType, ThresholdConfig, detect_smells_with_diagnostics
 from .neighborhood import (
     ClassObservation,
     build_all_observations,
@@ -29,7 +29,7 @@ __all__ = [
     "DependencyEdge", "DependencyGraph", "efferent_neighbors", "extract_dependencies",
     "ClassMetrics", "MethodMetrics", "build_metrics_context", "compute_class_metrics",
     "compute_method_metrics",
-    "SmellInstance", "SmellType", "ThresholdConfig", "detect_smells",
+    "SmellInstance", "SmellType", "ThresholdConfig", "detect_smells_with_diagnostics",
     "ClassObservation", "build_all_observations", "build_observation",
     "efferent_interactions", "smell_footprint",
 ]

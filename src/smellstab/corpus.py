@@ -160,13 +160,15 @@ def ingest_corpus(
             primary = next((t for t in file_types if t.id.simple_name == stem), file_types[0])
             corpus.primary_type_of_file[rel] = primary.id.qualified_name
     corpus.finalize()
-    _resolve_hierarchy(corpus)
-    _classify_members(corpus)
+    # One resolver serves both passes: the first resolves only type names,
+    # which never read supertypes, so no ancestor is cached before they are set.
+    resolver = Resolver(corpus)
+    _resolve_hierarchy(corpus, resolver)
+    _classify_members(corpus, resolver)
     return corpus
 
 
-def _resolve_hierarchy(corpus: SourceCorpus) -> None:
-    resolver = Resolver(corpus)
+def _resolve_hierarchy(corpus: SourceCorpus, resolver: Resolver) -> None:
     for top in corpus.types:
         for t in top.own_and_nested():
             if not t.is_interface:
@@ -182,8 +184,7 @@ def _resolve_hierarchy(corpus: SourceCorpus) -> None:
             t.interfaces = tuple(ifaces)
 
 
-def _classify_members(corpus: SourceCorpus) -> None:
-    resolver = Resolver(corpus)
+def _classify_members(corpus: SourceCorpus, resolver: Resolver) -> None:
     for top in corpus.types:
         for t in top.own_and_nested():
             ancestor_sigs: set[tuple[str, int]] = set()

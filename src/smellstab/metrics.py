@@ -1,11 +1,14 @@
-"""Object-oriented metric suite over the corpus, graph, and body facts.
+"""Object-oriented metric suite over the corpus and body facts.
 
-Method metrics follow the coupling/data-access tradition the detection
-strategies come from; class metrics aggregate over the top-level type and
-everything nested inside it (the analysis unit), except the inheritance
-metrics (bovr, nas, pnas), which concern the type's own direct methods.
-Foreign data means fields of *other internal* top-level classes; external
-(JDK, third-party) accesses never count, and internal-ancestor state is own.
+Analyze computes each value once per project (``pipeline.metric_tables``)
+and writes it to ``metrics_method.csv`` or ``metrics_class.csv``; the smell
+strategies read those same values.  Method metrics follow the
+coupling/data-access tradition the detection strategies come from; class
+metrics aggregate over the top-level type and everything nested inside it
+(the analysis unit), except the inheritance metrics (bovr, nas, pnas), which
+concern the type's own direct methods.  Foreign data means fields of *other
+internal* top-level classes; external (JDK, third-party) accesses never
+count, and internal-ancestor state is own.
 """
 
 from __future__ import annotations
@@ -13,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bodyscan import BodyFacts
-from .graph import DependencyGraph, DomainError
+from .graph import DomainError
 from .model import ArtifactId, ArtifactKind, MethodDecl, SourceCorpus, TypeDecl
 from .resolve import Resolver
 
@@ -56,19 +59,16 @@ class MetricsContext:
     """Shared lookup state for metric computation over one corpus."""
 
     corpus: SourceCorpus
-    graph: DependencyGraph
     facts: dict[ArtifactId, BodyFacts]
     resolver: Resolver = None  # type: ignore[assignment]
     _callers: dict[ArtifactId, set[ArtifactId]] = field(default_factory=dict)
     _methods_by_id: dict[ArtifactId, MethodDecl] = field(default_factory=dict)
-    _decl_of_member: dict[ArtifactId, TypeDecl] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.resolver is None:
             self.resolver = Resolver(self.corpus)
-        for t, m in self.corpus.iter_methods():
+        for _, m in self.corpus.iter_methods():
             self._methods_by_id[m.id] = m
-            self._decl_of_member[m.id] = t
         for caller, f in self.facts.items():
             for target in f.internal_calls:
                 self._callers.setdefault(target, set()).add(caller)
@@ -86,10 +86,8 @@ class MetricsContext:
         return self.corpus.enclosing_class(aid)
 
 
-def build_metrics_context(
-    corpus: SourceCorpus, graph: DependencyGraph, facts: dict[ArtifactId, BodyFacts]
-) -> MetricsContext:
-    return MetricsContext(corpus, graph, facts)
+def build_metrics_context(corpus: SourceCorpus, facts: dict[ArtifactId, BodyFacts]) -> MetricsContext:
+    return MetricsContext(corpus, facts)
 
 
 def compute_method_metrics(ctx: MetricsContext, method: ArtifactId) -> MethodMetrics:

@@ -24,11 +24,12 @@ from pathlib import Path
 from typing import TypeVar
 
 from . import __version__ as _version
+from .bodyscan import BodyFacts
 from .corpus import ingest_corpus
 from .graph import extract_dependencies
 from .io_utils import parse_csv, read_csv, write_csv, write_json, write_meta, write_text
-from .manifest import ProjectManifestEntry, Rejection, filter_manifest, load_manifest
-from .metrics import build_metrics_context, compute_class_metrics, compute_method_metrics
+from .manifest import DEFAULT_PROJECT_LIMIT, ProjectManifestEntry, Rejection, filter_manifest, load_manifest
+from .metrics import ClassMetrics, MethodMetrics, build_metrics_context, compute_class_metrics, compute_method_metrics
 from .mining import (
     activity_summary,
     aggregate_stability,
@@ -37,8 +38,8 @@ from .mining import (
     make_window,
     mine_window,
 )
-from .mining.miner import ACTIVITY_HEADER
-from .model import SourceCorpus
+from .mining.miner import ACTIVITY_HEADER, DEFAULT_RENAME_THRESHOLD, DEFAULT_SPLIT_THRESHOLD, DEFAULT_WINDOW_DAYS
+from .model import ArtifactId, SourceCorpus
 from .neighborhood import OBSERVATION_HEADER, build_all_observations, observation_row
 from .smells import (
     THRESHOLD_SCHEMA_VERSION,
@@ -87,10 +88,10 @@ class PipelineConfig:
     manifest: str = ""
     output_dir: str = "out"
     thresholds: ThresholdConfig = field(default_factory=ThresholdConfig)
-    window_days: int = 365
-    rename_threshold: float = 0.6
-    split_threshold: float = 0.3
-    project_limit: int = 100
+    window_days: int = DEFAULT_WINDOW_DAYS
+    rename_threshold: float = DEFAULT_RENAME_THRESHOLD
+    split_threshold: float = DEFAULT_SPLIT_THRESHOLD
+    project_limit: int = DEFAULT_PROJECT_LIMIT
     include_deleted: bool = True
     path_excludes: tuple[str, ...] = ()
     workers: int = 1
@@ -266,6 +267,20 @@ def _snapshot_loader(entry: ProjectManifestEntry, config: PipelineConfig) -> Cal
     return load
 
 
+def metric_tables(corpus: SourceCorpus, facts: dict[ArtifactId, BodyFacts]
+                  ) -> tuple[dict[ArtifactId, MethodMetrics], dict[ArtifactId, ClassMetrics]]:
+    """The project's metric table, computed once: the two metric CSVs and the smell strategies read it.
+
+    A row for each method or constructor outside an interface and for each
+    top-level class.
+    """
+    ctx = build_metrics_context(corpus, facts)
+    method_metrics = {m.id: compute_method_metrics(ctx, m.id) for top in corpus.top_level_classes()
+                      for t in top.own_and_nested() for m in t.methods + t.constructors}
+    class_metrics = {decl.id: compute_class_metrics(ctx, decl.id) for decl in corpus.top_level_classes()}
+    return method_metrics, class_metrics
+
+
 def analyze_project(entry: ProjectManifestEntry, config: PipelineConfig,
                     load_corpus: Callable[[], SourceCorpus]) -> None:
     """Graph, metrics, smells, observations for one project, under ``projects/<repo>/analyze``."""
@@ -280,36 +295,20 @@ def analyze_project(entry: ProjectManifestEntry, config: PipelineConfig,
             [e.relation.value, e.source.kind.value, str(e.source), e.target.kind.value, str(e.target),
              e.site_count] for e in graph.edges
         ])
-        ctx = build_metrics_context(corpus, graph, facts)
-
-        method_rows = []
-        for t, m in corpus.iter_methods():
-            if corpus.type_decl(corpus.enclosing_class(m.id).qualified_name).is_interface:
-                continue
-            mm = compute_method_metrics(ctx, m.id)
-            method_rows.append([
-                entry.repo, m.id.qualified_name, m.id.signature,
-                corpus.enclosing_class(m.id).qualified_name,
-                mm.loc, mm.cyclo, mm.max_nesting, mm.noav, mm.atfd_m, mm.laa, mm.fdp,
-                mm.cint, mm.cdisp, mm.cm, mm.cc,
-            ])
-        method_rows.sort(key=lambda r: (r[1], r[2]))
-        write_csv(out / "metrics_method.csv", METHOD_METRICS_HEADER, method_rows)
+        method_metrics, class_metrics = metric_tables(corpus, facts)
+        write_csv(out / "metrics_method.csv", METHOD_METRICS_HEADER, sorted((
+            [entry.repo, m.id.qualified_name, m.id.signature, corpus.enclosing_class(m.id).qualified_name,
+             *(getattr(method_metrics[m.id], name) for name in METHOD_METRICS_HEADER[4:])]
+            for _, m in corpus.iter_methods() if m.id in method_metrics), key=lambda r: (r[1], r[2])))
         write_meta(out / "metrics_method.csv", config_echo=echo)
-
-        class_rows = []
-        for decl in corpus.top_level_classes():
-            cm = compute_class_metrics(ctx, decl.id)
-            class_rows.append([
-                entry.repo, decl.id.qualified_name, cm.loc, cm.wmc, cm.tcc, cm.atfd_c,
-                cm.woc, cm.nopa, cm.noam, cm.nom, cm.amw, cm.nprotm, cm.bur, cm.bovr,
-                cm.nas, cm.pnas,
-            ])
-        write_csv(out / "metrics_class.csv", CLASS_METRICS_HEADER, class_rows)
+        write_csv(out / "metrics_class.csv", CLASS_METRICS_HEADER, [
+            [entry.repo, cid.qualified_name, *(getattr(cm, name) for name in CLASS_METRICS_HEADER[2:])]
+            for cid, cm in class_metrics.items()
+        ])
         write_meta(out / "metrics_class.csv", config_echo=echo)
 
         smells, smell_diags = detect_smells_with_diagnostics(
-            corpus, graph, facts, config.thresholds, ctx)
+            corpus, method_metrics, class_metrics, config.thresholds)
         write_csv(out / "smells.csv", SMELLS_HEADER, [
             [s.smell.value, s.smell.level, str(s.host), s.enclosing.qualified_name] for s in smells
         ])

@@ -1,7 +1,9 @@
 """The ten detection strategies and their configurable thresholds.
 
-The strategies are boolean formulas over the metric suite.  Every constant
-is configuration, not a claim: defaults mirror widely published
+The strategies are boolean formulas over one project's metric table, the
+rows of ``metrics_method.csv`` and ``metrics_class.csv`` that analyze
+computes once (``pipeline.metric_tables``).  Every constant is
+configuration, not a claim: defaults mirror widely published
 reimplementations of the classic strategies, the active config is echoed
 into every result file, and the four calibration-sensitive strategies
 (SS, BC, RB, TB) surface per-strategy counts for auditing.
@@ -12,9 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass, fields as dc_fields
 from enum import Enum
 
-from .bodyscan import BodyFacts
-from .graph import DependencyGraph
-from .metrics import ClassMetrics, MethodMetrics, MetricsContext, build_metrics_context, compute_class_metrics, compute_method_metrics
+from .metrics import ClassMetrics, MethodMetrics
 from .model import ArtifactId, Diagnostic, SourceCorpus
 
 THRESHOLD_SCHEMA_VERSION = 1
@@ -38,7 +38,6 @@ class SmellType(str, Enum):
 
 
 _METHOD_LEVEL = frozenset({SmellType.FE, SmellType.BM, SmellType.DICO, SmellType.IC, SmellType.SS})
-_CLASS_LEVEL = frozenset({SmellType.GC, SmellType.BC, SmellType.DC, SmellType.RB, SmellType.TB})
 
 
 @dataclass(frozen=True, order=True)
@@ -160,40 +159,30 @@ def is_tradition_breaker(c: ClassMetrics, has_internal_parent: bool, t: Threshol
     )
 
 
-# -- detection over a corpus ----------------------------------------------------
-
-
-def detect_smells(
-    corpus: SourceCorpus,
-    graph: DependencyGraph,
-    facts: dict[ArtifactId, BodyFacts],
-    thresholds: ThresholdConfig | None = None,
-    ctx: MetricsContext | None = None,
-) -> list[SmellInstance]:
-    instances, _diags = detect_smells_with_diagnostics(corpus, graph, facts, thresholds, ctx)
-    return instances
+# -- detection over a project's metric table -----------------------------------
 
 
 def detect_smells_with_diagnostics(
     corpus: SourceCorpus,
-    graph: DependencyGraph,
-    facts: dict[ArtifactId, BodyFacts],
+    method_metrics: dict[ArtifactId, MethodMetrics],
+    class_metrics: dict[ArtifactId, ClassMetrics],
     thresholds: ThresholdConfig | None = None,
-    ctx: MetricsContext | None = None,
 ) -> tuple[list[SmellInstance], list[Diagnostic]]:
+    """The ten strategies over the table of ``pipeline.metric_tables``.
+
+    The corpus adds only what the rows do not hold: which members are
+    constructors or bodyless (they host no smell) and each class's superclass.
+    """
     t = thresholds if thresholds is not None else ThresholdConfig()
-    ctx = ctx if ctx is not None else build_metrics_context(corpus, graph, facts)
     instances: list[SmellInstance] = []
     diagnostics: list[Diagnostic] = []
     brain_methods_per_class: dict[ArtifactId, int] = {}
 
-    for decl, m in corpus.iter_methods():
-        if m.is_constructor or m.body is None:
-            continue
+    for _, m in corpus.iter_methods():
+        mm = method_metrics.get(m.id)
+        if mm is None or m.is_constructor or m.body is None:
+            continue  # interface members have no row
         enclosing = corpus.enclosing_class(m.id)
-        if corpus.type_decl(enclosing.qualified_name).is_interface:
-            continue  # interfaces host no smells
-        mm = compute_method_metrics(ctx, m.id)
         if is_feature_envy(mm, t):
             instances.append(SmellInstance(SmellType.FE, m.id, enclosing))
         if is_brain_method(mm, t):
@@ -207,7 +196,7 @@ def detect_smells_with_diagnostics(
             instances.append(SmellInstance(SmellType.SS, m.id, enclosing))
 
     for decl in corpus.top_level_classes():
-        cm = compute_class_metrics(ctx, decl.id)
+        cm = class_metrics[decl.id]
         if is_god_class(cm, t):
             instances.append(SmellInstance(SmellType.GC, decl.id, decl.id))
         if is_data_class(cm, t):

@@ -30,7 +30,7 @@ from smellstab.mining import (
 from smellstab.model import ArtifactId, ArtifactKind, RelationKind
 from smellstab.neighborhood import build_observation, efferent_interactions
 from smellstab.pipeline import PipelineConfig, run_pipeline
-from smellstab.smells import SmellInstance, SmellType, detect_smells
+from smellstab.smells import SmellInstance, SmellType
 from smellstab.stats import (
     bh_adjust,
     dispersion_statistic,
@@ -44,7 +44,7 @@ from smellstab.stats import (
 from smellstab.stats.design import DesignMatrix
 
 import test_mining as mining_fix
-from testkit import EPOCH, build_analyzed
+from testkit import EPOCH, build_analyzed, detect
 from javafix import FIG1_FILES, FIG2_CASE_A_FILES, FIG2_CASE_B_FILES, SMELL_FIXTURES, TEN_RELATIONS_FILES
 from simulate import nb2_draw, simulate_nb_glmm_design, simulate_observation_rows
 from synth import oracle_interactions, synth_corpus
@@ -115,13 +115,13 @@ def test_criterion_4_smell_strategies():
     with criterion(4, "10 trigger + 10 near-miss smell fixtures"):
         for name, (build, near) in sorted(SMELL_FIXTURES.items()):
             files, expected = build()
-            corpus, graph, facts = build_analyzed(files)
+            corpus, _, facts = build_analyzed(files)
             got = {(s.smell.value, s.host.qualified_name)
-                   for s in detect_smells(corpus, graph, facts)}
+                   for s in detect(corpus, facts)[0]}
             assert got == expected, name
             near_files, _ = near()
-            corpus, graph, facts = build_analyzed(near_files)
-            assert detect_smells(corpus, graph, facts) == [], name
+            corpus, _, facts = build_analyzed(near_files)
+            assert detect(corpus, facts)[0] == [], name
 
 
 def test_criterion_5_dependency_coverage():

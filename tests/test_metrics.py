@@ -14,8 +14,8 @@ def _method_id(corpus, type_name, method_name):
 
 
 def _ctx(analyzed):
-    corpus, graph, facts = analyzed
-    return corpus, build_metrics_context(corpus, graph, facts)
+    corpus, _, facts = analyzed
+    return corpus, build_metrics_context(corpus, facts)
 
 
 def test_empty_body_degenerate_metrics(analyzed_factory):

@@ -8,8 +8,7 @@ from javafix import SMELL_FIXTURES, TEN_RELATIONS_FILES
 from smellstab.graph import efferent_neighbors, extract_dependencies
 from smellstab.lexer import TokenSpan
 from smellstab.model import RelationKind
-from smellstab.smells import detect_smells
-from testkit import within
+from testkit import detect, within
 
 TORTURE = {
     "pkg/Service.java": """
@@ -118,16 +117,16 @@ def test_torture_edges_resolved(analyzed_factory):
 
 
 def test_torture_metrics_and_detection_run(analyzed_factory):
-    corpus, graph, facts = analyzed_factory(TORTURE)
+    corpus, _, facts = analyzed_factory(TORTURE)
     from smellstab.metrics import build_metrics_context, compute_class_metrics
 
-    ctx = build_metrics_context(corpus, graph, facts)
+    ctx = build_metrics_context(corpus, facts)
     for decl in corpus.top_level_classes():
         metrics = compute_class_metrics(ctx, decl.id)
         assert metrics.wmc >= 0
         assert 0.0 <= metrics.tcc <= 1.0
         assert 0.0 <= metrics.woc <= 1.0
-    assert detect_smells(corpus, graph, facts) == []
+    assert detect(corpus, facts)[0] == []
 
 
 def test_torture_method_facts(analyzed_factory):

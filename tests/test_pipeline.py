@@ -13,28 +13,35 @@ import numpy as np
 import pytest
 
 import smellstab.cli
+import smellstab.metrics
 from smellstab.cli import main as cli_main
 import smellstab.mining.gitio
 import smellstab.mining.miner
 import smellstab.pipeline
 import smellstab.stats.suite
+from smellstab.corpus import ingest_corpus
+from smellstab.graph import extract_dependencies
 from smellstab.io_utils import read_csv, write_csv
-from smellstab.manifest import filter_manifest, load_manifest
+from smellstab.manifest import ProjectManifestEntry, filter_manifest, load_manifest
+from smellstab.metrics import ClassMetrics, MethodMetrics
 from smellstab.pipeline import (
     DATASET_HEADER,
     PipelineConfig,
     PipelineIntegrityError,
+    analyze_project,
     export_dataset,
+    metric_tables,
     run_pipeline,
     run_stats,
     stage_inputs,
 )
-from smellstab.smells import ThresholdConfig
+from smellstab.smells import ThresholdConfig, detect_smells_with_diagnostics
 from smellstab.stats import run_hypothesis_suite
 from smellstab.stats.suite import RESULTS_HEADER
 
 import stats_oracle
 from simulate import simulate_observation_rows
+from javafix import SMELL_FIXTURES
 from testkit import EPOCH, GitRepo, record_processes
 
 DAY = 86400
@@ -941,3 +948,68 @@ def test_residuals_equal_the_oracle_cold_and_warm(stats_out):
         for seed in (first, second):  # cold, then warm
             stats_oracle.export_quantile_residuals(fitted, oracle, seed=seed)
             assert _stats(stats_out, seed=seed)["quantile_residuals.csv"] == oracle.read_bytes()
+
+
+# -- the smell strategies read the metric table that analyze writes ------------
+
+@pytest.mark.parametrize("smell", sorted(SMELL_FIXTURES))
+def test_analyze_computes_each_metric_once(tmp_path, monkeypatch, smell):
+    """One metric call per row of the two metric CSVs, counted through every module that holds the function."""
+    calls = {"compute_method_metrics": 0, "compute_class_metrics": 0}
+    for name in calls:
+        real = getattr(smellstab.metrics, name)
+        for module in [m for n, m in sys.modules.items() if n.split(".")[0] == "smellstab"]:
+            if getattr(module, name, None) is real:
+                def counting(*args, _name=name, _real=real, **kwargs):
+                    calls[_name] += 1
+                    return _real(*args, **kwargs)
+
+                monkeypatch.setattr(module, name, counting)
+    entry = ProjectManifestEntry(repo="fix/smells", stars=500, forks=200, contributors=25, java_fraction=0.95,
+                                 window_commits=60, education_flag=False, clone_path="", snapshot="s0",
+                                 branch="main")
+    for i, build in enumerate(SMELL_FIXTURES[smell]):
+        corpus = ingest_corpus(build()[0], entry.snapshot, project=entry.repo)
+        calls.update(dict.fromkeys(calls, 0))
+        analyze_project(entry, PipelineConfig(output_dir=str(tmp_path / str(i))), lambda: corpus)
+        out = tmp_path / str(i) / "projects" / "fix__smells" / "analyze"
+        assert calls == {"compute_method_metrics": len(read_csv(out / "metrics_method.csv")[1]),
+                         "compute_class_metrics": len(read_csv(out / "metrics_class.csv")[1])}
+        assert calls["compute_method_metrics"] > 0
+
+
+def _metric_rows(path: Path, cls, key_columns: tuple[str, ...], ids: dict) -> dict:
+    """A metric CSV's rows as ``cls`` values keyed by artifact, each field parsed as its declared type."""
+    parse = {"int": int, "float": float}
+    return {ids[tuple(r[c] for c in key_columns)]: cls(**{f.name: parse[f.type](r[f.name])
+                                                         for f in dataclasses.fields(cls)})
+            for r in read_csv(path)[1]}
+
+
+def test_smells_csv_is_the_strategies_over_the_metric_csvs(tmp_path, git_repo_factory):
+    """Read the two metric CSVs back and run the ten strategies on them: they give smells.csv again."""
+    lines, files_of = [], {}
+    for smell, (build, _near) in sorted(SMELL_FIXTURES.items()):
+        repo = git_repo_factory()
+        files_of[f"fix/{smell}"] = files = build()[0]
+        for rel, text in files.items():
+            repo.write(rel, text)
+        lines.append(_manifest_line(f"fix/{smell}", repo, repo.commit_all("snapshot", EPOCH)))
+    manifest = tmp_path / "smells.jsonl"
+    manifest.write_text("\n".join(lines) + "\n")
+    out_dir = tmp_path / "out"
+    assert cli_main(["analyze", "--manifest", str(manifest), "--output-dir", str(out_dir)]) == 0
+    for repo_id, files in files_of.items():
+        out = out_dir / "projects" / repo_id.replace("/", "__") / "analyze"
+        corpus = ingest_corpus(files, "s", project=repo_id)
+        method_metrics = _metric_rows(out / "metrics_method.csv", MethodMetrics, ("method", "signature"),
+                                      {(m.id.qualified_name, m.id.signature): m.id for _, m in corpus.iter_methods()})
+        class_metrics = _metric_rows(out / "metrics_class.csv", ClassMetrics, ("class",),
+                                     {(t.id.qualified_name,): t.id for t in corpus.types})
+        assert (method_metrics, class_metrics) == metric_tables(corpus, extract_dependencies(corpus)[1])
+        smells, diagnostics = detect_smells_with_diagnostics(corpus, method_metrics, class_metrics)
+        assert smells
+        assert [[s.smell.value, s.smell.level, str(s.host), s.enclosing.qualified_name] for s in smells] \
+            == [list(r.values()) for r in read_csv(out / "smells.csv")[1]]
+        meta = json.loads((out / "smells.csv.meta.json").read_text())
+        assert [f"{d.file}: {d.message}" for d in diagnostics] == meta["diagnostics"]

@@ -1,20 +1,15 @@
 import pytest
 
-from smellstab.metrics import build_metrics_context, compute_class_metrics, compute_method_metrics
-from smellstab.smells import (
-    SmellType,
-    ThresholdConfig,
-    ThresholdConfigError,
-    detect_smells,
-    detect_smells_with_diagnostics,
-)
+from smellstab.pipeline import metric_tables
+from smellstab.smells import SmellType, ThresholdConfig, ThresholdConfigError
 
 from javafix import SMELL_FIXTURES, gc_fixture
+from testkit import detect
 
 
 def _detected(analyzed):
-    corpus, graph, facts = analyzed
-    instances = detect_smells(corpus, graph, facts)
+    corpus, _, facts = analyzed
+    instances = detect(corpus, facts)[0]
     return {(s.smell.value, s.host.qualified_name) for s in instances}
 
 
@@ -48,8 +43,8 @@ def test_near_miss_fixture_detects_nothing(smell, analyzed_factory):
 
 def test_host_kind_matches_level(analyzed_factory):
     for smell, (build, _near) in SMELL_FIXTURES.items():
-        corpus, graph, facts = analyzed_factory(build()[0])
-        for inst in detect_smells(corpus, graph, facts):
+        corpus, _, facts = analyzed_factory(build()[0])
+        for inst in detect(corpus, facts)[0]:
             if inst.smell.level == "method":
                 assert inst.host.kind.value in ("method", "constructor")
             else:
@@ -59,8 +54,8 @@ def test_host_kind_matches_level(analyzed_factory):
 
 def test_bc_implies_bm_in_same_class(analyzed_factory):
     build, _ = SMELL_FIXTURES["BC"]
-    corpus, graph, facts = analyzed_factory(build()[0])
-    instances = detect_smells(corpus, graph, facts)
+    corpus, _, facts = analyzed_factory(build()[0])
+    instances = detect(corpus, facts)[0]
     bc_hosts = {i.enclosing for i in instances if i.smell == SmellType.BC}
     bm_hosts = {i.enclosing for i in instances if i.smell == SmellType.BM}
     assert bc_hosts and bc_hosts <= bm_hosts
@@ -69,37 +64,37 @@ def test_bc_implies_bm_in_same_class(analyzed_factory):
 def test_threshold_monotonicity(analyzed_factory):
     # raising a lower-bound threshold never increases the count
     files, _ = gc_fixture()
-    corpus, graph, facts = analyzed_factory(files)
-    base = len([s for s in detect_smells(corpus, graph, facts) if s.smell == SmellType.GC])
+    corpus, _, facts = analyzed_factory(files)
+    base = len([s for s in detect(corpus, facts)[0] if s.smell == SmellType.GC])
     for stricter in (ThresholdConfig(WMC_VH=60), ThresholdConfig(FEW=8)):
         raised = len([
-            s for s in detect_smells(corpus, graph, facts, stricter) if s.smell == SmellType.GC
+            s for s in detect(corpus, facts, stricter)[0] if s.smell == SmellType.GC
         ])
         assert raised <= base
 
 
 def test_rb_tb_skipped_for_external_supertype(analyzed_factory):
-    corpus, graph, facts = analyzed_factory({
+    corpus, _, facts = analyzed_factory({
         "Orphan.java": "class Orphan extends com.vendor.Widget { void m() {} }",
     })
-    instances, diags = detect_smells_with_diagnostics(corpus, graph, facts)
+    instances, diags = detect(corpus, facts)
     assert not any(i.smell in (SmellType.RB, SmellType.TB) for i in instances)
     assert any("unresolvable supertype" in d.message for d in diags)
 
 
 def test_interfaces_host_no_smells(analyzed_factory):
-    corpus, graph, facts = analyzed_factory({
+    corpus, _, facts = analyzed_factory({
         "Api.java": "interface Api { default int m(Data d) { return d.a + d.b + d.c; } }",
         "Data.java": "class Data { int a; int b; int c; }",
     })
-    assert detect_smells(corpus, graph, facts) == []
+    assert detect(corpus, facts)[0] == []
 
 
 def test_detection_is_sorted_and_deterministic(analyzed_factory):
     build, _ = SMELL_FIXTURES["BC"]
-    corpus, graph, facts = analyzed_factory(build()[0])
-    a = detect_smells(corpus, graph, facts)
-    b = detect_smells(corpus, graph, facts)
+    corpus, _, facts = analyzed_factory(build()[0])
+    a = detect(corpus, facts)[0]
+    b = detect(corpus, facts)[0]
     assert a == b
     keys = [(s.smell.value, s.host.qualified_name, s.host.signature) for s in a]
     assert keys == sorted(keys)
@@ -112,7 +107,7 @@ def test_config_rejects_unknown_and_invalid():
         ThresholdConfig(HALF=1.5)
 
 
-def _independent_strategy_oracle(corpus, ctx, cfg):
+def _independent_strategy_oracle(corpus, method_metrics, class_metrics, cfg):
     """Re-evaluate the boolean formulas directly over raw metric values.
 
     Written against the formula text, independent of smells.py internals.
@@ -125,7 +120,7 @@ def _independent_strategy_oracle(corpus, ctx, cfg):
         encl = corpus.enclosing_class(m.id)
         if corpus.type_decl(encl.qualified_name).is_interface:
             continue
-        v = compute_method_metrics(ctx, m.id)
+        v = method_metrics[m.id]
         if v.atfd_m > cfg.FEW_ATFD and v.laa < 1 / 3 and v.fdp <= cfg.FEW_FDP:
             found.add(("FE", m.id.qualified_name))
         if (v.loc > cfg.LOC_HIGH and v.loc and v.cyclo / v.loc >= cfg.CYCLO_RATIO
@@ -140,7 +135,7 @@ def _independent_strategy_oracle(corpus, ctx, cfg):
         if v.cm > cfg.CM_HIGH and v.cc > cfg.CC_MANY:
             found.add(("SS", m.id.qualified_name))
     for decl in corpus.top_level_classes():
-        c = compute_class_metrics(ctx, decl.id)
+        c = class_metrics[decl.id]
         name = decl.id.qualified_name
         if c.atfd_c > cfg.FEW and c.wmc >= cfg.WMC_VH and c.tcc < 1 / 3:
             found.add(("GC", name))
@@ -167,8 +162,6 @@ def _independent_strategy_oracle(corpus, ctx, cfg):
 def test_strategy_oracle_equivalence(smell, analyzed_factory):
     cfg = ThresholdConfig()
     for build in SMELL_FIXTURES[smell]:
-        corpus, graph, facts = analyzed_factory(build()[0])
-        ctx = build_metrics_context(corpus, graph, facts)
-        detected = {(s.smell.value, s.host.qualified_name)
-                    for s in detect_smells(corpus, graph, facts, cfg, ctx)}
-        assert detected == _independent_strategy_oracle(corpus, ctx, cfg)
+        corpus, _, facts = analyzed_factory(build()[0])
+        detected = {(s.smell.value, s.host.qualified_name) for s in detect(corpus, facts, cfg)[0]}
+        assert detected == _independent_strategy_oracle(corpus, *metric_tables(corpus, facts), cfg)

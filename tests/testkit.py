@@ -14,6 +14,8 @@ from pathlib import Path
 
 from smellstab.corpus import ingest_corpus
 from smellstab.graph import extract_dependencies
+from smellstab.pipeline import metric_tables
+from smellstab.smells import detect_smells_with_diagnostics
 
 EPOCH = 1577836800  # 2020-01-01T00:00:00Z
 
@@ -26,6 +28,11 @@ def build_analyzed(files: dict[str, str], project: str = "fix"):
     corpus = build_corpus(files, project=project)
     graph, facts = extract_dependencies(corpus)
     return corpus, graph, facts
+
+
+def detect(corpus, facts, thresholds=None):
+    """(instances, diagnostics) of the ten strategies over the metric table analyze computes."""
+    return detect_smells_with_diagnostics(corpus, *metric_tables(corpus, facts), thresholds)
 
 
 class GitRepo:
