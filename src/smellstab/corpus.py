@@ -115,11 +115,6 @@ def _build_type(raw: jp.RawType, project: str, parent_qname: str, file: str, pac
     return decl
 
 
-def _set_enclosing(top: TypeDecl) -> None:
-    for t in top.all_nested():
-        t.enclosing = top.id
-
-
 def ingest_corpus(
     files: dict[str, str],
     snapshot: str,
@@ -153,7 +148,6 @@ def ingest_corpus(
                 )
                 continue
             seen_qnames.add(decl.id.qualified_name)
-            _set_enclosing(decl)
             corpus.types.append(decl)
             file_types.append(decl)
         if file_types:

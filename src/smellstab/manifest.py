@@ -15,6 +15,8 @@ DEFAULT_PROJECT_LIMIT = 100
 
 _REQUIRED = ("repo", "stars", "forks", "contributors", "java_fraction", "window_commits",
              "education_flag", "clone_path", "snapshot", "branch")
+_COUNTS = ("stars", "forks", "contributors", "window_commits")
+_TEXTS = ("repo", "clone_path", "snapshot", "branch", "url")
 
 
 @dataclass(frozen=True)
@@ -55,34 +57,52 @@ class Rejection:
     reason: str
 
 
+def _well_typed(rec: dict) -> bool:
+    """Counts are non-negative whole numbers, the Java fraction a number in
+    [0, 1], the education flag true or false, and the texts strings."""
+    return (all(type(rec[k]) is int and rec[k] >= 0 for k in _COUNTS)
+            and type(rec["java_fraction"]) in (int, float) and 0 <= rec["java_fraction"] <= 1
+            and type(rec["education_flag"]) is bool
+            and all(isinstance(rec.get(k, ""), str) for k in _TEXTS))
+
+
 def filter_manifest(
     records: list[dict], limit: int = DEFAULT_PROJECT_LIMIT
 ) -> tuple[list[ProjectManifestEntry], list[Rejection]]:
     """Apply IC1-IC5, rank by stars (ties: repo id), truncate to ``limit``.
 
     IC1 forks > 100; IC2 contributors >= 20; IC3 >= 50 window commits;
-    IC4 java fraction > 0.8; IC5 manual education flag false.
+    IC4 java fraction > 0.8; IC5 manual education flag false.  A record
+    missing a field is rejected as ``incomplete``; one that is not a JSON
+    object, or has a field of the wrong type or out of range, as
+    ``malformed``.  Nothing is coerced.
     """
     accepted: list[ProjectManifestEntry] = []
     rejections: list[Rejection] = []
     for rec in records:
+        if not isinstance(rec, dict):
+            rejections.append(Rejection("<unknown>", "malformed"))
+            continue
         repo = str(rec.get("repo", "<unknown>"))
         missing = [f for f in _REQUIRED if f not in rec]
         if missing:
             rejections.append(Rejection(repo, "incomplete"))
             continue
+        if not _well_typed(rec):
+            rejections.append(Rejection(repo, "malformed"))
+            continue
         entry = ProjectManifestEntry(
             repo=repo,
-            stars=int(rec["stars"]),
-            forks=int(rec["forks"]),
-            contributors=int(rec["contributors"]),
+            stars=rec["stars"],
+            forks=rec["forks"],
+            contributors=rec["contributors"],
             java_fraction=float(rec["java_fraction"]),
-            window_commits=int(rec["window_commits"]),
-            education_flag=bool(rec["education_flag"]),
-            clone_path=str(rec["clone_path"]),
-            snapshot=str(rec["snapshot"]),
-            branch=str(rec["branch"]),
-            url=str(rec.get("url", "")),
+            window_commits=rec["window_commits"],
+            education_flag=rec["education_flag"],
+            clone_path=rec["clone_path"],
+            snapshot=rec["snapshot"],
+            branch=rec["branch"],
+            url=rec.get("url", ""),
         )
         if not entry.forks > 100:
             rejections.append(Rejection(repo, "IC1"))

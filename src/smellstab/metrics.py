@@ -62,22 +62,16 @@ class MetricsContext:
     facts: dict[ArtifactId, BodyFacts]
     resolver: Resolver = None  # type: ignore[assignment]
     _callers: dict[ArtifactId, set[ArtifactId]] = field(default_factory=dict)
-    _methods_by_id: dict[ArtifactId, MethodDecl] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
         if self.resolver is None:
             self.resolver = Resolver(self.corpus)
-        for _, m in self.corpus.iter_methods():
-            self._methods_by_id[m.id] = m
         for caller, f in self.facts.items():
             for target in f.internal_calls:
                 self._callers.setdefault(target, set()).add(caller)
 
     def method(self, mid: ArtifactId) -> MethodDecl:
-        try:
-            return self._methods_by_id[mid]
-        except KeyError:
-            raise DomainError(f"unknown method: {mid}") from None
+        return self.corpus.declaration(mid)
 
     def callers_of(self, mid: ArtifactId) -> set[ArtifactId]:
         return {c for c in self._callers.get(mid, set()) if c != mid}

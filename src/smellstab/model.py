@@ -144,6 +144,9 @@ class TypeDecl:
                 yield c.id
 
 
+Declaration = TypeDecl | FieldDecl | MethodDecl
+
+
 @dataclass
 class Diagnostic:
     file: str
@@ -175,26 +178,41 @@ class SourceCorpus:
     primary_type_of_file: dict[str, str] = field(default_factory=dict)
     index: dict[str, ArtifactId] = field(default_factory=dict)  # type qname -> id
     _decl_by_qname: dict[str, TypeDecl] = field(default_factory=dict, repr=False)
-    _top_level_of: dict[str, str] = field(default_factory=dict, repr=False)
-    _declaring_type: dict[ArtifactId, str] = field(default_factory=dict, repr=False)
+    # every declaration's identity -> (the declaration, its top-level type)
+    _decls: dict[ArtifactId, tuple[Declaration, ArtifactId]] = field(default_factory=dict, repr=False)
 
     def finalize(self) -> None:
-        """Build lookup indexes; call once after all types are attached."""
+        """Index every declaration once; call once after all types are attached.
+
+        A declaration whose identity an earlier one holds is dropped with a
+        diagnostic, keeping the first, as ingest does for top-level types.  A
+        type's identity is its qualified name, which a top-level type holds
+        before any nested one; a member's is its ``ArtifactId``.
+        """
         self.types.sort(key=lambda t: t.id.qualified_name)
         self.index.clear()
         self._decl_by_qname.clear()
-        self._top_level_of.clear()
-        self._declaring_type.clear()
+        self._decls.clear()
         for top in self.types:
-            for t in top.own_and_nested():
-                qn = t.id.qualified_name
-                self.index[qn] = t.id
-                self._decl_by_qname[qn] = t
-                self._top_level_of[qn] = top.id.qualified_name
-                for f in t.fields:
-                    self._declaring_type[f.id] = qn
-                for m in list(t.methods) + list(t.constructors):
-                    self._declaring_type[m.id] = qn
+            self._decl_by_qname.setdefault(top.id.qualified_name, top)
+        self.types = [top for top in self.types if self._claim(top, top)]
+
+    def _claim(self, decl: Declaration, top: TypeDecl) -> bool:
+        aid = decl.id
+        is_type = isinstance(decl, TypeDecl)
+        held = (self._decl_by_qname.setdefault(aid.qualified_name, decl) is not decl) if is_type else aid in self._decls
+        if held:
+            self.diagnostics.append(Diagnostic(top.file, f"duplicate {aid.kind.value} {aid}; keeping first"))
+            return False
+        self._decls[aid] = (decl, top.id)
+        if is_type:
+            self.index[aid.qualified_name] = aid
+            decl.enclosing = None if decl is top else top.id
+            decl.fields = [f for f in decl.fields if self._claim(f, top)]
+            decl.methods = [m for m in decl.methods if self._claim(m, top)]
+            decl.constructors = [c for c in decl.constructors if self._claim(c, top)]
+            decl.nested_types = [t for t in decl.nested_types if self._claim(t, top)]
+        return True
 
     def type_decl(self, qualified_name: str) -> TypeDecl:
         try:
@@ -208,19 +226,21 @@ class SourceCorpus:
     def top_level_classes(self) -> list[TypeDecl]:
         return [t for t in self.types if not t.is_interface]
 
+    def declaration(self, artifact: ArtifactId) -> Declaration:
+        """The type, field, method or constructor declared as ``artifact``."""
+        try:
+            return self._decls[artifact][0]
+        except KeyError:
+            raise CorpusLookupError(f"unknown artifact: {artifact}") from None
+
     def enclosing_class(self, artifact: ArtifactId) -> ArtifactId:
         """Top-level type owning ``artifact``; identity for top-level types."""
         if artifact.is_external:
             return artifact
-        if artifact.kind in (ArtifactKind.CLASS, ArtifactKind.INTERFACE):
-            top = self._top_level_of.get(artifact.qualified_name)
-            if top is None:
-                raise CorpusLookupError(f"unknown artifact: {artifact}")
-            return self._decl_by_qname[top].id
-        declaring = self._declaring_type.get(artifact)
-        if declaring is None:
-            raise CorpusLookupError(f"unknown artifact: {artifact}")
-        return self._decl_by_qname[self._top_level_of[declaring]].id
+        try:
+            return self._decls[artifact][1]
+        except KeyError:
+            raise CorpusLookupError(f"unknown artifact: {artifact}") from None
 
     def iter_methods(self) -> Iterator[tuple[TypeDecl, MethodDecl]]:
         """All methods and constructors of all (possibly nested) types."""

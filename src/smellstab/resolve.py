@@ -72,7 +72,8 @@ class Resolver:
         return out
 
     def top_level_of(self, qualified_name: str) -> str:
-        return self.corpus.enclosing_class(self.corpus.index[qualified_name]).qualified_name
+        t = self.corpus.type_decl(qualified_name)
+        return (t.enclosing or t.id).qualified_name
 
     # -- type names -----------------------------------------------------------
 

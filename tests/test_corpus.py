@@ -151,6 +151,37 @@ def test_override_detection():
     assert flags == {"a": True, "b": False, "c": False}  # b has different arity
 
 
+def test_second_field_or_constructor_of_an_identity_is_dropped_keeping_the_first():
+    corpus = build_corpus({"p/A.java": "package p; class A { int f; String f; A(int a) {} A(int b) {} }"})
+    a = corpus.type_decl("p.A")
+    assert [f.type_name for f in a.fields] == ["int"]
+    assert [c.params for c in a.constructors] == [(("int", "a"),)]
+    assert [(d.file, d.message) for d in corpus.diagnostics] == [
+        ("p/A.java", "duplicate field p.A.f; keeping first"),
+        ("p/A.java", "duplicate constructor p.A.<init>(int); keeping first")]
+
+
+def test_second_nested_type_of_a_name_is_dropped_keeping_the_first_body():
+    corpus = build_corpus({"p/A.java": (
+        "package p; class A { class B { void first() {} } class B { void second() {} } interface B {} }")})
+    a = corpus.type_decl("p.A")
+    assert a.nested_types == [corpus.type_decl("p.A.B")]
+    assert [m.id.simple_name for m in corpus.type_decl("p.A.B").methods] == ["first"]
+    assert [(d.file, d.message) for d in corpus.diagnostics] == [
+        ("p/A.java", "duplicate class p.A.B; keeping first"),
+        ("p/A.java", "duplicate interface p.A.B; keeping first")]
+    assert [str(m.id) for _, m in corpus.iter_methods()] == ["p.A.B.first()"]
+
+
+def test_top_level_type_keeps_its_name_against_a_nested_one():
+    corpus = build_corpus({"p/A.java": "package p; class A { class B { void nested() {} } }",
+                           "p/A/B.java": "package p.A; class B { void top() {} }"})
+    assert [t.id.qualified_name for t in corpus.types] == ["p.A", "p.A.B"]
+    assert corpus.type_decl("p.A").nested_types == []
+    assert [m.id.simple_name for m in corpus.type_decl("p.A.B").methods] == ["top"]
+    assert [(d.file, d.message) for d in corpus.diagnostics] == [("p/A.java", "duplicate class p.A.B; keeping first")]
+
+
 def test_primary_type_of_file():
     corpus = build_corpus({
         "Main.java": "public class Main {}\nclass Side {}",

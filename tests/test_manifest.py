@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from smellstab.manifest import ProjectManifestEntry, filter_manifest, load_manifest
+from smellstab.manifest import ProjectManifestEntry, Rejection, filter_manifest, load_manifest
 
 
 def _record(repo="org/proj", stars=500, forks=200, contributors=30, java_fraction=0.95,
@@ -42,6 +42,35 @@ def test_incomplete_record_rejected():
     accepted, rejections = filter_manifest([rec])
     assert not accepted
     assert rejections[0].reason == "incomplete"
+
+
+@pytest.mark.parametrize("field,value", [
+    ("education_flag", "false"),
+    ("education_flag", 0),
+    ("stars", 2.9),
+    ("stars", True),
+    ("forks", None),
+    ("stars", -1),
+    ("contributors", "25"),
+    ("java_fraction", 1.5),
+    ("java_fraction", float("nan")),
+    ("clone_path", 7),
+    ("url", None),
+])
+def test_wrongly_typed_field_is_malformed_not_coerced(field, value):
+    good = _record(repo="org/good")
+    accepted, rejections = filter_manifest([_record(**{field: value}), good])
+    assert [e.repo for e in accepted] == ["org/good"]
+    assert rejections == [Rejection("org/proj", "malformed")]
+
+
+@pytest.mark.parametrize("line", ['["org/proj", 500]', '"org/proj"', "17", "null"])
+def test_line_that_is_not_a_json_object_is_malformed(tmp_path, line):
+    path = tmp_path / "manifest.jsonl"
+    path.write_text(line + "\n" + json.dumps(_record(repo="org/good")) + "\n")
+    accepted, rejections = filter_manifest(load_manifest(path))
+    assert [e.repo for e in accepted] == ["org/good"]
+    assert rejections == [Rejection("<unknown>", "malformed")]
 
 
 def test_ranking_and_truncation():

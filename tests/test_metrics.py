@@ -167,6 +167,16 @@ def test_wmc_sums_method_cyclo(analyzed_factory):
     assert cm.amw == pytest.approx(2.5)
 
 
+@pytest.mark.parametrize("inner, cyclo", [
+    ("class L { void run() { if (f > 1) f--; } }", 1),  # a local class body is skipped
+    ("Runnable r = new Runnable() { public void run() { if (f > 1) f--; } };", 2),
+    ("Runnable r = () -> { if (f > 1) f--; };", 2),
+])
+def test_branch_in_an_anonymous_body_or_lambda_counts_and_in_a_local_class_not(analyzed_factory, inner, cyclo):
+    corpus, ctx = _ctx(analyzed_factory({"A.java": f"class A {{ int f; void c() {{ {inner} }} }}"}))
+    assert compute_method_metrics(ctx, _method_id(corpus, "A", "c")).cyclo == cyclo
+
+
 def test_nested_type_members_aggregate(analyzed_factory):
     corpus, ctx = _ctx(analyzed_factory({
         "Outer.java": "class Outer { class In { void m(int x) { if (x > 0) { x++; } } } }",

@@ -508,6 +508,34 @@ def test_cli_analyze_keeps_a_project_with_files_cut_short(tmp_path, git_repo_fac
     assert ["create", "A.f()", "Q"] in [[e["relation"], e["source"], e["target"]] for e in edges]
 
 
+SAME_ERASURE = (
+    "package p;\nimport java.util.List;\npublic class A {\n    int f;\n"
+    "    void g(Prov1 p, List<String> xs) { if (p.a > 0) { f = p.a + p.b + p.c + p.d + p.e + p.f; } }\n"
+    "    void g(Prov1 p, List<Integer> xs) { f = p.a + p.b + p.c + p.d + p.e + p.f; }\n}\n"
+)
+
+
+def test_same_erasure_overload_is_dropped_keeping_the_first(tmp_path, git_repo_factory):
+    """javac rejects two overloads with one erasure; analyze keeps the first, as it keeps the first duplicate type."""
+    repo = git_repo_factory()
+    repo.write("p/A.java", SAME_ERASURE)
+    repo.write("p/Prov1.java", "package p;\n" + PROV1)
+    manifest = tmp_path / "erasure.jsonl"
+    manifest.write_text(_manifest_line("fix/erasure", repo, repo.commit_all("snapshot", EPOCH)) + "\n")
+    out_dir = tmp_path / "out"
+    assert cli_main(["analyze", "--manifest", str(manifest), "--output-dir", str(out_dir)]) == 0
+    analyze_dir = out_dir / "projects" / "fix__erasure" / "analyze"
+    methods = [(r["method"], r["signature"], r["cyclo"]) for r in read_csv(analyze_dir / "metrics_method.csv")[1]]
+    assert methods == [("p.A.g", "Prov1,List", "2")]
+    a = next(r for r in read_csv(analyze_dir / "metrics_class.csv")[1] if r["class"] == "p.A")
+    assert (a["wmc"], a["nom"]) == ("2", "1")
+    smells = [tuple(r.values()) for r in read_csv(analyze_dir / "smells.csv")[1]]
+    assert ("FE", "method", "p.A.g(Prov1,List)", "p.A") in smells
+    assert len(smells) == len(set(smells))
+    assert json.loads((analyze_dir / "corpus.json").read_text())["diagnostics"] == [
+        {"file": "p/A.java", "message": "duplicate method p.A.g(Prov1,List); keeping first"}]
+
+
 # -- one parse per snapshot; stage keys from exactly the inputs a stage reads --
 
 KEEP_V0 = "public class Keep {\n    int k;\n}\n"
