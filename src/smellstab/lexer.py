@@ -6,6 +6,14 @@ a line is "logical" iff at least one token sits on it.  ``tokenize`` (for
 analysis) and ``logical_lines`` (for mining) both split the text with one
 compiled pattern, so the two stages see the same tokens.
 
+``tokenize`` lexes a file whole.  ``logical_lines`` lexes it one raw line at a
+time through a memo that a caller may share across texts, so a line met again
+in any file is not lexed again.  A line starts in one of two states: normal,
+or inside a block comment, which it lexes as ``"/*" + line``; the memo keeps
+each lexed string's logical line and whether it ends inside a comment.  A
+text block that runs past its line ends the walk, and the rest of the text
+is lexed whole.
+
 ``tokenize`` returns a file's tokens as two columns, not one object per
 token: the values as a tuple of interned strings and their lines as an
 ``array('I')``.  A method body, an initializer block or a field initializer
@@ -175,17 +183,58 @@ def logical_loc(text: str) -> int:
     return len(logical_lines(text))
 
 
-def logical_lines(text: str) -> list[str]:
+def logical_lines(text: str, memo: dict[str, tuple[str | None, bool]] | None = None) -> list[str]:
     """Canonical text of each logical line, in order.
 
     Lines are rebuilt from their tokens (single-space joined), so the history
     miner's churn diffs and rename-similarity scores ignore indentation,
     spacing, and comments entirely: only token-level edits count as change.
     A token belongs to the line it starts on, as in ``tokenize``.
+
+    ``memo`` maps each string lexed to its logical line (None without a
+    token) and whether it ends inside a block comment.  A line inside a block
+    comment is lexed as ``"/*" + line``: the opener's ``*`` cannot close the
+    comment with a ``/`` that starts the line, so the two read alike.  Texts
+    that share a memo share its strings, and each distinct line is lexed once.
     """
+    if memo is None:
+        memo = {}
+    pattern = _token_pattern(text)
+    lines: list[str] = []
+    append = lines.append
+    in_comment = False
+    raws = text.split("\n")
+    for i, raw in enumerate(raws):
+        key = "/*" + raw if in_comment else raw
+        known = memo.get(key)
+        if known is None:
+            tokens = pattern.findall(key)
+            last = tokens[-1] if tokens else ""  # an unclosed comment or text block runs to the end
+            if last[:3] == '"""' and not _closes(last, '"""'):  # the rest is lexed whole
+                rest = "\n".join(raws[i:])
+                lines += _group(pattern.findall("/*" + rest if in_comment else rest))
+                return lines
+            found = _group(tokens)
+            known = memo[key] = (found[0] if found else None, last[:2] == "/*" and not _closes(last, "*/"))
+        line, in_comment = known
+        if line is not None:
+            append(line)
+    return lines
+
+
+def _closes(token: str, mark: str) -> bool:
+    """Whether a block comment or text block token ends with its closing ``mark``.
+
+    Its opener is as long as the mark, so ``/*/`` is still open.
+    """
+    return len(token) >= 2 * len(mark) and token.endswith(mark)
+
+
+def _group(tokens: list[str]) -> list[str]:
+    """The tokens' logical lines: a newline ends a line, and so does a comment or text block that holds one."""
     lines: list[str] = []
     line: list[str] = []
-    for tok in _token_pattern(text).findall(text):
+    for tok in tokens:
         c = tok[0]
         if c == "\n":
             ends_line = True

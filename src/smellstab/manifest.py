@@ -42,12 +42,19 @@ class ProjectManifestEntry:
 
 
 def load_manifest(path: str | Path) -> list[dict]:
-    """Raw manifest records (one JSON object per line)."""
+    """Raw manifest records (one JSON object per line).
+
+    A line that is not JSON reads as ``None``, which ``filter_manifest``
+    rejects as ``malformed`` like any other line that is not an object.
+    """
     records = []
     for line in Path(path).read_text().splitlines():
         line = line.strip()
         if line:
-            records.append(json.loads(line))
+            try:
+                records.append(json.loads(line))
+            except json.JSONDecodeError:
+                records.append(None)
     return records
 
 

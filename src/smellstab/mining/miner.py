@@ -9,6 +9,7 @@ diffing), so whitespace- or comment-only commits change nothing.
 
 from __future__ import annotations
 
+import logging
 import statistics
 from collections import Counter
 from dataclasses import dataclass, field
@@ -27,6 +28,8 @@ TRACKED = "tracked"
 EXCLUDED_SPLIT = "excluded_split"
 EXCLUDED_MERGE = "excluded_merge"
 DELETED = "deleted"
+
+_log = logging.getLogger(__name__)
 
 
 class MiningConfigError(RuntimeError):
@@ -141,6 +144,8 @@ def mine_window(
     lines_of_blob: dict[str, list[str]] = {}
     blob_at: dict[str, str] = {}  # path -> blob (all zeros once deleted), for paths seen changing
     holders: Counter[str] = Counter()  # blob -> paths in ``blob_at`` that hold it
+    memo: dict[str, tuple[str | None, bool]] = {}  # the window's lexed lines, one entry per miss
+    lexed = raw_lines = 0
 
     with BlobReader(repo) as reader:  # every blob of the window, one process
         for rec in commits:
@@ -152,7 +157,12 @@ def mine_window(
             after_blob = {c.path: c.new for c in changes if c.status in ("A", "M")}
             unread = sorted((set(before_blob.values()) | set(after_blob.values())) - lines_of_blob.keys())
             texts = show_blob(reader, unread)
-            lines_of_blob.update((b, logical_lines(texts[b])) for b in unread if b in texts)
+            for b in unread:
+                if b in texts:
+                    text = texts[b]
+                    lines_of_blob[b] = logical_lines(text, memo)
+                    lexed += 1
+                    raw_lines += text.count("\n") + 1
 
             for path, blob in [*before_blob.items(), *after_blob.items()]:
                 if blob not in lines_of_blob:
@@ -277,6 +287,8 @@ def mine_window(
                 if add_n + del_n > 0:
                     churn_by_class[qname].append((rec.id, add_n, del_n))
 
+    _log.debug("mined %d commits: %d blobs lexed, %d raw lines, %d memo misses",
+               len(commits), lexed, raw_lines, len(memo))
     return MiningResult(window, commits, lineages, churn_by_class, system_churn, diagnostics)
 
 

@@ -176,7 +176,6 @@ class SourceCorpus:
     diagnostics: list[Diagnostic] = field(default_factory=list)
     file_contexts: dict[str, FileContext] = field(default_factory=dict)
     primary_type_of_file: dict[str, str] = field(default_factory=dict)
-    index: dict[str, ArtifactId] = field(default_factory=dict)  # type qname -> id
     _decl_by_qname: dict[str, TypeDecl] = field(default_factory=dict, repr=False)
     # every declaration's identity -> (the declaration, its top-level type)
     _decls: dict[ArtifactId, tuple[Declaration, ArtifactId]] = field(default_factory=dict, repr=False)
@@ -190,7 +189,6 @@ class SourceCorpus:
         before any nested one; a member's is its ``ArtifactId``.
         """
         self.types.sort(key=lambda t: t.id.qualified_name)
-        self.index.clear()
         self._decl_by_qname.clear()
         self._decls.clear()
         for top in self.types:
@@ -206,7 +204,6 @@ class SourceCorpus:
             return False
         self._decls[aid] = (decl, top.id)
         if is_type:
-            self.index[aid.qualified_name] = aid
             decl.enclosing = None if decl is top else top.id
             decl.fields = [f for f in decl.fields if self._claim(f, top)]
             decl.methods = [m for m in decl.methods if self._claim(m, top)]

@@ -1,15 +1,21 @@
-"""The char-by-char Java lexer that ``smellstab.lexer`` replaced, kept as a test oracle.
+"""The Java lexers that ``smellstab.lexer`` replaced, kept as test oracles.
 
 ``tokenize`` walks the text one character at a time and returns one
 ``Token`` per token, as the production lexer did before it returned token
 columns; ``logical_lines`` groups its tokens by line.  The differential
 tests compare the production lexer's output with these on generated text,
 and ``parser_oracle`` and ``bodyscan_oracle`` run on these tokens.
+
+``regex_logical_lines`` runs the production token pattern over the whole
+text at once, as ``smellstab.lexer.logical_lines`` did before it lexed line
+by line through a memo.
 """
 
 from __future__ import annotations
 
 from typing import NamedTuple
+
+from smellstab.lexer import _token_pattern
 
 
 class Token(NamedTuple):
@@ -112,3 +118,23 @@ def logical_lines(text: str) -> list[str]:
     for t in tokenize(text):
         by_line.setdefault(t.line, []).append(t.value)
     return [" ".join(by_line[ln]) for ln in sorted(by_line)]
+
+
+def regex_logical_lines(text: str) -> list[str]:
+    lines: list[str] = []
+    line: list[str] = []
+    for tok in _token_pattern(text).findall(text):
+        c = tok[0]
+        if c == "\n":
+            ends_line = True
+        elif c == "/" and tok[:2] in ("//", "/*"):
+            ends_line = "\n" in tok
+        else:
+            line.append(tok)
+            ends_line = c == '"' and "\n" in tok  # a text block
+        if ends_line and line:
+            lines.append(" ".join(line))
+            line = []
+    if line:
+        lines.append(" ".join(line))
+    return lines

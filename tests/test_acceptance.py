@@ -68,7 +68,7 @@ def criterion(number: int, description: str, budget: float | None = None):
 
 def _fig2_smells(corpus):
     cs1_host = ArtifactId(corpus.project, "C1.cs1", ArtifactKind.METHOD)
-    cs2 = corpus.index["CS2"]
+    cs2 = corpus.type_decl("CS2").id
     return [
         SmellInstance(SmellType.FE, cs1_host, corpus.enclosing_class(cs1_host)),
         SmellInstance(SmellType.GC, cs2, cs2),
@@ -78,11 +78,11 @@ def _fig2_smells(corpus):
 def test_criterion_1_figure2_semantics():
     with criterion(1, "Figure-2 coupling/interaction semantics", budget=1.0):
         corpus_a, graph_a, _ = build_analyzed(FIG2_CASE_A_FILES)
-        obs_a = build_observation(corpus_a.index["C1"], corpus_a, graph_a, _fig2_smells(corpus_a))
+        obs_a = build_observation(corpus_a.type_decl("C1").id, corpus_a, graph_a, _fig2_smells(corpus_a))
         assert obs_a.has_eff_coup is True
         assert obs_a.has_eff_int is False
         corpus_b, graph_b, _ = build_analyzed(FIG2_CASE_B_FILES)
-        obs_b = build_observation(corpus_b.index["C1"], corpus_b, graph_b, _fig2_smells(corpus_b))
+        obs_b = build_observation(corpus_b.type_decl("C1").id, corpus_b, graph_b, _fig2_smells(corpus_b))
         assert obs_b.has_eff_coup is True
         assert obs_b.has_eff_int is True
         assert obs_b.n_eff_smell_int == 1
@@ -92,7 +92,7 @@ def test_criterion_1_figure2_semantics():
 def test_criterion_2_figure1_semantics():
     with criterion(2, "Figure-1 efferent neighbor count"):
         corpus, graph, _ = build_analyzed(FIG1_FILES)
-        neighbors = efferent_neighbors(graph, corpus, corpus.index["C"])
+        neighbors = efferent_neighbors(graph, corpus, corpus.type_decl("C").id)
         assert {n.qualified_name for n in neighbors} == {"N1", "N2"}
         assert len(neighbors) == 2
 
@@ -127,7 +127,7 @@ def test_criterion_4_smell_strategies():
 def test_criterion_5_dependency_coverage():
     with criterion(5, "all-ten-relations fixture exact edge set"):
         corpus, graph, _ = build_analyzed(TEN_RELATIONS_FILES)
-        ten = corpus.index["Ten"]
+        ten = corpus.type_decl("Ten").id
         run = ArtifactId("fix", "Ten.run", ArtifactKind.METHOD, "Par")
 
         def a(q, k, s=""):

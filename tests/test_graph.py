@@ -23,7 +23,7 @@ def test_fig1_edges_and_neighbors(analyzed_factory):
     edge_keys = {(e.relation, str(e.source), str(e.target)) for e in graph.edges if not e.external}
     assert (RelationKind.USE, "C.f", "N1") in edge_keys
     assert (RelationKind.PARAMETER, "C.m(N2)", "N2") in edge_keys
-    C = corpus.index["C"]
+    C = corpus.type_decl("C").id
     neighbors = efferent_neighbors(graph, corpus, C)
     assert {n.qualified_name for n in neighbors} == {"N1", "N2"}
     assert len(neighbors) == 2
@@ -31,7 +31,7 @@ def test_fig1_edges_and_neighbors(analyzed_factory):
 
 def test_empty_class_has_only_implicit_external_extend(analyzed_factory):
     corpus, graph, _ = analyzed_factory({"Lone.java": "class Lone {}"})
-    lone = corpus.index["Lone"]
+    lone = corpus.type_decl("Lone").id
     edges = [e for e in graph.edges if corpus.enclosing_class(e.source) == lone]
     assert len(edges) == 1
     e = edges[0]
@@ -43,7 +43,7 @@ def test_empty_class_has_only_implicit_external_extend(analyzed_factory):
 
 def test_all_ten_relations_exact_edge_set(analyzed_factory):
     corpus, graph, _ = analyzed_factory(TEN_RELATIONS_FILES)
-    ten = corpus.index["Ten"]
+    ten = corpus.type_decl("Ten").id
     run = _aid("Ten.run", ArtifactKind.METHOD, "Par")
     actual = {
         (e.relation, e.source, e.target, e.site_count)
@@ -71,7 +71,7 @@ def test_self_calls_do_not_create_neighbors(analyzed_factory):
     corpus, graph, _ = analyzed_factory({
         "Solo.java": "class Solo { void a() { b(); } void b() { a(); } }",
     })
-    assert efferent_neighbors(graph, corpus, corpus.index["Solo"]) == set()
+    assert efferent_neighbors(graph, corpus, corpus.type_decl("Solo").id) == set()
 
 
 def test_neighbor_set_semantics_not_edge_count(analyzed_factory):
@@ -79,7 +79,7 @@ def test_neighbor_set_semantics_not_edge_count(analyzed_factory):
         "Caller.java": "class Caller { void m(Helper h) { h.a(); h.b(); h.c(); } }",
         "Helper.java": "class Helper { void a() {} void b() {} void c() {} }",
     })
-    neighbors = efferent_neighbors(graph, corpus, corpus.index["Caller"])
+    neighbors = efferent_neighbors(graph, corpus, corpus.type_decl("Caller").id)
     assert {n.qualified_name for n in neighbors} == {"Helper"}
 
 
@@ -118,8 +118,8 @@ def test_contain_edges_form_forest(analyzed_factory):
     targets = [e.target for e in contains]
     assert len(targets) == len(set(targets))  # one container per artifact
     by_target = {e.target: e.source for e in contains}
-    outer = corpus.index["Outer"]
-    inner = corpus.index["Outer.In"]
+    outer = corpus.type_decl("Outer").id
+    inner = corpus.type_decl("Outer.In").id
     assert by_target[inner] == outer
     g_field = corpus.type_decl("Outer.In").fields[0].id
     assert by_target[g_field] == inner
@@ -130,7 +130,7 @@ def test_interface_counts_as_neighbor(analyzed_factory):
         "Impl.java": "class Impl implements Api { public void go() {} }",
         "Api.java": "interface Api { void go(); }",
     })
-    neighbors = efferent_neighbors(graph, corpus, corpus.index["Impl"])
+    neighbors = efferent_neighbors(graph, corpus, corpus.type_decl("Impl").id)
     assert {n.qualified_name for n in neighbors} == {"Api"}
 
 
@@ -140,7 +140,7 @@ def test_focal_must_be_top_level_class(analyzed_factory):
         "C.java": "class C {}",
     })
     with pytest.raises(DomainError):
-        efferent_neighbors(graph, corpus, corpus.index["I"])
+        efferent_neighbors(graph, corpus, corpus.type_decl("I").id)
 
 
 def test_determinism_identical_edge_multiset(analyzed_factory):
@@ -174,7 +174,7 @@ def test_external_targets_are_tagged(analyzed_factory):
     })
     externals = {e.target.qualified_name for e in graph.edges if e.external}
     assert "java.util.List" in externals
-    assert efferent_neighbors(graph, corpus, corpus.index["A"]) == set()
+    assert efferent_neighbors(graph, corpus, corpus.type_decl("A").id) == set()
 
 
 def test_generic_type_arguments_become_use_edges(analyzed_factory):
@@ -186,7 +186,7 @@ def test_generic_type_arguments_become_use_edges(analyzed_factory):
             for e in graph.edges if e.relation == RelationKind.USE}
     assert ("A.items", "Item") in uses
     assert ("A.items", "java.util.List") in uses
-    neighbors = efferent_neighbors(graph, corpus, corpus.index["A"])
+    neighbors = efferent_neighbors(graph, corpus, corpus.type_decl("A").id)
     assert {n.qualified_name for n in neighbors} == {"Item"}
 
 

@@ -86,7 +86,7 @@ def test_unterminated_literal_stops_before_the_newline():
 
 PIECES = [
     *"{}()[];,.@=<>!~?:+-*/&|^%", '"', "'", "\\", '"""', "/*", "*/", "//", ">>>=", "...",
-    "\r", "\f", "\x0b", "²", "½", "١", "Ⅳ", "\n", " ", "\t", "a", "Z", "_", "$", "0", "7",
+    "\r", "\r\n", "\f", "\x0b", "²", "½", "١", "Ⅳ", "\n", " ", "\t", "a", "Z", "_", "$", "0", "7",
     "e", "f", "x", "int", "1.5e3", "0x1F", ".5", "1.",
 ]
 java_like = st.lists(st.sampled_from(PIECES) | st.text(max_size=3), max_size=40).map("".join)
@@ -118,3 +118,53 @@ def test_pattern_matches_the_oracle_on_pinned_cases():
     # '½' is numeric but neither a letter nor a digit; '²' is a digit, not a decimal
     assert [(kind, value) for kind, value, _ in _tokens("½a")] == [("sym", "½"), ("word", "a")]
     assert [(kind, value) for kind, value, _ in _tokens("²$")] == [("number", "²"), ("word", "$")]
+
+
+# -- the per-line memo against the whole-text lexer ----------------------------------
+
+# texts whose raw lines come from one small pool, so a shared memo meets a line
+# again, in another text and in either state
+pool_line = st.lists(st.sampled_from([*PIECES, "/* c */", "/**/"]) | st.text(max_size=3), max_size=10).map("".join)
+texts_sharing_lines = st.builds(
+    lambda pool, picks: ["\n".join(pool[k % len(pool)] for k in text) for text in picks],
+    st.lists(pool_line, min_size=1, max_size=6),
+    st.lists(st.lists(st.integers(0, 5), max_size=10), min_size=2, max_size=4))
+
+
+def _agree_through_one_memo(texts):
+    memo = {}
+    for text in texts:
+        assert logical_lines(text, memo) == lexer_oracle.regex_logical_lines(text), text
+
+
+@settings(differential, max_examples=400)  # drawing a list of texts costs more than lexing it
+@given(texts_sharing_lines)
+def test_line_memo_matches_the_whole_text_lexer(texts):
+    _agree_through_one_memo(texts)
+
+
+def test_line_memo_matches_the_whole_text_lexer_on_pinned_cases():
+    texts = [
+        "int a; /* start\n still */ int b;\nint c;",  # opened mid-line, tokens after the close
+        "int a; /* closed */\nint b; /**/\nint c;",  # closed on the line it opens
+        "/* a\n/ b */ c\n/* d\n*/ e\n/* f\n/*/ g */ h",  # continuation lines starting with / and */
+        "int a; /* open\n to the end",
+        'String s = """\n open\n to the end',
+        'x = """\n body /* kept\n """ + y; z\nw',  # tokens after a multi-line text block
+        "/* a\n*/ int b;\n",  # the same raw line in both states
+        "*/ int b;\n",
+        "x\r\ny /* \r\n */ z\r\n",
+    ]
+    _agree_through_one_memo(texts)
+    _agree_through_one_memo(texts[::-1])
+
+
+def test_texts_sharing_a_memo_share_their_line_strings():
+    memo = {}
+    first = logical_lines("  int a;\n", memo)
+    again = logical_lines("x;\n  int a;\n", memo)
+    assert first == ["int a ;"] and again == ["x ;", "int a ;"]
+    assert again[1] is first[0]
+    # a line inside a block comment is keyed as "/*" + line
+    assert logical_lines("/* b\nint a;\n*/ c", memo) == ["c"]
+    assert memo["/* b"] == memo["/*int a;"] == (None, True) and memo["/**/ c"] == ("c", False)

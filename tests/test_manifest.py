@@ -64,7 +64,7 @@ def test_wrongly_typed_field_is_malformed_not_coerced(field, value):
     assert rejections == [Rejection("org/proj", "malformed")]
 
 
-@pytest.mark.parametrize("line", ['["org/proj", 500]', '"org/proj"', "17", "null"])
+@pytest.mark.parametrize("line", ['["org/proj", 500]', '"org/proj"', "17", "null", '{"repo": "a/b", "stars": 5'])
 def test_line_that_is_not_a_json_object_is_malformed(tmp_path, line):
     path = tmp_path / "manifest.jsonl"
     path.write_text(line + "\n" + json.dumps(_record(repo="org/good")) + "\n")

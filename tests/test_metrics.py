@@ -111,7 +111,7 @@ def test_cm_cc_callers(analyzed_factory):
 
 def test_class_metrics_empty_class(analyzed_factory):
     corpus, ctx = _ctx(analyzed_factory({"A.java": "class A { int f; }"}))
-    cm = compute_class_metrics(ctx, corpus.index["A"])
+    cm = compute_class_metrics(ctx, corpus.type_decl("A").id)
     assert (cm.wmc, cm.tcc, cm.amw, cm.nom) == (0, 0.0, 0.0, 0)
 
 
@@ -119,7 +119,7 @@ def test_tcc_single_connected_pair(analyzed_factory):
     corpus, ctx = _ctx(analyzed_factory({
         "A.java": "class A { int f; void m1() { f = 1; } void m2() { f = 2; } }",
     }))
-    cm = compute_class_metrics(ctx, corpus.index["A"])
+    cm = compute_class_metrics(ctx, corpus.type_decl("A").id)
     assert cm.tcc == 1.0
 
 
@@ -127,7 +127,7 @@ def test_tcc_disjoint_fields(analyzed_factory):
     corpus, ctx = _ctx(analyzed_factory({
         "A.java": "class A { int f; int g; void m1() { f = 1; } void m2() { g = 2; } }",
     }))
-    cm = compute_class_metrics(ctx, corpus.index["A"])
+    cm = compute_class_metrics(ctx, corpus.type_decl("A").id)
     assert cm.tcc == 0.0
 
 
@@ -136,7 +136,7 @@ def test_bovr_half(analyzed_factory):
         "Base.java": "class Base { void a() {} void b() {} void c() {} void d() {} }",
         "Sub.java": "class Sub extends Base { void a() {} void b() {} void own() {} }",
     }))
-    cm = compute_class_metrics(ctx, corpus.index["Sub"])
+    cm = compute_class_metrics(ctx, corpus.type_decl("Sub").id)
     assert cm.bovr == pytest.approx(0.5)  # 2 of 4 inherited overridden
     assert cm.nas == 0  # `own` is package-private, not a new public service
     assert cm.nprotm == 0
@@ -147,7 +147,7 @@ def test_bur_and_nprotm(analyzed_factory):
         "Base.java": "class Base { protected int h1; protected int h2; protected int h3; }",
         "Sub.java": "class Sub extends Base { void m() { h1 = h1 + 1; } }",
     }))
-    cm = compute_class_metrics(ctx, corpus.index["Sub"])
+    cm = compute_class_metrics(ctx, corpus.type_decl("Sub").id)
     assert cm.nprotm == 3
     assert cm.bur == pytest.approx(1 / 3)
 
@@ -161,7 +161,7 @@ def test_wmc_sums_method_cyclo(analyzed_factory):
             "}"
         ),
     }))
-    cm = compute_class_metrics(ctx, corpus.index["A"])
+    cm = compute_class_metrics(ctx, corpus.type_decl("A").id)
     assert cm.wmc == 5
     assert cm.nom == 2
     assert cm.amw == pytest.approx(2.5)
@@ -181,7 +181,7 @@ def test_nested_type_members_aggregate(analyzed_factory):
     corpus, ctx = _ctx(analyzed_factory({
         "Outer.java": "class Outer { class In { void m(int x) { if (x > 0) { x++; } } } }",
     }))
-    cm = compute_class_metrics(ctx, corpus.index["Outer"])
+    cm = compute_class_metrics(ctx, corpus.type_decl("Outer").id)
     assert cm.wmc == 2
     assert cm.nom == 1
 
@@ -189,7 +189,7 @@ def test_nested_type_members_aggregate(analyzed_factory):
 def test_interface_rejected(analyzed_factory):
     corpus, ctx = _ctx(analyzed_factory({"I.java": "interface I {}"}))
     with pytest.raises(DomainError):
-        compute_class_metrics(ctx, corpus.index["I"])
+        compute_class_metrics(ctx, corpus.type_decl("I").id)
 
 
 def test_woc_nopa_noam(analyzed_factory):
@@ -201,7 +201,7 @@ def test_woc_nopa_noam(analyzed_factory):
             "}"
         ),
     }))
-    cm = compute_class_metrics(ctx, corpus.index["A"])
+    cm = compute_class_metrics(ctx, corpus.type_decl("A").id)
     assert cm.nopa == 1  # constants excluded
     assert cm.noam == 1
     assert cm.woc == pytest.approx(1 / 3)  # 1 functional / (2 public methods + 1 attr)

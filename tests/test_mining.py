@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import logging
 import random
 import statistics
 import subprocess
@@ -380,9 +381,9 @@ def test_window_reads_take_a_fixed_number_of_git_processes(git_repo_factory, mon
             lexed = []
             real_lines = smellstab.mining.miner.logical_lines
 
-            def counting_lines(text):
+            def counting_lines(text, *args):
                 lexed.append(text)
-                return real_lines(text)
+                return real_lines(text, *args)
 
             patch.setattr(smellstab.mining.miner, "logical_lines", counting_lines)
             result = mine_window(repo.path, window, corpus)
@@ -390,6 +391,18 @@ def test_window_reads_take_a_fixed_number_of_git_processes(git_repo_factory, mon
         assert [p.args[3] for p in started] == ["diff-tree", "cat-file"]
         assert len(result.commits) >= 10
         assert len(lexed) == len(set(lexed))  # each blob is lexed once
+
+
+def test_window_logs_its_lexing_counts(git_repo_factory, caplog):
+    repo, snapshot = build_fixture_repo(git_repo_factory)
+    corpus = snapshot_corpus(repo, snapshot, "mined")
+    window = make_window(repo.path, snapshot, "main")
+    with caplog.at_level(logging.DEBUG, logger="smellstab.mining.miner"):
+        result = mine_window(repo.path, window, corpus)
+    [record] = [r for r in caplog.records if r.name == "smellstab.mining.miner"]
+    commits, blobs, raw_lines, misses = record.args
+    assert commits == len(result.commits) == 10 and blobs > 0
+    assert 0 < misses < raw_lines  # a line met again in the window is not lexed again
 
 
 def test_no_git_process_outlives_mine_window(git_repo_factory, monkeypatch):
@@ -402,11 +415,11 @@ def test_no_git_process_outlives_mine_window(git_repo_factory, monkeypatch):
 
     real_lines, lexed = smellstab.mining.miner.logical_lines, []
 
-    def failing_lines(text):
+    def failing_lines(text, *args):
         lexed.append(text)
         if len(lexed) == 4:  # mid-window, with the reader open
             raise RuntimeError("lexer failure")
-        return real_lines(text)
+        return real_lines(text, *args)
 
     started.clear()
     monkeypatch.setattr(smellstab.mining.miner, "logical_lines", failing_lines)

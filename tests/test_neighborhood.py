@@ -28,7 +28,7 @@ def test_method_footprint_is_singleton(analyzed_factory):
 
 def test_class_footprint_covers_members(analyzed_factory):
     corpus, graph, _ = analyzed_factory(FIG2_CASE_A_FILES)
-    cs2 = corpus.index["CS2"]
+    cs2 = corpus.type_decl("CS2").id
     inst = SmellInstance(SmellType.GC, cs2, cs2)
     names = {a.qualified_name for a in smell_footprint(corpus, inst)}
     assert names == {"CS2", "CS2.m2"}
@@ -38,7 +38,7 @@ def test_class_footprint_includes_nested_members(analyzed_factory):
     corpus, _, _ = analyzed_factory({
         "Outer.java": "class Outer { int f; class In { void g() {} } }",
     })
-    outer = corpus.index["Outer"]
+    outer = corpus.type_decl("Outer").id
     inst = SmellInstance(SmellType.GC, outer, outer)
     names = {a.qualified_name for a in smell_footprint(corpus, inst)}
     assert names == {"Outer", "Outer.f", "Outer.In", "Outer.In.g"}
@@ -88,7 +88,7 @@ def test_coupling_flag_truth_table():
 
 def _fig2_smells(corpus):
     cs1 = _mk_instance(corpus, SmellType.FE, "C1.cs1")
-    cs2_decl = corpus.index["CS2"]
+    cs2_decl = corpus.type_decl("CS2").id
     cs2 = SmellInstance(SmellType.GC, cs2_decl, cs2_decl)
     return [cs1, cs2]
 
@@ -96,7 +96,7 @@ def _fig2_smells(corpus):
 def test_fig2_case_a_coupled_not_interacting(analyzed_factory):
     corpus, graph, _ = analyzed_factory(FIG2_CASE_A_FILES)
     smells = _fig2_smells(corpus)
-    obs = build_observation(corpus.index["C1"], corpus, graph, smells)
+    obs = build_observation(corpus.type_decl("C1").id, corpus, graph, smells)
     assert obs.has_eff_coup is True
     assert obs.has_eff_int is False
     assert obs.n_eff_smell_int == 0 and obs.eff_int_inten == 0
@@ -105,7 +105,7 @@ def test_fig2_case_a_coupled_not_interacting(analyzed_factory):
 def test_fig2_case_b_interacting(analyzed_factory):
     corpus, graph, _ = analyzed_factory(FIG2_CASE_B_FILES)
     smells = _fig2_smells(corpus)
-    obs = build_observation(corpus.index["C1"], corpus, graph, smells)
+    obs = build_observation(corpus.type_decl("C1").id, corpus, graph, smells)
     assert obs.has_eff_coup is True
     assert obs.has_eff_int is True
     assert obs.n_eff_smell_int == 1
@@ -123,10 +123,10 @@ def test_intensity_sums_sites_across_edge_kinds(analyzed_factory):
         "CS2.java": "class CS2 { void m2() { int z = 0; z = z + 1; } }",
     })
     cs1 = _mk_instance(corpus, SmellType.FE, "C1.cs1")
-    cs2_decl = corpus.index["CS2"]
+    cs2_decl = corpus.type_decl("CS2").id
     smells = [cs1, SmellInstance(SmellType.GC, cs2_decl, cs2_decl)]
     has_int, n_int, inten, pairs = efferent_interactions(
-        corpus.index["C1"], graph, corpus, smells)
+        corpus.type_decl("C1").id, graph, corpus, smells)
     assert (has_int, n_int, inten) == (True, 1, 3)
     assert len(pairs) == 1
 
@@ -135,7 +135,7 @@ def test_build_observation_clean_isolated_class(analyzed_factory):
     corpus, graph, _ = analyzed_factory({
         "Iso.java": "class Iso {\n" + "    int a;\n" * 1 + "    void m() { a = 1; }\n" * 1 + "}",
     })
-    obs = build_observation(corpus.index["Iso"], corpus, graph, [])
+    obs = build_observation(corpus.type_decl("Iso").id, corpus, graph, [])
     assert obs.is_smelly is False and obs.n_smell_foc == 0
     assert obs.has_smell_eff is False and obs.has_eff_coup is False
     assert obs.has_eff_int is False and obs.eff_int_inten == 0
@@ -146,9 +146,9 @@ def test_build_observation_clean_isolated_class(analyzed_factory):
 def test_coupling_without_interaction_when_footprints_disconnected(analyzed_factory):
     corpus, graph, _ = analyzed_factory(FIG2_CASE_A_FILES)
     smells = _fig2_smells(corpus)
-    has_int, n_int, inten, _ = efferent_interactions(corpus.index["C1"], graph, corpus, smells)
+    has_int, n_int, inten, _ = efferent_interactions(corpus.type_decl("C1").id, graph, corpus, smells)
     assert (has_int, n_int, inten) == (False, 0, 0)
-    obs = build_observation(corpus.index["C1"], corpus, graph, smells)
+    obs = build_observation(corpus.type_decl("C1").id, corpus, graph, smells)
     assert obs.has_eff_coup and not obs.has_eff_int
 
 

@@ -53,6 +53,16 @@ def _scripted_repos() -> list[tuple[str, GitRepo, str]]:
     a.commit_all("move rebel", EPOCH + 20 * DAY)
     a.remove("Elder.java")
     a.commit_all("drop elder", EPOCH + 30 * DAY)
+    # mining reads logical lines: a javadoc edit is no churn, code after its closing "*/" is
+    a.write("Holder.java", "/**\n * Holds data.\n * int shadow = 1;\n */\n" + a.path.joinpath("Holder.java").read_text())
+    a.commit_all("document holder", EPOCH + 32 * DAY)
+    a.write("Holder.java", a.path.joinpath("Holder.java").read_text().replace("int shadow = 1;", "int shadow = 2; {\n * }", 1))
+    a.commit_all("edit the javadoc", EPOCH + 34 * DAY)
+    a.write("Holder.java", a.path.joinpath("Holder.java").read_text().replace(" */\n", " */ @Deprecated\n", 1))
+    a.commit_all("annotate after the javadoc", EPOCH + 36 * DAY)
+    a.write("Texts.java", 'public class Texts {\n    String s = """\n        body { int x; }\n        /* kept\n'
+                          '        """ + Texts.class;\n    int after;\n}\n')
+    a.commit_all("add a text block", EPOCH + 38 * DAY)
     a.write("God.java", "// later\n" + a.path.joinpath("God.java").read_text())
     a.commit_all("outside window", EPOCH + 400 * DAY)
 

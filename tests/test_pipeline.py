@@ -781,7 +781,7 @@ def test_project_sidecars_echo_their_stage_inputs(tmp_path, three_commits):
 def test_no_git_process_outlives_a_quarantined_mine(tmp_path, fixture_projects, monkeypatch):
     started = record_processes(monkeypatch)
 
-    def failing_lines(text):
+    def failing_lines(text, *args):
         raise RuntimeError("lexer failure")
 
     monkeypatch.setattr(smellstab.mining.miner, "logical_lines", failing_lines)
