@@ -2,9 +2,10 @@
 
 from __future__ import annotations
 
+import contextlib
+import hashlib
 import json
 import math
-import zipfile
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
@@ -79,8 +80,9 @@ class HypothesisResult:
 @dataclass
 class SuiteResult:
     results: list[HypothesisResult]
-    # the suite.npz that holds each converged model's CDF bounds, once saved
+    # once saved: the suite.bin that holds each converged model's CDF bounds, and its index
     store: Path | None = None
+    index: dict[str, list] | None = None
 
 
 def run_hypothesis_suite(rows: list[dict]) -> SuiteResult:
@@ -151,38 +153,40 @@ _OUTCOME_FIELDS = ("status", "note", "p_raw", "p_bh", "irr", "ame", "mcfadden", 
                    "dispersion_stat")
 
 
+def _read(fh, entry: list) -> np.ndarray:
+    """The array an index ``entry`` (``[dtype, shape, offset]``) places in the open store ``fh``."""
+    dtype, shape, offset = entry
+    fh.seek(offset)
+    return np.fromfile(fh, dtype, math.prod(shape)).reshape(shape)
+
+
 def _cdf_bounds(suite: SuiteResult):
     """``(index, result, P(Y < y), P(Y = y))`` per converged model, in suite order.
 
-    Read one model at a time from the suite's store once saved, else computed
-    from the fitted means.
+    Read one model at a time through one handle on the suite's store once
+    saved, else computed from the fitted means.
     """
-    npz = np.load(suite.store, allow_pickle=False) if suite.store is not None else None
-    try:
+    with open(suite.store, "rb") if suite.store is not None else contextlib.nullcontext() as fh:
         for i, r in enumerate(suite.results):
             if not r.converged:
                 continue
-            if npz is None:
+            if fh is None:
                 yield i, r, *count_cdf_bounds(r.y, r.fit.mu_hat, r.fit.theta)
             else:
-                yield i, r, npz[f"{i}.cdf_lower"], npz[f"{i}.cdf_pmf"]
-    finally:
-        if npz is not None:
-            npz.close()
+                yield i, r, _read(fh, suite.index[f"{i}.cdf_lower"]), _read(fh, suite.index[f"{i}.cdf_pmf"])
 
 
 def save_suite(suite: SuiteResult, directory: str | Path) -> SuiteResult:
     """Store what the three exporters read of ``suite`` in ``directory``.
 
-    ``suite.json`` holds per model its label, outcome fields and the scalar
-    fields of its fit; ``suite.npz`` (uncompressed, no pickled objects) holds
-    each fit's arrays but the fitted means, the response and source rows once
-    per (dv, population), which alone choose a design's rows, and per
-    converged fit its ``count_cdf_bounds``, the seed-free half of its quantile
-    residuals.  Each pair of bounds is written as it is computed (or copied
-    from the suite's own store), so at most one is held.  The Poisson fits
-    are not kept.  Each file is replaced atomically.  Returns ``suite``
-    reading its bounds from the new store.
+    ``suite.bin`` holds raw arrays back to back: each fit's arrays but the
+    fitted means, the response and source rows once per (dv, population),
+    and per converged fit its ``count_cdf_bounds``, the seed-free half of its
+    quantile residuals, written as computed so that at most one pair is held.
+    ``suite.json`` holds per model its label, outcome fields and scalar fit
+    fields, and the ``name -> [dtype, shape, offset]`` index, byte count and
+    sha256 of ``suite.bin``.  Poisson fits are not kept.  Each file is
+    replaced atomically.  Returns ``suite`` reading its bounds from the store.
     """
     directory = Path(directory)
     models, arrays = [], {}
@@ -201,64 +205,69 @@ def save_suite(suite: SuiteResult, directory: str | Path) -> SuiteResult:
             arrays.setdefault(f"{sample}.y", r.y)
             arrays.setdefault(f"{sample}.row_index", r.row_index)
         models.append(entry)
-    path = directory / "suite.npz"
-    # the members np.savez writes, with a fixed timestamp so that equal suites give equal bytes
-    with atomic_writer(path, "wb") as fh, zipfile.ZipFile(fh, "w", allowZip64=True) as zf:
+    path = directory / "suite.bin"
+    index, digest = {}, hashlib.sha256()
+    with atomic_writer(path, "wb") as fh:
         def put(name: str, array: np.ndarray) -> None:
-            info = zipfile.ZipInfo(f"{name}.npy")
-            info.external_attr = 0o600 << 16
-            with zf.open(info, "w", force_zip64=True) as member:
-                np.lib.format.write_array(member, np.asanyarray(array), allow_pickle=False)
+            array = np.ascontiguousarray(array)
+            index[name] = [array.dtype.str, list(array.shape), fh.tell()]
+            fh.write(array.data)
+            digest.update(array.data)
 
         for name, array in arrays.items():
             put(name, array)
         for i, _, lower, pmf in _cdf_bounds(suite):
             put(f"{i}.cdf_lower", lower)
             put(f"{i}.cdf_pmf", pmf)
-    write_json(directory / "suite.json", {"models": models})
-    return SuiteResult(suite.results, store=path)
-
-
-def _npy_shape(npz, name: str) -> tuple[int, ...]:
-    """The shape of array ``name`` in an open ``np.load`` archive, from its header alone."""
-    with npz.zip.open(f"{name}.npy") as fh:
-        if np.lib.format.read_magic(fh) == (1, 0):
-            return np.lib.format.read_array_header_1_0(fh)[0]
-        return np.lib.format.read_array_header_2_0(fh)[0]
+        size = fh.tell()
+    write_json(directory / "suite.json", {"models": models, "arrays": index, "bytes": size,
+                                          "sha256": digest.hexdigest()})
+    return SuiteResult(suite.results, store=path, index=index)
 
 
 def load_suite(directory: str | Path) -> SuiteResult:
     """The suite ``save_suite`` stored in ``directory``, for the three exporters.
 
-    Raises on a missing, truncated or foreign file, and on a converged model
-    whose CDF bounds are missing or not one per row of its sample; arrays
-    are read without unpickling.  The bounds stay on disk until exported.
-    Fits come back with empty fitted means.
+    Raises on a missing or foreign file, a ``suite.bin`` of another size or
+    sha256, an entry that is not a plain numeric array inside it (nothing is
+    unpickled), and converged bounds missing or not one per row of their
+    sample.  The bounds stay on disk until exported.  Fits come back with
+    empty fitted means.
     """
     directory = Path(directory)
-    path = directory / "suite.npz"
-    models = json.loads((directory / "suite.json").read_text())["models"]
+    path = directory / "suite.bin"
+    doc = json.loads((directory / "suite.json").read_text())
+    models, index = doc["models"], doc["arrays"]
     specs = {spec.label: spec for spec in all_model_specs()}
     if [m["label"] for m in models] != list(specs):
         raise ValueError(f"{directory}: the cached models are not the suite's 34")
-    with np.load(path, allow_pickle=False) as npz:
-        arrays = {name: npz[name] for name in npz.files if ".cdf_" not in name}
-        results = []
-        for i, m in enumerate(models):
-            r = HypothesisResult(specs[m["label"]], **{k: m[k] for k in _OUTCOME_FIELDS})
-            if "fit" in m:
-                fit_arrays = {"mu_hat": np.empty(0)}
-                fit_arrays.update((name.split(".", 1)[1], a) for name, a in arrays.items()
-                                  if name.startswith(f"{i}."))
-                r.fit = FitResult(**m["fit"], **fit_arrays)
-            if "sample" in m:
-                r.y, r.row_index = arrays[f"{m['sample']}.y"], arrays[f"{m['sample']}.row_index"]
-            if r.converged:
-                for name in (f"{i}.cdf_lower", f"{i}.cdf_pmf"):  # a missing one raises KeyError
-                    if _npy_shape(npz, name) != r.y.shape:
-                        raise ValueError(f"{path}: {name} does not hold one value per row of {r.spec.label}")
-            results.append(r)
-    return SuiteResult(results, store=path)
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+        if (size := fh.tell()) != doc["bytes"] or digest.hexdigest() != doc["sha256"]:
+            raise ValueError(f"{path}: not the {doc['bytes']} bytes that suite.json records")
+        for name, (dtype, shape, offset) in index.items():
+            dtype = np.dtype(dtype)
+            if dtype.kind not in "biufc" or not 0 <= offset <= offset + dtype.itemsize * math.prod(shape) <= size:
+                raise ValueError(f"{path}: {name} is not a plain numeric array inside the file")
+        arrays = {name: _read(fh, entry) for name, entry in index.items() if ".cdf_" not in name}
+    results = []
+    for i, m in enumerate(models):
+        r = HypothesisResult(specs[m["label"]], **{k: m[k] for k in _OUTCOME_FIELDS})
+        if "fit" in m:
+            fit_arrays = {"mu_hat": np.empty(0)}
+            fit_arrays.update((name.split(".", 1)[1], a) for name, a in arrays.items()
+                              if name.startswith(f"{i}."))
+            r.fit = FitResult(**m["fit"], **fit_arrays)
+        if "sample" in m:
+            r.y, r.row_index = arrays[f"{m['sample']}.y"], arrays[f"{m['sample']}.row_index"]
+        if r.converged:
+            for name in (f"{i}.cdf_lower", f"{i}.cdf_pmf"):  # a missing one raises KeyError
+                if tuple(index[name][1]) != r.y.shape:
+                    raise ValueError(f"{path}: {name} does not hold one value per row of {r.spec.label}")
+        results.append(r)
+    return SuiteResult(results, store=path, index=index)
 
 
 RESULTS_HEADER = [
@@ -291,23 +300,9 @@ def export_fits_json(suite: SuiteResult, path: str | Path, seed: int = 0, config
         "fits": {},
     }
     for r in suite.results:
-        entry: dict = {
-            "hypothesis": r.spec.hypothesis,
-            "dv": r.spec.dv,
-            "rq": r.spec.rq,
-            "iv": r.spec.iv,
-            "cvs": list(r.spec.cvs),
-            "population": r.spec.population,
-            "status": r.status,
-            "p_raw": r.p_raw,
-            "p_bh": r.p_bh,
-            "irr": r.irr,
-            "ame": r.ame,
-            "mcfadden_r2": r.mcfadden,
-            "dispersion_stat": r.dispersion_stat,
-            "null_ll": r.null_ll,
-            "note": r.note,
-        }
+        entry: dict = {k: getattr(r, k) for k in _OUTCOME_FIELDS}  # write_json sorts the keys
+        entry.update(hypothesis=r.spec.hypothesis, dv=r.spec.dv, rq=r.spec.rq, iv=r.spec.iv, cvs=list(r.spec.cvs),
+                     population=r.spec.population, mcfadden_r2=entry.pop("mcfadden"))
         if r.fit is not None:
             entry["fit"] = r.fit.to_dict()
         doc["fits"][r.spec.label] = entry

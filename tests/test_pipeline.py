@@ -1,4 +1,6 @@
+import contextlib
 import dataclasses
+import functools
 import importlib
 import json
 import logging
@@ -911,7 +913,7 @@ def test_garbled_stats_marker_refits(stats_out, fits, garbled):
 
 
 @pytest.mark.parametrize("damage", ["delete", "truncate"])
-@pytest.mark.parametrize("name", ["suite.json", "suite.npz"])
+@pytest.mark.parametrize("name", ["suite.json", "suite.bin"])
 def test_unreadable_stats_cache_refits(stats_out, fits, caplog, name, damage):
     cold = _stats(stats_out, seed=5)
     fitted = len(fits)
@@ -936,23 +938,93 @@ def _first_converged_model(out) -> int:
                          ids=["lower", "pmf", "both"])
 @pytest.mark.parametrize("damage", ["delete", "shorten"])
 def test_incomplete_cached_bounds_refit(stats_out, fits, caplog, damage, members):
+    """``suite.bin`` is left whole, so only the index entries of the bounds are at fault."""
     cold = _stats(stats_out, seed=5)
     fitted = len(fits)
-    path = stats_out / "stats" / "suite.npz"
-    with np.load(path) as npz:
-        arrays = {name: npz[name] for name in npz.files}
+    path = stats_out / "stats" / "suite.json"
+    doc = json.loads(path.read_text())
     i = _first_converged_model(stats_out)
     for member in members:
         if damage == "delete":
-            del arrays[f"{i}.{member}"]
+            del doc["arrays"][f"{i}.{member}"]
         else:
-            arrays[f"{i}.{member}"] = arrays[f"{i}.{member}"][:-1]  # one row short of the sample
-    np.savez(path, **arrays)
+            doc["arrays"][f"{i}.{member}"][1][0] -= 1  # one row short of the sample
+    path.write_text(json.dumps(doc))
     assert _stats(stats_out, seed=5) == cold
     assert len(fits) == 2 * fitted
     assert [r.levelname for r in caplog.records if "stats cache" in r.getMessage()] == ["WARNING"]
     assert _stats(stats_out, seed=5) == cold  # the rewritten cache is read again
     assert len(fits) == 2 * fitted
+
+
+def _first_bound(suite) -> np.ndarray:
+    with contextlib.closing(smellstab.stats.suite._cdf_bounds(suite)) as bounds:
+        return next(bounds)[2]
+
+
+@pytest.mark.parametrize("array_of", [_first_bound,
+                                      lambda suite: next(r.fit.beta for r in suite.results if r.converged)],
+                         ids=["bound", "fit"])
+def test_flipped_byte_in_stats_cache_refits(stats_out, fits, caplog, array_of):
+    """One flipped byte inside a stored array is a miss, found before any output is rewritten."""
+    rows = simulate_observation_rows(10, 80, seed=41)  # bounds of 800 rows: more than one 4 KiB read
+    write_csv(stats_out / "dataset.csv", list(rows[0]), [list(r.values()) for r in rows])
+    cold = _stats(stats_out, seed=5)
+    fitted = len(fits)
+    suite = smellstab.stats.suite.load_suite(stats_out / "stats")
+    needle = array_of(suite).tobytes()
+    data = bytearray(suite.store.read_bytes())
+    assert data.count(needle) == 1
+    data[data.index(needle) + len(needle) - 1] ^= 0xFF  # the array's last byte
+    suite.store.write_bytes(data)
+    assert _stats(stats_out, seed=5) == cold
+    assert len(fits) == 2 * fitted
+    assert [r.levelname for r in caplog.records if "stats cache" in r.getMessage()] == ["WARNING"]
+    assert _stats(stats_out, seed=5) == cold  # the rewritten cache is read again
+    assert len(fits) == 2 * fitted
+
+
+_opened: list[str] | None = None  # the names of the files opened while a test records them
+
+
+def _note_open(event: str, args: tuple) -> None:
+    if event == "open" and _opened is not None and isinstance(args[0], (str, bytes, os.PathLike)):
+        _opened.append(os.path.basename(os.fsdecode(args[0])))
+
+
+@functools.cache
+def _install_open_hook() -> None:
+    sys.addaudithook(_note_open)  # an audit hook stays for the process; it is idle outside _recording_opens
+
+
+@contextlib.contextmanager
+def _recording_opens():
+    """The names of the files opened inside the block, by ``open``, ``io.open``, ``os.open`` or numpy."""
+    global _opened
+    _install_open_hook()
+    _opened = []
+    try:
+        yield _opened
+    finally:
+        _opened = None
+
+
+def test_cached_rerun_opens_the_store_twice_whatever_the_model_count(stats_out):
+    """Once to check and load the fits, once to stream the bounds: never once per model."""
+    header, rows = read_csv(stats_out / "dataset.csv")
+    smelly = stats_out.parent / "smelly"
+    smelly.mkdir()
+    write_csv(smelly / "dataset.csv", header, [[r[c] if c != "IsSmelly" else "true" for c in header] for r in rows])
+    converged, opens = [], []
+    for out in (stats_out, smelly):  # every non-smelly population of the second is empty: fewer models
+        _stats(out, seed=5)
+        with _recording_opens() as opened:
+            _stats(out, seed=6)
+        doc = json.loads((out / "fits.json").read_text())["fits"]
+        converged.append(sum(f["fit"]["converged"] for f in doc.values() if "fit" in f))
+        opens.append(opened.count("suite.bin"))
+    assert converged[0] > converged[1] > 0
+    assert opens == [2, 2]
 
 
 def test_cache_hit_computes_no_bounds_and_fits_nothing(stats_out, fits, monkeypatch):

@@ -1,4 +1,5 @@
 import json
+import pickle
 import re
 
 import numpy as np
@@ -368,12 +369,46 @@ def test_saved_suite_exports_the_same_bytes(tmp_path):
     assert _export_all(loaded, tmp_path / "loaded", seed=9) == _export_all(suite, tmp_path / "fitted", seed=9)
 
 
-def test_load_suite_unpickles_nothing(tmp_path):
+def test_saved_suite_bytes_are_deterministic(tmp_path):
+    """Equal suites give equal files, whether the bounds are computed or copied from a store."""
+    suite = run_hypothesis_suite(simulate_observation_rows(6, 40, seed=42))
+    for name in ("a", "b", "copied"):
+        (tmp_path / name).mkdir()
+    save_suite(suite, tmp_path / "a")
+    save_suite(suite, tmp_path / "b")
+    save_suite(load_suite(tmp_path / "a"), tmp_path / "copied")
+    for name in ("suite.bin", "suite.json"):
+        first = (tmp_path / "a" / name).read_bytes()
+        assert (tmp_path / "b" / name).read_bytes() == first
+        assert (tmp_path / "copied" / name).read_bytes() == first
+
+
+def _edit_entry(directory, name, field, value):
+    """Set field ``field`` (0 dtype, 1 shape, 2 offset) of the entry ``name`` in the index of ``suite.bin``."""
+    doc = json.loads((directory / "suite.json").read_text())
+    doc["arrays"][name][field] = value
+    (directory / "suite.json").write_text(json.dumps(doc))
+
+
+def test_load_suite_unpickles_nothing(tmp_path, monkeypatch):
     suite = run_hypothesis_suite(simulate_observation_rows(6, 40, seed=42))
     save_suite(suite, tmp_path)
-    with np.load(tmp_path / "suite.npz") as npz:
-        arrays = {name: npz[name] for name in npz.files}
-    arrays["0.beta"] = np.array([object()], dtype=object)
-    np.savez(tmp_path / "suite.npz", **arrays)
-    with pytest.raises(ValueError, match="allow_pickle=False"):
+    _edit_entry(tmp_path, "0.beta", 0, "|O")
+    unpickled = []
+    for name in ("load", "loads"):
+        monkeypatch.setattr(pickle, name, lambda *args, **kwargs: unpickled.append(args))
+    with pytest.raises(ValueError, match="0.beta is not a plain numeric array"):
+        load_suite(tmp_path)
+    assert unpickled == []
+
+
+@pytest.mark.parametrize("where", ["past_end", "before_start"])
+def test_load_suite_refuses_an_entry_outside_the_file(tmp_path, where):
+    suite = run_hypothesis_suite(simulate_observation_rows(6, 40, seed=42))
+    save_suite(suite, tmp_path)
+    doc = json.loads((tmp_path / "suite.json").read_text())
+    dtype, shape, _ = doc["arrays"]["0.beta"]
+    nbytes = np.dtype(dtype).itemsize * int(np.prod(shape))
+    _edit_entry(tmp_path, "0.beta", 2, doc["bytes"] - nbytes + 1 if where == "past_end" else -1)
+    with pytest.raises(ValueError, match="0.beta is not a plain numeric array inside the file"):
         load_suite(tmp_path)
