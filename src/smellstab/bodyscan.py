@@ -377,15 +377,19 @@ class _Scanner:
         if c.at(close_sym):
             c.next()
 
-    def array_initializer(self, c: _Cursor) -> None:
-        c.expect("{")
-        while not c.eof() and not c.at("}"):
-            self.expr(c, (",", "}"))
+    def scan_list(self, c: _Cursor, open_sym: str, close_sym: str) -> int:
+        """Scan a bracketed, comma-separated expression list, returning its entry count."""
+        c.expect(open_sym)
+        count = 0 if c.at(close_sym) else 1
+        while not c.eof() and not c.at(close_sym):
+            self.expr(c, (",", close_sym))
             if not c.at(","):
-                break  # '}', the end, or a stray delimiter such as ';'
+                break  # the closing bracket, the end, or a stray delimiter such as ';'
             c.next()
-        if c.at("}"):
+            count += 1
+        if c.at(close_sym):
             c.next()
+        return count
 
     def expr_run(self, c: _Cursor) -> None:
         """Scan a whole window as expressions, stepping over each delimiter that ends one."""
@@ -435,7 +439,7 @@ class _Scanner:
                 self.switch_statement(c, 0)
                 continue
             if v == "{":
-                self.array_initializer(c)
+                self.scan_list(c, "{", "}")
                 continue
             if v == "[":
                 self.paren_expr(c, "[", "]")
@@ -456,7 +460,7 @@ class _Scanner:
             self.site(RelationKind.CREATE, target)
             for arg in ref.args:
                 self.site(RelationKind.USE, self.resolve_type(arg))
-            self.scan_arguments(c)
+            self.scan_list(c, "(", ")")
             if c.at("{"):  # anonymous class body
                 self.anonymous_body(c)
         else:
@@ -464,7 +468,7 @@ class _Scanner:
             while c.at("["):
                 self.paren_expr(c, "[", "]")
             if c.at("{"):
-                self.array_initializer(c)
+                self.scan_list(c, "{", "}")
 
     def anonymous_body(self, c: _Cursor) -> None:
         """Scan an anonymous class body, member by member.
@@ -575,22 +579,6 @@ class _Scanner:
             return (target, ref.args)
         return (self.resolve_type(ref.name), ref.args)
 
-    def scan_arguments(self, c: _Cursor) -> int:
-        """Scan a parenthesized argument list, returning the argument count."""
-        c.expect("(")
-        argc = 0
-        if not c.at(")"):
-            argc = 1
-            while not c.eof() and not c.at(")"):
-                self.expr(c, (",", ")"))
-                if not c.at(","):
-                    break  # ')', the end, or a stray delimiter such as ';'
-                c.next()
-                argc += 1
-        if c.at(")"):
-            c.next()
-        return argc
-
     # -- receiver chains ------------------------------------------------------
 
     def chain(self, c: _Cursor) -> None:
@@ -601,7 +589,7 @@ class _Scanner:
         if head == "this":
             ctx_type = self.scope
             if c.at("("):
-                argc = self.scan_arguments(c)
+                argc = self.scan_list(c, "(", ")")
                 target = self.r.constructor_lookup(self.scope, argc)
                 if target is not None:
                     self.record_call(target)
@@ -609,7 +597,7 @@ class _Scanner:
         elif head == "super":
             sup = self.scope.superclass
             if c.at("("):
-                argc = self.scan_arguments(c)
+                argc = self.scan_list(c, "(", ")")
                 if sup is not None and not sup.is_external:
                     target = self.r.constructor_lookup(self.r.corpus.type_decl(sup.qualified_name), argc)
                     if target is not None:
@@ -638,7 +626,7 @@ class _Scanner:
                 self.pop()
                 return
             if c.at("("):
-                argc = self.scan_arguments(c)
+                argc = self.scan_list(c, "(", ")")
                 target = self.r.find_visible_method(self.scope, name, argc)
                 if target is not None:
                     self.record_call(target)
@@ -698,7 +686,7 @@ class _Scanner:
             if seg == "this" or seg == "super":
                 continue  # qualified this/super: keep context
             if c.at("("):
-                argc = self.scan_arguments(c)
+                argc = self.scan_list(c, "(", ")")
                 if ctx_type is not None:
                     target = self.r.method_lookup(ctx_type, seg, argc)
                     if target is not None:

@@ -69,7 +69,6 @@ def _build_method(raw: jp.RawMethod, type_id: ArtifactId, in_interface: bool) ->
         throws=tuple(t.name for t in raw.throws),
         body=raw.body,
         loc=_member_loc(raw.body),
-        line=raw.line,
     )
 
 
@@ -88,8 +87,6 @@ def _build_type(raw: jp.RawType, project: str, parent_qname: str, file: str, pac
             r.name for r in (raw.implements if not raw.is_interface else raw.extends)
         ),
         loc=raw.loc,
-        line=raw.line,
-        is_enum=raw.kind == "enum",
     )
     for f in raw.fields:
         decl.fields.append(
@@ -102,7 +99,6 @@ def _build_type(raw: jp.RawType, project: str, parent_qname: str, file: str, pac
                 is_static="static" in f.modifiers or raw.is_interface,
                 is_final="final" in f.modifiers or raw.is_interface,
                 initializer=f.initializer,
-                line=f.line,
             )
         )
     for m in raw.methods:

@@ -70,14 +70,8 @@ class MetricsContext:
             for target in f.internal_calls:
                 self._callers.setdefault(target, set()).add(caller)
 
-    def method(self, mid: ArtifactId) -> MethodDecl:
-        return self.corpus.declaration(mid)
-
     def callers_of(self, mid: ArtifactId) -> set[ArtifactId]:
         return {c for c in self._callers.get(mid, set()) if c != mid}
-
-    def top_of(self, aid: ArtifactId) -> ArtifactId:
-        return self.corpus.enclosing_class(aid)
 
 
 def build_metrics_context(corpus: SourceCorpus, facts: dict[ArtifactId, BodyFacts]) -> MetricsContext:
@@ -85,22 +79,23 @@ def build_metrics_context(corpus: SourceCorpus, facts: dict[ArtifactId, BodyFact
 
 
 def compute_method_metrics(ctx: MetricsContext, method: ArtifactId) -> MethodMetrics:
-    m = ctx.method(method)
+    m = ctx.corpus.declaration(method)
     f = ctx.facts.get(method, BodyFacts(cyclo=0))
     if m.body is None:
         return MethodMetrics(0, 0, 0, 0, 0, 1.0, 0, 0, 0.0, 0, 0)
-    own_top = ctx.top_of(method)
+    top_of = ctx.corpus.enclosing_class
+    own_top = top_of(method)
     n_own = len(f.own_fields)
     n_foreign = len(f.foreign_fields)
     laa = 1.0 if (n_own + n_foreign) == 0 else n_own / (n_own + n_foreign)
-    fdp = len({ctx.top_of(fid) for fid in f.foreign_fields})
-    outgoing = {mid for mid in f.internal_calls if ctx.top_of(mid) != own_top}
+    fdp = len({top_of(fid) for fid in f.foreign_fields})
+    outgoing = {mid for mid in f.internal_calls if top_of(mid) != own_top}
     cint = len(outgoing)
-    providers = {ctx.top_of(mid) for mid in outgoing}
+    providers = {top_of(mid) for mid in outgoing}
     cdisp = 0.0 if cint == 0 else len(providers) / cint
     callers = ctx.callers_of(method)
     cm = len(callers)
-    cc = len({ctx.top_of(c) for c in callers})
+    cc = len({top_of(c) for c in callers})
     return MethodMetrics(
         loc=m.loc,
         cyclo=f.cyclo,

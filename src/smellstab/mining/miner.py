@@ -94,19 +94,19 @@ def _matched(sm: SequenceMatcher) -> int:
 
 
 def _line_churn(sm: SequenceMatcher) -> tuple[int, int]:
-    added = deleted = 0
-    for tag, i1, i2, j1, j2 in sm.get_opcodes():
-        if tag in ("replace", "delete"):
-            deleted += i2 - i1
-        if tag in ("replace", "insert"):
-            added += j2 - j1
-    return added, deleted
+    """(added, deleted): the lines of each side outside the matched blocks."""
+    matched = _matched(sm)
+    return len(sm.b) - matched, len(sm.a) - matched
 
 
 def _gained_lines(sm: SequenceMatcher) -> list[str]:
     """Lines of the after side that are not carried over from the before side."""
-    return [line for tag, _i1, _i2, j1, j2 in sm.get_opcodes()
-            if tag in ("replace", "insert") for line in sm.b[j1:j2]]
+    gained: list[str] = []
+    end = 0
+    for _i, j, size in sm.get_matching_blocks():
+        gained += sm.b[end:j]
+        end = j + size
+    return gained
 
 
 @dataclass

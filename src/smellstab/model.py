@@ -76,7 +76,6 @@ class FieldDecl:
     is_static: bool = False
     is_final: bool = False
     initializer: Optional[TokenSpan] = None  # the tokens after '=', None without one
-    line: int = 0
 
 
 @dataclass
@@ -98,7 +97,6 @@ class MethodDecl:
     throws: tuple[str, ...] = ()
     body: Optional[TokenSpan] = None  # tokens inside the braces, None if no body
     loc: int = 0  # logical lines strictly inside the body braces
-    line: int = 0
 
 
 @dataclass
@@ -119,8 +117,6 @@ class TypeDecl:
     initializers: list[TokenSpan] = field(default_factory=list)
     enclosing: Optional[ArtifactId] = None  # enclosing top-level type for nested types
     loc: int = 0
-    line: int = 0
-    is_enum: bool = False
 
     def all_nested(self) -> Iterator["TypeDecl"]:
         for t in self.nested_types:

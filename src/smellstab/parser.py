@@ -43,7 +43,6 @@ class RawField:
     type_ref: TypeRef
     modifiers: frozenset[str]
     initializer: TokenSpan | None
-    line: int
 
 
 @dataclass
@@ -56,14 +55,12 @@ class RawMethod:
     modifiers: frozenset[str]
     type_params: tuple[str, ...]
     body: TokenSpan | None
-    line: int
 
 
 @dataclass
 class RawType:
     name: str
     kind: str  # class | interface | enum | record | annotation
-    modifiers: frozenset[str]
     type_params: tuple[str, ...]
     extends: tuple[TypeRef, ...]
     implements: tuple[TypeRef, ...]
@@ -72,7 +69,6 @@ class RawType:
     constructors: list[RawMethod] = field(default_factory=list)
     nested: list["RawType"] = field(default_factory=list)
     initializers: list[TokenSpan] = field(default_factory=list)
-    line: int = 0
     loc: int = 0
 
     @property
@@ -394,8 +390,8 @@ def parse_compilation_unit(text: str) -> CompilationUnit:
             c.next()
             continue
         start = c.i
-        mods = _skip_modifiers(c)
-        types.append(_parse_type_decl(c, mods, start))
+        _skip_modifiers(c)
+        types.append(_parse_type_decl(c, start))
     return CompilationUnit(package, imports, tuple(wildcards), types)
 
 
@@ -410,14 +406,13 @@ def _at_type_keyword(c: _Cursor) -> str | None:
     return None
 
 
-def _parse_type_decl(c: _Cursor, mods: frozenset[str], start_idx: int) -> RawType:
+def _parse_type_decl(c: _Cursor, start_idx: int) -> RawType:
     kind = _at_type_keyword(c)
     if kind is None:
         raise JavaSyntaxError(f"expected type declaration, got {c.got()!r}", c.line())
     if kind == "annotation":
         c.next()
     c.next()
-    line = c.line()
     name = c.next()
     type_params = _parse_type_params(c)
     record_components: tuple[tuple[TypeRef, str], ...] = ()
@@ -441,14 +436,12 @@ def _parse_type_decl(c: _Cursor, mods: frozenset[str], start_idx: int) -> RawTyp
     rt = RawType(
         name=name,
         kind=kind,
-        modifiers=mods,
         type_params=type_params,
         extends=tuple(extends),
         implements=tuple(implements),
-        line=line,
     )
     for ref, pname in record_components:
-        rt.fields.append(RawField(pname, ref, frozenset({"private", "final"}), None, line))
+        rt.fields.append(RawField(pname, ref, frozenset({"private", "final"}), None))
     c.expect("{")
     if kind == "enum":
         _parse_enum_constants(c, rt)
@@ -468,9 +461,8 @@ def _parse_enum_constants(c: _Cursor, rt: RawType) -> None:
             return
         if c.at("}"):
             return
-        line = c.line()
         name = c.next()
-        rt.fields.append(RawField(name, TypeRef(rt.name), frozenset({"public", "static", "final"}), None, line))
+        rt.fields.append(RawField(name, TypeRef(rt.name), frozenset({"public", "static", "final"}), None))
         if c.at("("):
             c.skip_balanced("(", ")")
         if c.at("{"):  # constant with a body: opaque
@@ -492,7 +484,7 @@ def _parse_member(c: _Cursor, rt: RawType, components: tuple[tuple[TypeRef, str]
     start = c.i
     mods = _skip_modifiers(c)
     if _at_type_keyword(c):
-        rt.nested.append(_parse_type_decl(c, mods, start))
+        rt.nested.append(_parse_type_decl(c, start))
         return
     if c.at("{"):
         rt.initializers.append(_capture_block(c))
@@ -501,23 +493,21 @@ def _parse_member(c: _Cursor, rt: RawType, components: tuple[tuple[TypeRef, str]
     # a constructor: the type's simple name, then its parameter list or, in
     # a record's compact form, the record's components and no list
     if c.at_word() and c.at(rt.name) and (c.at("(", 1) or (rt.kind == "record" and c.at("{", 1))):
-        line = c.line()
         c.next()
         params = _parse_params(c) if c.at("(") else components
         throws, body = _parse_method_rest(c)
-        rt.constructors.append(RawMethod(rt.name, True, NO_TYPE, params, throws, mods, type_params, body, line))
+        rt.constructors.append(RawMethod(rt.name, True, NO_TYPE, params, throws, mods, type_params, body))
         return
     ref = parse_type_ref(c)
     if ref is None:
         raise JavaSyntaxError(f"expected member declaration, got {c.got()!r}", c.line())
     if not c.at_word():
         raise JavaSyntaxError(f"expected member name, got {c.got()!r}", c.line())
-    line = c.line()
     name = c.next()
     if c.at("("):
         params = _parse_params(c)
         throws, body = _parse_method_rest(c)
-        rt.methods.append(RawMethod(name, False, ref, params, throws, mods, type_params, body, line))
+        rt.methods.append(RawMethod(name, False, ref, params, throws, mods, type_params, body))
         return
     # field declarator list
     while True:
@@ -531,10 +521,9 @@ def _parse_member(c: _Cursor, rt: RawType, components: tuple[tuple[TypeRef, str]
             start = c.i
             c.skip_to(_INIT_STOPS)
             init = TokenSpan(c.vals, c.lines, start, c.i)
-        rt.fields.append(RawField(name, TypeRef(ref.name, ref.args, dims), mods, init, line))
+        rt.fields.append(RawField(name, TypeRef(ref.name, ref.args, dims), mods, init))
         if c.at(","):
             c.next()
-            line = c.line()
             name = c.next()
             continue
         c.expect(";")

@@ -297,9 +297,9 @@ def analyze_project(entry: ProjectManifestEntry, config: PipelineConfig,
         ])
         method_metrics, class_metrics = metric_tables(corpus, facts)
         write_csv(out / "metrics_method.csv", METHOD_METRICS_HEADER, sorted((
-            [entry.repo, m.id.qualified_name, m.id.signature, corpus.enclosing_class(m.id).qualified_name,
-             *(getattr(method_metrics[m.id], name) for name in METHOD_METRICS_HEADER[4:])]
-            for _, m in corpus.iter_methods() if m.id in method_metrics), key=lambda r: (r[1], r[2])))
+            [entry.repo, mid.qualified_name, mid.signature, corpus.enclosing_class(mid).qualified_name,
+             *(getattr(mm, name) for name in METHOD_METRICS_HEADER[4:])]
+            for mid, mm in method_metrics.items()), key=lambda r: (r[1], r[2])))
         write_meta(out / "metrics_method.csv", config_echo=echo)
         write_csv(out / "metrics_class.csv", CLASS_METRICS_HEADER, [
             [entry.repo, cid.qualified_name, *(getattr(cm, name) for name in CLASS_METRICS_HEADER[2:])]
@@ -375,14 +375,13 @@ def join_project(entry: ProjectManifestEntry, config: PipelineConfig) -> list[li
     return joined
 
 
-def export_dataset(all_rows: list[list], config: PipelineConfig) -> Path:
+def export_dataset(all_rows: list[list], config: PipelineConfig) -> None:
     path = Path(config.output_dir) / "dataset.csv"
     keys = [(r[0], r[1]) for r in all_rows]
     if len(keys) != len(set(keys)):
         raise PipelineIntegrityError("duplicate (project, class) keys in dataset")
     write_csv(path, DATASET_HEADER, all_rows)
     write_meta(path, config_echo=config.echo())
-    return path
 
 
 def run_stats(config: PipelineConfig) -> None:
@@ -431,7 +430,6 @@ def selection_doc(config: PipelineConfig, accepted: list[ProjectManifestEntry],
 class PipelineOutcome:
     accepted: list[str]
     quarantined: dict[str, dict[str, str]]
-    dataset_path: Path | None
 
 
 def quarantine_record(repo: str, stage: str, exc: Exception) -> dict[str, str]:
@@ -472,7 +470,6 @@ def run_pipeline(config: PipelineConfig, stages: tuple[str, ...] = ("analyze", "
             quarantined[entry.repo] = failure
 
     healthy = [e for e in accepted if e.repo not in quarantined]
-    dataset_path = None
     if "join" in stages:
         all_rows: list[list] = []
         activity = []
@@ -486,10 +483,10 @@ def run_pipeline(config: PipelineConfig, stages: tuple[str, ...] = ("analyze", "
             except Exception as exc:
                 quarantined[entry.repo] = quarantine_record(entry.repo, "join", exc)
         healthy = [e for e in healthy if e.repo not in quarantined]
-        dataset_path = export_dataset(all_rows, config)
+        export_dataset(all_rows, config)
         write_csv(out / "activity.csv", ACTIVITY_HEADER, activity_summary(activity))
         write_meta(out / "activity.csv", config_echo=config.echo())
     write_json(out / "quarantine.json", {"quarantined": quarantined})
-    if "stats" in stages and dataset_path is not None:
+    if "stats" in stages and "join" in stages:
         run_stats(config)
-    return PipelineOutcome([e.repo for e in healthy], quarantined, dataset_path)
+    return PipelineOutcome([e.repo for e in healthy], quarantined)

@@ -113,8 +113,6 @@ class MaximizeOutcome:
 def _active_mask(grad: np.ndarray, x: np.ndarray, bounds) -> np.ndarray:
     """Parameters pinned at a bound with the gradient pushing outward."""
     active = np.zeros(x.size, dtype=bool)
-    if bounds is None:
-        return active
     for i, (lo, hi) in enumerate(bounds):
         if lo is not None and x[i] <= lo + 1e-9 and grad[i] < 0:
             active[i] = True

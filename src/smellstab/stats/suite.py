@@ -186,7 +186,8 @@ def save_suite(suite: SuiteResult, directory: str | Path) -> SuiteResult:
     ``suite.json`` holds per model its label, outcome fields and scalar fit
     fields, and the ``name -> [dtype, shape, offset]`` index, byte count and
     sha256 of ``suite.bin``.  Poisson fits are not kept.  Each file is
-    replaced atomically.  Returns ``suite`` reading its bounds from the store.
+    replaced atomically, and an older version's ``suite.npz`` is removed.
+    Returns ``suite`` reading its bounds from the store.
     """
     directory = Path(directory)
     models, arrays = [], {}
@@ -222,6 +223,7 @@ def save_suite(suite: SuiteResult, directory: str | Path) -> SuiteResult:
         size = fh.tell()
     write_json(directory / "suite.json", {"models": models, "arrays": index, "bytes": size,
                                           "sha256": digest.hexdigest()})
+    (directory / "suite.npz").unlink(missing_ok=True)  # the zip store that suite.bin replaced
     return SuiteResult(suite.results, store=path, index=index)
 
 

@@ -249,3 +249,32 @@ def test_spans_share_their_files_columns():
         values, lines = spans[0].values, spans[0].lines
         assert all(s.values is values and s.lines is lines for s in spans)
         assert len(values) == len(tokenize(files[top.file]))
+
+
+def test_enum_constants_with_annotations_arguments_and_bodies_are_fields():
+    corpus = build_corpus({"Color.java": (
+        "enum Color {\n"
+        "  @Deprecated RED(1), @SuppressWarnings(\"x\") GREEN(2) { int extra() { return 0; } },\n"
+        "  BLUE;\n"
+        "  private final int code;\n"
+        "  Color() { this(0); }\n"
+        "  Color(int code) { this.code = code; }\n"
+        "}")})
+    color = corpus.type_decl("Color")
+    constant = ("public", "Color", True, True)
+    assert [(f.id.simple_name, f.visibility, f.type_name, f.is_static, f.is_final) for f in color.fields] == [
+        ("RED", *constant), ("GREEN", *constant), ("BLUE", *constant), ("code", "private", "int", False, True)]
+    assert color.methods == []  # a constant's body is opaque
+    assert [str(c.id) for c in color.constructors] == ["Color.<init>()", "Color.<init>(int)"]
+
+
+@pytest.mark.parametrize("text, constants, methods", [
+    ("enum E { A, B }", ["A", "B"], []),  # the last constant ends at the closing brace
+    ("enum E { A, B, }", ["A", "B"], []),  # a trailing comma
+    ("enum E { ; void f() {} }", [], ["f"]),  # no constants, then members
+    ("enum E { @Deprecated ; void f() {} }", [], ["f"]),  # an annotation before the ';' is skipped
+])
+def test_enum_constant_lists_end_every_way(text, constants, methods):
+    e = build_corpus({"E.java": text}).type_decl("E")
+    assert [f.id.simple_name for f in e.fields] == constants
+    assert [m.id.simple_name for m in e.methods] == methods

@@ -279,3 +279,77 @@ def test_anonymous_class_members_of_every_shape_are_scanned(analyzed_factory):
         "};"
     )
     assert _calls_to_b(analyzed_factory, body) == {"B.go", "B.make", "B.run"}
+
+
+def _internal_edges_from(graph, source: str) -> set[tuple[RelationKind, str, int]]:
+    return {(e.relation, str(e.target), e.site_count)
+            for e in graph.edges if str(e.source) == source and not e.external}
+
+
+def test_each_declarator_of_a_local_statement_is_typed(analyzed_factory):
+    _, graph, _ = analyzed_factory({
+        "A.java": "class A { void m() { B one[] = null, two = new B(); two.run(); } }",
+        "B.java": "class B { void run() {} }",
+    })
+    assert _internal_edges_from(graph, "A.m()") == {
+        (RelationKind.USE, "B", 1), (RelationKind.CREATE, "B", 1), (RelationKind.CALL, "B.run()", 1)}
+
+
+def test_super_constructor_call_edges(analyzed_factory):
+    corpus, graph, _ = analyzed_factory({
+        "Base.java": "class Base { Base(int n) {} }",
+        "Sub.java": "class Sub extends Base { Sub() { super(1); } }",
+        "T.java": "class T extends Thread { T() { super(\"t\"); } }",
+    })
+    assert _internal_edges_from(graph, "Sub.<init>()") == {(RelationKind.CALL, "Base.<init>(int)", 1)}
+    t_calls = [e for e in graph.edges if str(e.source) == "T.<init>()"]
+    assert [(e.relation, str(e.target), e.target.kind, e.external) for e in t_calls] == [
+        (RelationKind.CALL, "Thread.<init>()", ArtifactKind.CONSTRUCTOR, True)]
+
+
+def test_generic_creation_and_return_type_arguments_are_use_edges(analyzed_factory):
+    _, graph, _ = analyzed_factory({
+        "A.java": ("import java.util.List; class A {\n"
+                   "  Object make() { return new Box<Item>(); }\n"
+                   "  List<Item> items() { return null; }\n"
+                   "}"),
+        "Box.java": "class Box<T> {}",
+        "Item.java": "class Item {}",
+    })
+    assert _internal_edges_from(graph, "A.make()") == {(RelationKind.CREATE, "Box", 1), (RelationKind.USE, "Item", 1)}
+    assert _internal_edges_from(graph, "A.items()") == {(RelationKind.USE, "Item", 1)}
+    returns = {str(e.target) for e in graph.edges if e.relation == RelationKind.RETURN}
+    assert returns == {"Object", "java.util.List"}  # an unimported simple name stays as written
+
+
+def test_qualified_nested_type_through_an_imported_head(analyzed_factory):
+    _, graph, _ = analyzed_factory({
+        "p/Outer.java": "package p; public class Outer { public static class Inner {} }",
+        "q/User.java": "package q; import p.Outer; class User { Outer.Inner in; Outer.Missing gone; }",
+    })
+    uses = {str(e.source): (str(e.target), e.external) for e in graph.edges if e.relation == RelationKind.USE}
+    assert uses["q.User.in"] == ("p.Outer.Inner", False)
+    assert uses["q.User.gone"] == ("Outer.Missing", True)  # no such nested type: external as written
+
+
+def test_three_level_hierarchy_calls_resolve_to_the_grandparent(analyzed_factory):
+    corpus, graph, _ = analyzed_factory({
+        "A.java": "class A { void pa() {} }",
+        "B.java": "class B extends A {}",
+        "C.java": "class C extends B { void m() { pa(); } }",
+    })
+    assert _internal_edges_from(graph, "C.m()") == {(RelationKind.CALL, "A.pa()", 1)}
+    assert efferent_neighbors(graph, corpus, corpus.type_decl("C").id) == {
+        corpus.type_decl("A").id, corpus.type_decl("B").id}
+
+
+@pytest.mark.parametrize("args, target", [
+    ("", "A.g()"),
+    ("x", "A.g(int)"),
+    ("x, x", "A.g(int,int)"),
+    ("x,", "A.g(int,int)"),  # a trailing comma opens a second, empty argument
+])
+def test_argument_count_picks_the_overload(analyzed_factory, args, target):
+    _, graph, _ = analyzed_factory({"A.java": (
+        f"class A {{ void g() {{}} void g(int p) {{}} void g(int p, int q) {{}} void m(int x) {{ g({args}); }} }}")})
+    assert _internal_edges_from(graph, "A.m(int)") == {(RelationKind.CALL, target, 1)}

@@ -205,3 +205,37 @@ def test_woc_nopa_noam(analyzed_factory):
     assert cm.nopa == 1  # constants excluded
     assert cm.noam == 1
     assert cm.woc == pytest.approx(1 / 3)  # 1 functional / (2 public methods + 1 attr)
+
+
+@pytest.mark.parametrize("body, cyclo, nesting", [
+    # an else-if chain stays at its if's level; an if inside an else block nests
+    ("if (x > 0) x++; else if (x < 0) x--; else x = 0;", 3, 1),
+    ("if (x > 0) x++; else { if (x < 0) x--; }", 3, 2),
+    # a do loop branches once, its condition's && once more
+    ("do { x--; } while (x > 0 && x != 5);", 3, 1),
+    # synchronized, finally and default branch nowhere but nest their statements
+    ("synchronized (this) { x++; }", 1, 1),
+    ("try { x++; } finally { if (x > 9) x = 9; }", 2, 2),
+    ("try { x++; } catch (RuntimeException e) { x--; } finally { x = 0; }", 2, 1),
+    ("switch (x) { case 1: x++; break; case 2: case 3: x--; break; default: x = 0; }", 4, 1),
+    # one local statement of three declarators, two with brackets after the name
+    ("int a[] = {1, 2}, b = x > 0 ? 1 : 2, c[][] = {{x}};", 2, 0),
+])
+def test_cyclo_and_nesting_of_each_statement_form(analyzed_factory, body, cyclo, nesting):
+    corpus, ctx = _ctx(analyzed_factory({"A.java": f"class A {{ void m(int x) {{ {body} }} }}"}))
+    mm = compute_method_metrics(ctx, _method_id(corpus, "A", "m"))
+    assert (mm.cyclo, mm.max_nesting) == (cyclo, nesting)
+
+
+def test_protected_members_of_every_internal_ancestor(analyzed_factory):
+    corpus, ctx = _ctx(analyzed_factory({
+        "A.java": "class A { protected int a; protected void pa() {} }",
+        "B.java": "class B extends A { protected void pb() {} }",
+        "C.java": "class C extends B { void m() { a = 1; pb(); } }",
+    }))
+    c = compute_class_metrics(ctx, corpus.type_decl("C").id)
+    assert c.nprotm == 3  # a and pa from the grandparent, pb from the parent
+    assert c.bur == pytest.approx(2 / 3)  # a and pb used
+    assert c.bovr == 0.0  # pa and pb inherited, neither overridden
+    b = compute_class_metrics(ctx, corpus.type_decl("B").id)
+    assert (b.nprotm, b.bur) == (2, 0.0)

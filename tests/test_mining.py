@@ -553,6 +553,20 @@ def test_unreadable_snapshot_blob_is_fatal(git_repo_factory):
         archive_snapshot(repo.path, snapshot)
 
 
+def test_unreadable_window_blob_is_a_diagnostic_and_reads_as_empty(git_repo_factory):
+    repo = git_repo_factory()
+    repo.write("A.java", "class A {\n    int a;\n}\n")
+    snapshot = repo.commit_all("snapshot", EPOCH)
+    repo.write("A.java", "class A {\n    int a;\n    int b;\n}\n")
+    edit = repo.commit_all("edit", EPOCH + DAY)
+    blob = repo.git("rev-parse", f"{edit}:A.java").strip()
+    (repo.path / ".git" / "objects" / blob[:2] / blob[2:]).unlink()
+    result = mine_window(repo.path, make_window(repo.path, snapshot, "main"),
+                         snapshot_corpus(repo, snapshot, "gone"))
+    assert [(d.file, d.message) for d in result.diagnostics] == [("A.java", f"unreadable blob {blob} in {edit[:12]}")]
+    assert result.commits[0].files == [("M", "A.java", 0, 3)]  # the three readable lines count as deleted
+
+
 def test_churn_never_invents_lines(mined):
     _, _, _, _, result = mined
     per_commit_file = {}

@@ -423,6 +423,42 @@ def test_report_prints_each_number_with_its_exponent(tmp_path, capsys):
     assert len(lines[1]) == len(lines[0]) - len("verdict") + len("accepted")
 
 
+def test_report_without_results_says_to_run_stats(tmp_path, capsys):
+    assert cli_main(["report", "--output-dir", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == "no results.csv yet; run `smellstab stats` first\n"
+
+
+def test_report_lists_the_quarantined_projects(tmp_path, capsys):
+    out_dir = tmp_path / "out"
+    out_dir.mkdir()
+    write_csv(out_dir / "results.csv", RESULTS_HEADER, [])
+    why = {"stage": "mine", "type": "GitError", "message": "gone"}
+    (out_dir / "quarantine.json").write_text(json.dumps({"quarantined": {"b/late": why, "a/early": why}}))
+    assert cli_main(["report", "--output-dir", str(out_dir)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "quarantined projects: ['a/early', 'b/late']"
+
+
+def test_duplicate_outcome_row_quarantines_its_project_in_join(tmp_path, fixture_projects, capsys):
+    manifest = _write_manifest(tmp_path / "dup_manifest.jsonl", fixture_projects)
+    out_dir = tmp_path / "dup_out"
+    args = ["join", "--manifest", str(manifest), "--output-dir", str(out_dir)]
+    assert cli_main(args) == 0
+    outcomes = out_dir / "projects" / "fix__one" / "mine" / "outcomes.csv"
+    first_row = outcomes.read_text().splitlines()[1]
+    with open(outcomes, "a", newline="") as fh:
+        fh.write(first_row + "\r\n")
+    capsys.readouterr()
+    assert cli_main(args) == 0  # the mine marker still holds: only join reads the file again
+    printed = capsys.readouterr()
+    message = "duplicate outcome key ('fix/one', 'Envy')"  # Envy sorts first of fix/one's classes
+    why = {"stage": "join", "type": "PipelineIntegrityError", "message": message}
+    assert json.loads((out_dir / "quarantine.json").read_text()) == {"quarantined": {"fix/one": why}}
+    assert f"quarantined fix/one in join: PipelineIntegrityError: {message}\n" in printed.err
+    assert printed.out.endswith("for 1 projects\n")
+    _, rows = read_csv(out_dir / "dataset.csv")
+    assert {r["project"] for r in rows} == {"fix/two"}
+
+
 def test_negative_seed_on_the_command_line_changes_nothing(stats_out, capsys):
     _stats(stats_out, seed=5)
     before = {p: p.read_bytes() for p in stats_out.rglob("*") if p.is_file()}
@@ -927,6 +963,14 @@ def test_unreadable_stats_cache_refits(stats_out, fits, caplog, name, damage):
     assert [r.levelname for r in caplog.records if "stats cache" in r.getMessage()] == ["WARNING"]
     assert _stats(stats_out, seed=5) == cold  # the rewritten cache is read again
     assert len(fits) == 2 * fitted
+
+
+def test_cold_stats_run_removes_the_old_zip_store(stats_out):
+    stage_dir = stats_out / "stats"
+    stage_dir.mkdir()
+    (stage_dir / "suite.npz").write_bytes(b"PK\x05\x06" + bytes(18))  # an empty zip, as older versions wrote
+    _stats(stats_out, seed=5)
+    assert sorted(p.name for p in stage_dir.iterdir()) == ["stage.json", "suite.bin", "suite.json"]
 
 
 def _first_converged_model(out) -> int:
