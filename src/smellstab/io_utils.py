@@ -11,7 +11,7 @@ import io
 import json
 import os
 import threading
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -69,11 +69,28 @@ def write_json(path: str | Path, doc: dict) -> None:
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[dict[str, str]]]:
-    return parse_csv(Path(path).read_bytes())
+    header, rows = parse_csv(Path(path).read_bytes(), str(path))
+    return header, list(rows)
 
 
-def parse_csv(data: bytes) -> tuple[list[str], list[dict[str, str]]]:
-    """Header and rows of a CSV file's bytes, decoded as ``open`` decodes the file."""
-    with io.TextIOWrapper(io.BytesIO(data), newline="") as fh:
-        reader = csv.DictReader(fh)
-        return list(reader.fieldnames or []), list(reader)
+def parse_csv(data: bytes, name: str) -> tuple[list[str], Iterator[dict[str, str]]]:
+    """Header and lazily read rows of a CSV file's bytes, decoded as ``open(..., newline="")`` decodes the file.
+
+    Blank lines are skipped.  A row whose field count is not the header's
+    raises a ValueError naming ``name``, its line, and both counts.
+    """
+    fh = io.TextIOWrapper(io.BytesIO(data), newline="")
+    reader = csv.reader(fh)
+    header = next(reader, [])
+
+    def rows() -> Iterator[dict[str, str]]:
+        with fh:
+            for row in reader:
+                if not row:
+                    continue
+                if len(row) != len(header):
+                    raise ValueError(f"{name}, line {reader.line_num}: "
+                                     f"expected {len(header)} fields as in the header, found {len(row)}")
+                yield dict(zip(header, row))
+
+    return header, rows()

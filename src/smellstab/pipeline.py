@@ -54,7 +54,6 @@ from .stats.suite import (
     export_results_csv,
     load_suite,
     run_hypothesis_suite,
-    save_suite,
 )
 
 DATASET_HEADER = OBSERVATION_HEADER + ["ChF", "ChS", "lineage_status"]
@@ -390,17 +389,17 @@ def run_stats(config: PipelineConfig) -> None:
     The fits read only the dataset, so ``out/stats/`` is keyed on its sha256
     and the code, not on the seed: a seed-changed rerun draws new quantile
     residuals from the CDF bounds cached with the fits, and writes what a cold
-    run would.  A cold run exports through those cached bounds as well.
+    run would.  A cold run exports through those cached bounds as well.  It
+    reads the dataset one row at a time into the models' columns and stores
+    each model as its fit ends, so its memory follows one model.
     """
     out = Path(config.output_dir)
     data = (out / "dataset.csv").read_bytes()
     stage_dir = out / "stats"
 
     def fit(key: str) -> SuiteResult:
-        nonlocal data
         _log.info("stats: fitting the suite (key %s)", key[:12])
-        rows, data = parse_csv(data)[1], None  # the rows hold the dataset now; the bytes would only raise the peak RSS
-        return save_suite(run_hypothesis_suite(rows), stage_dir)
+        return run_hypothesis_suite(parse_csv(data, str(out / "dataset.csv"))[1], stage_dir)
 
     def reuse(key: str) -> SuiteResult:
         suite = load_suite(stage_dir)

@@ -10,6 +10,8 @@ positive throughout (encoded in the table, not assumed downstream).
 
 from __future__ import annotations
 
+from array import array
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,13 +103,6 @@ class DesignMatrix:
             self.counts = Counts(self.y)
 
 
-def _as_float(column: str, values: list) -> np.ndarray:
-    """One dataset column as floats: ``true``/``1`` for a flag, ``float()`` otherwise."""
-    if column in BINARY:
-        return np.array([1.0 if str(v).lower() in ("true", "1") else 0.0 for v in values])
-    return np.array([float(v) for v in values], dtype=float)
-
-
 @dataclass(frozen=True)
 class ColumnTable:
     """The dataset columns the 34 models read, converted once."""
@@ -125,13 +120,26 @@ def spec_columns() -> list[str]:
     return list(cols)
 
 
-def column_table(rows: list[dict]) -> ColumnTable:
-    """Convert joined dataset rows once into the columns the 34 models read."""
-    columns = {c: _as_float(c, [r[c] for r in rows]) for c in spec_columns()}
-    projects = [str(r["project"]) for r in rows]
-    labels = sorted(set(projects))
-    code = {p: i for i, p in enumerate(labels)}
-    return ColumnTable(columns, np.array([code[p] for p in projects], dtype=np.int64), labels)
+def column_table(rows: Iterable[Mapping]) -> ColumnTable:
+    """Convert joined dataset rows, read one at a time, into the columns the 34 models read.
+
+    A flag reads 1 for ``true`` in any case or ``1``, and 0 otherwise; every
+    other cell goes through ``float()``.  Columns no model reads are never
+    touched, and no row is kept.
+    """
+    names = spec_columns()
+    cells = [(array("d"), name in BINARY, name) for name in names]
+    codes, first_seen = array("q"), {}  # project -> its code in first-seen order
+    for r in rows:
+        for column, flag, name in cells:
+            v = r[name]
+            column.append((1.0 if str(v).lower() in ("true", "1") else 0.0) if flag else float(v))
+        codes.append(first_seen.setdefault(str(r["project"]), len(first_seen)))
+    labels = sorted(first_seen)
+    rank = {p: i for i, p in enumerate(labels)}
+    renumber = np.array([rank[p] for p in first_seen], dtype=np.int64)  # first-seen code -> sorted code
+    return ColumnTable({name: np.frombuffer(column, dtype=np.float64) for column, _, name in cells},
+                       renumber[np.frombuffer(codes, dtype=np.int64)], labels)
 
 
 def prepare_design(table: ColumnTable, spec: ModelSpec) -> DesignMatrix:

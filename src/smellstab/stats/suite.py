@@ -6,6 +6,7 @@ import contextlib
 import hashlib
 import json
 import math
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, fields as dc_fields
 from pathlib import Path
 
@@ -13,6 +14,7 @@ import numpy as np
 
 from ..io_utils import atomic_writer, write_csv, write_json
 from .design import (
+    ColumnTable,
     DesignError,
     ModelSpec,
     all_model_specs,
@@ -80,72 +82,92 @@ class HypothesisResult:
 @dataclass
 class SuiteResult:
     results: list[HypothesisResult]
-    # once saved: the suite.bin that holds each converged model's CDF bounds, and its index
+    # once stored: the suite.bin that holds each converged model's CDF bounds, and its index
     store: Path | None = None
     index: dict[str, list] | None = None
 
 
-def run_hypothesis_suite(rows: list[dict]) -> SuiteResult:
+def _fit_model(spec: ModelSpec, table: ColumnTable, null_cache: dict, samples: dict) -> HypothesisResult:
+    """One model fitted, with every outcome field set but ``p_bh`` and the BH verdict.
+
+    A design's rows depend only on its (dv, population): ``samples`` keeps
+    one copy of each, and ``null_cache`` one null log-likelihood.
+    """
+    res = HypothesisResult(spec)
+    try:
+        design = prepare_design(table, spec)
+    except DesignError as exc:
+        res.note = str(exc)
+        return res
+    key = (spec.dv, spec.population)
+    res.y, res.row_index = samples.setdefault(key, (design.y, design.row_index))
+    poisson = fit_poisson(design)
+    if poisson.converged:
+        try:
+            res.dispersion_stat = dispersion_statistic(poisson, design)
+        except DispersionError:
+            pass
+    fit = fit_negbin_random_intercept(design, poisson)
+    res.fit = fit
+    if not fit.converged:
+        res.note = f"fit not converged: {fit.message}".strip()
+        return res
+    if key not in null_cache:
+        null_fit = fit_negbin_random_intercept(null_design(design))
+        null_cache[key] = null_fit.ll if null_fit.converged else float("nan")
+    res.null_ll = null_cache[key]
+    res.p_raw = one_sided_p(fit, spec.iv, spec.direction)
+    if math.isnan(res.p_raw):
+        res.p_raw = 1.0
+        res.note = "degenerate IV standard error"
+        return res
+    res.irr, res.ame = effect_sizes(fit, design, spec.iv)
+    if math.isfinite(res.null_ll) and res.null_ll != 0:
+        _, res.mcfadden = fit_quality(fit.ll, res.null_ll)
+    res.status = REJECTED  # upgraded after BH
+    return res
+
+
+def run_hypothesis_suite(rows: Iterable[Mapping], store: str | Path | None = None) -> SuiteResult:
     """Fit all 34 models, BH-adjust within each RQ, set each status.
 
     Non-converged or unfittable models carry a conservative raw p of 1.0
     into the family adjustment (family sizes stay 6/12/4/12) and are marked
-    inconclusive, never accepted.  The rows are converted to columns once;
+    inconclusive, never accepted.  The rows are read once into columns;
     each design is a choice of columns and rows from that table.
+
+    With a ``store`` directory each model is stored there as its fit ends
+    (see ``_SuiteStore``) and its fitted means are dropped, so the suite
+    holds one model's means at a time; the result reads its CDF bounds
+    from the store.  Without one, the fits keep their fitted means.
     """
-    specs = all_model_specs()
     table = column_table(rows)
     results: list[HypothesisResult] = []
     null_cache: dict[tuple[str, str], float] = {}
-    # a design's rows depend only on its (dv, population): one copy of each sample is kept
     samples: dict[tuple[str, str], tuple[np.ndarray, np.ndarray]] = {}
-    for spec in specs:
-        res = HypothesisResult(spec)
-        results.append(res)
-        try:
-            design = prepare_design(table, spec)
-        except DesignError as exc:
-            res.note = str(exc)
-            continue
-        key = (spec.dv, spec.population)
-        res.y, res.row_index = samples.setdefault(key, (design.y, design.row_index))
-        poisson = fit_poisson(design)
-        if poisson.converged:
-            try:
-                res.dispersion_stat = dispersion_statistic(poisson, design)
-            except DispersionError:
-                pass
-        fit = fit_negbin_random_intercept(design, poisson)
-        res.fit = fit
-        if not fit.converged:
-            res.note = f"fit not converged: {fit.message}".strip()
-            continue
-        if key not in null_cache:
-            null_fit = fit_negbin_random_intercept(null_design(design))
-            null_cache[key] = null_fit.ll if null_fit.converged else float("nan")
-        res.null_ll = null_cache[key]
-        res.p_raw = one_sided_p(fit, spec.iv, spec.direction)
-        if math.isnan(res.p_raw):
-            res.p_raw = 1.0
-            res.note = "degenerate IV standard error"
-            continue
-        res.irr, res.ame = effect_sizes(fit, design, spec.iv)
-        if math.isfinite(res.null_ll) and res.null_ll != 0:
-            _, res.mcfadden = fit_quality(fit.ll, res.null_ll)
-        res.status = REJECTED  # upgraded after BH below
+    path = None if store is None else Path(store) / "suite.bin"
+    with contextlib.nullcontext() if path is None else atomic_writer(path, "wb") as fh:
+        saved = None if fh is None else _SuiteStore(fh)
+        for i, spec in enumerate(all_model_specs()):
+            res = _fit_model(spec, table, null_cache, samples)
+            results.append(res)
+            if saved is not None:
+                saved.add(i, res)
 
-    for rq in ("RQ1", "RQ2", "RQ3", "RQ4"):
-        family = [r for r in results if r.spec.rq == rq]
-        adjusted = bh_adjust([r.p_raw for r in family])
-        for r, adj in zip(family, adjusted):
-            r.p_bh = float(adj)
-            if r.status == INCONCLUSIVE:
-                continue
-            beta_iv = r.fit.beta[r.fit.coef(r.spec.iv)]
-            in_direction = (beta_iv > 0) if r.spec.direction > 0 else (beta_iv < 0)
-            r.status = ACCEPTED if (in_direction and r.p_bh < ALPHA) else REJECTED
-
-    return SuiteResult(results)
+        for rq in ("RQ1", "RQ2", "RQ3", "RQ4"):
+            family = [r for r in results if r.spec.rq == rq]
+            adjusted = bh_adjust([r.p_raw for r in family])
+            for r, adj in zip(family, adjusted):
+                r.p_bh = float(adj)
+                if r.status == INCONCLUSIVE:
+                    continue
+                beta_iv = r.fit.beta[r.fit.coef(r.spec.iv)]
+                in_direction = (beta_iv > 0) if r.spec.direction > 0 else (beta_iv < 0)
+                r.status = ACCEPTED if (in_direction and r.p_bh < ALPHA) else REJECTED
+    if saved is None:
+        return SuiteResult(results)
+    saved.finish(path.parent, results)
+    return SuiteResult(results, store=path, index=saved.index)
 
 
 # The fields the three exporters read of a model beside its spec, fit and rows.
@@ -164,7 +186,7 @@ def _cdf_bounds(suite: SuiteResult):
     """``(index, result, P(Y < y), P(Y = y))`` per converged model, in suite order.
 
     Read one model at a time through one handle on the suite's store once
-    saved, else computed from the fitted means.
+    stored, else computed from the fitted means.
     """
     with open(suite.store, "rb") if suite.store is not None else contextlib.nullcontext() as fh:
         for i, r in enumerate(suite.results):
@@ -176,59 +198,70 @@ def _cdf_bounds(suite: SuiteResult):
                 yield i, r, _read(fh, suite.index[f"{i}.cdf_lower"]), _read(fh, suite.index[f"{i}.cdf_pmf"])
 
 
-def save_suite(suite: SuiteResult, directory: str | Path) -> SuiteResult:
-    """Store what the three exporters read of ``suite`` in ``directory``.
+def _sample(r: HypothesisResult) -> str:
+    return f"{r.spec.dv}.{r.spec.population}"
 
-    ``suite.bin`` holds raw arrays back to back: each fit's arrays but the
-    fitted means, the response and source rows once per (dv, population),
-    and per converged fit its ``count_cdf_bounds``, the seed-free half of its
-    quantile residuals, written as computed so that at most one pair is held.
-    ``suite.json`` holds per model its label, outcome fields and scalar fit
-    fields, and the ``name -> [dtype, shape, offset]`` index, byte count and
-    sha256 of ``suite.bin``.  Poisson fits are not kept.  Each file is
-    replaced atomically, and an older version's ``suite.npz`` is removed.
-    Returns ``suite`` reading its bounds from the store.
+
+class _SuiteStore:
+    """What the three exporters read of the suite, stored model by model as each fit ends.
+
+    ``suite.bin`` holds raw arrays back to back, per model in suite order:
+    the fit's arrays but the fitted means, the response and source rows of
+    its sample (its dv and population) where the sample first appears, and
+    for a converged fit its ``count_cdf_bounds``, the seed-free half of its
+    quantile residuals.  ``add`` then drops the fitted means.  The caller
+    writes ``suite.bin`` through an atomic writer, so it stays a temp file
+    until the suite ends.  ``finish`` then writes ``suite.json``: per model
+    its label, outcome fields and scalar fit fields, and the
+    ``name -> [dtype, shape, offset]`` index, byte count and sha256 of
+    ``suite.bin``.  Poisson fits are not kept.
     """
-    directory = Path(directory)
-    models, arrays = [], {}
-    for i, r in enumerate(suite.results):
-        entry: dict = {"label": r.spec.label, **{k: getattr(r, k) for k in _OUTCOME_FIELDS}}
-        if r.fit is not None:
-            entry["fit"] = {}
-            for f in dc_fields(FitResult):
-                value = getattr(r.fit, f.name)
-                if not isinstance(value, np.ndarray):
-                    entry["fit"][f.name] = value
-                elif f.name != "mu_hat":
-                    arrays[f"{i}.{f.name}"] = value
-        if r.y is not None:
-            entry["sample"] = sample = f"{r.spec.dv}.{r.spec.population}"
-            arrays.setdefault(f"{sample}.y", r.y)
-            arrays.setdefault(f"{sample}.row_index", r.row_index)
-        models.append(entry)
-    path = directory / "suite.bin"
-    index, digest = {}, hashlib.sha256()
-    with atomic_writer(path, "wb") as fh:
-        def put(name: str, array: np.ndarray) -> None:
-            array = np.ascontiguousarray(array)
-            index[name] = [array.dtype.str, list(array.shape), fh.tell()]
-            fh.write(array.data)
-            digest.update(array.data)
 
-        for name, array in arrays.items():
-            put(name, array)
-        for i, _, lower, pmf in _cdf_bounds(suite):
-            put(f"{i}.cdf_lower", lower)
-            put(f"{i}.cdf_pmf", pmf)
-        size = fh.tell()
-    write_json(directory / "suite.json", {"models": models, "arrays": index, "bytes": size,
-                                          "sha256": digest.hexdigest()})
-    (directory / "suite.npz").unlink(missing_ok=True)  # the zip store that suite.bin replaced
-    return SuiteResult(suite.results, store=path, index=index)
+    def __init__(self, fh) -> None:
+        self.fh, self.size, self.index, self.digest = fh, 0, {}, hashlib.sha256()
+
+    def put(self, name: str, array: np.ndarray) -> None:
+        array = np.ascontiguousarray(array)
+        self.index[name] = [array.dtype.str, list(array.shape), self.size]
+        self.fh.write(array.data)
+        self.digest.update(array.data)
+        self.size += array.nbytes
+
+    def add(self, i: int, r: HypothesisResult) -> None:
+        if r.fit is not None:
+            for f in dc_fields(FitResult):
+                if f.name != "mu_hat" and isinstance(value := getattr(r.fit, f.name), np.ndarray):
+                    self.put(f"{i}.{f.name}", value)
+        if r.y is not None:
+            sample = _sample(r)
+            if f"{sample}.y" not in self.index:
+                self.put(f"{sample}.y", r.y)
+                self.put(f"{sample}.row_index", r.row_index)
+        if r.converged:
+            lower, pmf = count_cdf_bounds(r.y, r.fit.mu_hat, r.fit.theta)
+            self.put(f"{i}.cdf_lower", lower)
+            self.put(f"{i}.cdf_pmf", pmf)
+        if r.fit is not None:
+            r.fit.mu_hat = np.empty(0)
+
+    def finish(self, directory: Path, results: list[HypothesisResult]) -> None:
+        """Write ``suite.json`` for the whole ``suite.bin``, and remove an older version's ``suite.npz``."""
+        models = []
+        for r in results:
+            entry: dict = {"label": r.spec.label, **{k: getattr(r, k) for k in _OUTCOME_FIELDS}}
+            if r.fit is not None:
+                entry["fit"] = {f.name: value for f in dc_fields(FitResult)
+                                if not isinstance(value := getattr(r.fit, f.name), np.ndarray)}
+            if r.y is not None:
+                entry["sample"] = _sample(r)
+            models.append(entry)
+        write_json(directory / "suite.json", {"models": models, "arrays": self.index, "bytes": self.size,
+                                              "sha256": self.digest.hexdigest()})
+        (directory / "suite.npz").unlink(missing_ok=True)  # the zip store that suite.bin replaced
 
 
 def load_suite(directory: str | Path) -> SuiteResult:
-    """The suite ``save_suite`` stored in ``directory``, for the three exporters.
+    """The suite ``run_hypothesis_suite`` stored in ``directory``, for the three exporters.
 
     Raises on a missing or foreign file, a ``suite.bin`` of another size or
     sha256, an entry that is not a plain numeric array inside it (nothing is

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 import pickle
 import re
@@ -8,13 +10,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simulate import simulate_observation_rows
-from smellstab.io_utils import read_csv, write_csv
+from smellstab.io_utils import parse_csv, read_csv, write_csv
+from smellstab.pipeline import PipelineConfig, run_stats
 from smellstab.stats import ALPHA, BINARY, all_model_specs, run_hypothesis_suite
 from smellstab.stats.design import FAMILY_SIZES, DesignError, column_table, prepare_design, spec_columns
 from smellstab.stats.glm import fit_negbin_glm
 from smellstab.stats.suite import (
     ACCEPTED, INCONCLUSIVE, REJECTED, export_fits_json, export_quantile_residuals, export_results_csv,
-    load_suite, results_rows, save_suite,
+    load_suite, results_rows,
 )
 
 import stats_oracle
@@ -249,6 +252,88 @@ def test_residual_file_matches_the_oracle_writer(tmp_path):
     assert new.count(b"\n") == 1 + sum(r.row_index.size for r in suite.results if r.converged)
 
 
+# -- the table read lazily from the dataset's bytes --------------------------------
+
+class _OneShot:
+    """Rows that may be iterated once, counting the rows taken."""
+
+    def __init__(self, rows):
+        self.rows, self.taken, self.iterated = rows, 0, False
+
+    def __iter__(self):
+        assert not self.iterated, "the rows were iterated twice"
+        self.iterated = True
+        for row in self.rows:
+            self.taken += 1
+            yield row
+
+
+def _dataset_bytes(header, rows, newline="\n"):
+    text = io.StringIO(newline="")
+    csv.writer(text, lineterminator=newline).writerows([header, *([r[c] for c in header] for r in rows)])
+    return text.getvalue().encode()
+
+
+def test_streamed_table_gives_the_oracle_and_list_designs():
+    rows = simulate_observation_rows(5, 30, seed=43)
+    for k, r in enumerate(rows):
+        r["class"] = f"org.p.C{k}<K, V>"  # quoted: it holds a comma
+        r["project"] = r["project"].replace("proj", "org,proj")
+        r["unread"] = "n/a"  # a column no model reads
+    header = list(reversed(list(rows[0])))  # the columns in another order
+    data = _dataset_bytes(header, rows, newline="\r\n")
+    assert data.count(b"\r\n") == len(rows) + 1 and b'"org,proj000"' in data
+
+    streamed = _OneShot(parse_csv(data, "dataset.csv")[1])
+    table = column_table(streamed)
+    assert (streamed.iterated, streamed.taken) == (True, len(rows))
+    listed = list(parse_csv(data, "dataset.csv")[1])
+    assert listed == [{c: str(v) for c, v in r.items()} for r in rows]
+    from_list = column_table(listed)
+    assert table.projects == from_list.projects == sorted({r["project"] for r in rows})
+    for spec in all_model_specs():
+        design = prepare_design(table, spec)
+        _assert_same_design(design, prepare_design(from_list, spec))
+        _assert_same_design(design, stats_oracle.prepare_design(rows, spec))
+
+
+def test_parse_csv_decodes_as_open_does(tmp_path):
+    data = b'a,b\r\n"x\r\ny",1\r\n\r\nz,"2,3"\n'
+    (tmp_path / "f.csv").write_bytes(data)
+    with open(tmp_path / "f.csv", newline="") as fh:
+        want = list(csv.DictReader(fh))
+    header, rows = parse_csv(data, "f.csv")
+    assert header == ["a", "b"]
+    assert list(rows) == want == [{"a": "x\r\ny", "b": "1"}, {"a": "z", "b": "2,3"}]
+
+
+@pytest.mark.parametrize("edit", ["extra_field", "last_two_dropped"])
+def test_a_row_with_another_field_count_is_refused(tmp_path, edit):
+    rows = simulate_observation_rows(3, 20, seed=44)
+    header = list(rows[0])
+    lines = [[r[c] for c in header] for r in rows]
+    if edit == "extra_field":
+        lines[0].insert(header.index("EffIntInten") + 1, "7")
+    else:
+        del lines[0][-2:]
+    write_csv(tmp_path / "dataset.csv", header, lines)
+    message = (f"dataset.csv, line 2: expected {len(header)} fields as in the header, "
+               f"found {len(lines[0])}")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        read_csv(tmp_path / "dataset.csv")
+    with pytest.raises(ValueError, match=re.escape(message)):
+        run_stats(PipelineConfig(output_dir=str(tmp_path)))
+    assert not (tmp_path / "results.csv").exists()
+
+
+def test_an_empty_flag_cell_reads_zero(tmp_path):
+    rows = simulate_observation_rows(3, 20, seed=45)
+    smelly = next(i for i, r in enumerate(rows) if r["IsSmelly"] == "true")
+    rows[smelly]["IsSmelly"] = ""
+    table = column_table(parse_csv(_dataset_bytes(list(rows[0]), rows), "dataset.csv")[1])
+    assert table.columns["IsSmelly"][smelly] == 0.0
+
+
 # -- error paths of the column table ----------------------------------------------
 
 def test_empty_non_smelly_population_note_in_fits_json(tmp_path):
@@ -351,36 +436,53 @@ def _export_all(suite, directory, seed):
     return {p.name: p.read_bytes() for p in directory.iterdir()}
 
 
-def test_saved_suite_exports_the_same_bytes(tmp_path):
+def _planting_a_glm_fit(monkeypatch):
+    """Make the GLMM fit of H1.2:ChF, the first design with ``#SmellFoc`` as its IV, an NB GLM fit."""
+    import smellstab.stats.suite as suite_mod
+
+    real = suite_mod.fit_negbin_random_intercept
+
+    def planting(design, *args):
+        if design.names[1:2] == ["#SmellFoc"] and not planted:
+            planted.append(design.names)
+            return fit_negbin_glm(design)
+        return real(design, *args)
+
+    planted = []
+    monkeypatch.setattr(suite_mod, "fit_negbin_random_intercept", planting)
+    return planted
+
+
+def test_saved_suite_exports_the_same_bytes(tmp_path, monkeypatch):
     rows = simulate_observation_rows(4, 30, seed=21)
     for r in rows:
         r["IsSmelly"] = "true"  # the non-smelly population is empty: no design
+    planted = _planting_a_glm_fit(monkeypatch)
     suite = run_hypothesis_suite(rows)
-    planted = next(r for r in suite.results if r.spec.label == "H1.2:ChF")
-    planted.fit = fit_negbin_glm(prepare_design(column_table(rows), planted.spec))
-    assert planted.fit.converged and planted.fit.sigma2 is None and planted.fit.u_hat is None
+    glm = next(r for r in suite.results if r.spec.label == "H1.2:ChF").fit
+    assert glm.converged and glm.sigma2 is None and glm.u_hat is None
     assert any(r.fit is not None and not r.fit.converged for r in suite.results)
     assert any(r.fit is None and "empty population" in r.note for r in suite.results)
     assert any(np.isnan(r.null_ll) for r in suite.results)
 
+    planted.clear()
     (tmp_path / "cache").mkdir()
-    save_suite(suite, tmp_path / "cache")
+    stored = run_hypothesis_suite(rows, tmp_path / "cache")
+    assert next(r for r in stored.results if r.spec.label == "H1.2:ChF").fit.u_hat is None
     loaded = load_suite(tmp_path / "cache")
-    assert _export_all(loaded, tmp_path / "loaded", seed=9) == _export_all(suite, tmp_path / "fitted", seed=9)
+    fitted = _export_all(suite, tmp_path / "fitted", seed=9)
+    assert _export_all(stored, tmp_path / "stored", seed=9) == fitted
+    assert _export_all(loaded, tmp_path / "loaded", seed=9) == fitted
 
 
 def test_saved_suite_bytes_are_deterministic(tmp_path):
-    """Equal suites give equal files, whether the bounds are computed or copied from a store."""
-    suite = run_hypothesis_suite(simulate_observation_rows(6, 40, seed=42))
-    for name in ("a", "b", "copied"):
+    """Equal suites give equal files."""
+    rows = simulate_observation_rows(6, 40, seed=42)
+    for name in ("a", "b"):
         (tmp_path / name).mkdir()
-    save_suite(suite, tmp_path / "a")
-    save_suite(suite, tmp_path / "b")
-    save_suite(load_suite(tmp_path / "a"), tmp_path / "copied")
+        run_hypothesis_suite(rows, tmp_path / name)
     for name in ("suite.bin", "suite.json"):
-        first = (tmp_path / "a" / name).read_bytes()
-        assert (tmp_path / "b" / name).read_bytes() == first
-        assert (tmp_path / "copied" / name).read_bytes() == first
+        assert (tmp_path / "b" / name).read_bytes() == (tmp_path / "a" / name).read_bytes()
 
 
 def _edit_entry(directory, name, field, value):
@@ -391,8 +493,7 @@ def _edit_entry(directory, name, field, value):
 
 
 def test_load_suite_unpickles_nothing(tmp_path, monkeypatch):
-    suite = run_hypothesis_suite(simulate_observation_rows(6, 40, seed=42))
-    save_suite(suite, tmp_path)
+    run_hypothesis_suite(simulate_observation_rows(6, 40, seed=42), tmp_path)
     _edit_entry(tmp_path, "0.beta", 0, "|O")
     unpickled = []
     for name in ("load", "loads"):
@@ -404,8 +505,7 @@ def test_load_suite_unpickles_nothing(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("where", ["past_end", "before_start"])
 def test_load_suite_refuses_an_entry_outside_the_file(tmp_path, where):
-    suite = run_hypothesis_suite(simulate_observation_rows(6, 40, seed=42))
-    save_suite(suite, tmp_path)
+    run_hypothesis_suite(simulate_observation_rows(6, 40, seed=42), tmp_path)
     doc = json.loads((tmp_path / "suite.json").read_text())
     dtype, shape, _ = doc["arrays"]["0.beta"]
     nbytes = np.dtype(dtype).itemsize * int(np.prod(shape))
