@@ -7,7 +7,7 @@ import hashlib
 import json
 import math
 from collections.abc import Iterable, Mapping
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,23 +66,20 @@ class HypothesisResult:
     def converged(self) -> bool:
         return self.fit is not None and self.fit.converged
 
-    def iv_stats(self) -> tuple[float, float, float, float]:
-        if self.fit is None:
-            nan = float("nan")
-            return nan, nan, nan, nan
-        k = self.fit.coef(self.spec.iv)
-        return (
-            float(self.fit.beta[k]),
-            float(self.fit.se[k]),
-            float(self.fit.ci_low[k]),
-            float(self.fit.ci_high[k]),
-        )
-
 
 @dataclass
 class SuiteResult:
-    results: list[HypothesisResult]
-    # once stored: the suite.bin that holds each converged model's CDF bounds, and its index
+    """What the three exporters read of the suite.
+
+    ``entries`` holds each model's seed-free ``fits.json`` entry, in
+    ``all_model_specs()`` order.  ``results`` holds the fitted models when
+    the suite was fitted in this run.  Once stored, ``store`` is the
+    ``suite.bin`` that holds each population's source rows and each
+    converged model's CDF bounds, and ``index`` places them in it.
+    """
+
+    entries: list[dict]
+    results: list[HypothesisResult] | None = None
     store: Path | None = None
     index: dict[str, list] | None = None
 
@@ -138,8 +135,8 @@ def run_hypothesis_suite(rows: Iterable[Mapping], store: str | Path | None = Non
 
     With a ``store`` directory each model is stored there as its fit ends
     (see ``_SuiteStore``) and its fitted means are dropped, so the suite
-    holds one model's means at a time; the result reads its CDF bounds
-    from the store.  Without one, the fits keep their fitted means.
+    holds one model's means at a time; the result reads its source rows and
+    CDF bounds from the store.  Without one, the fits keep their fitted means.
     """
     table = column_table(rows)
     results: list[HypothesisResult] = []
@@ -164,15 +161,35 @@ def run_hypothesis_suite(rows: Iterable[Mapping], store: str | Path | None = Non
                 beta_iv = r.fit.beta[r.fit.coef(r.spec.iv)]
                 in_direction = (beta_iv > 0) if r.spec.direction > 0 else (beta_iv < 0)
                 r.status = ACCEPTED if (in_direction and r.p_bh < ALPHA) else REJECTED
+    entries = [_entry(r) for r in results]
     if saved is None:
-        return SuiteResult(results)
-    saved.finish(path.parent, results)
-    return SuiteResult(results, store=path, index=saved.index)
+        return SuiteResult(entries, results)
+    saved.finish(path.parent, entries)
+    return SuiteResult(entries, results, store=path, index=saved.index)
 
 
-# The fields the three exporters read of a model beside its spec, fit and rows.
+# The outcome fields of a model that its fits.json entry records beside its spec and fit.
 _OUTCOME_FIELDS = ("status", "note", "p_raw", "p_bh", "irr", "ame", "mcfadden", "null_ll",
                    "dispersion_stat")
+
+
+def _entry(r: HypothesisResult) -> dict:
+    """The model's seed-free ``fits.json`` entry."""
+    entry: dict = {k: getattr(r, k) for k in _OUTCOME_FIELDS}
+    entry.update(hypothesis=r.spec.hypothesis, dv=r.spec.dv, rq=r.spec.rq, iv=r.spec.iv, cvs=list(r.spec.cvs),
+                 population=r.spec.population, mcfadden_r2=entry.pop("mcfadden"))
+    if r.fit is not None:
+        entry["fit"] = r.fit.to_dict()
+    return entry
+
+
+def _converged(entry: dict) -> bool:
+    return "fit" in entry and entry["fit"]["converged"]
+
+
+def _canonical(models: list[dict], index: dict) -> bytes:
+    """What ``suite.json``'s sha256 covers of its entries and index, the same before and after a JSON round trip."""
+    return json.dumps([models, index], sort_keys=True).encode()
 
 
 def _read(fh, entry: list) -> np.ndarray:
@@ -183,38 +200,34 @@ def _read(fh, entry: list) -> np.ndarray:
 
 
 def _cdf_bounds(suite: SuiteResult):
-    """``(index, result, P(Y < y), P(Y = y))`` per converged model, in suite order.
+    """``(label, source rows, P(Y < y), P(Y = y))`` per converged model, in suite order.
 
     Read one model at a time through one handle on the suite's store once
     stored, else computed from the fitted means.
     """
-    with open(suite.store, "rb") if suite.store is not None else contextlib.nullcontext() as fh:
-        for i, r in enumerate(suite.results):
-            if not r.converged:
-                continue
-            if fh is None:
-                yield i, r, *count_cdf_bounds(r.y, r.fit.mu_hat, r.fit.theta)
-            else:
-                yield i, r, _read(fh, suite.index[f"{i}.cdf_lower"]), _read(fh, suite.index[f"{i}.cdf_pmf"])
-
-
-def _sample(r: HypothesisResult) -> str:
-    return f"{r.spec.dv}.{r.spec.population}"
+    if suite.store is None:
+        for r in suite.results:
+            if r.converged:
+                yield r.spec.label, r.row_index, *count_cdf_bounds(r.y, r.fit.mu_hat, r.fit.theta)
+        return
+    with open(suite.store, "rb") as fh:
+        for i, (spec, entry) in enumerate(zip(all_model_specs(), suite.entries)):
+            if _converged(entry):
+                yield (spec.label, _read(fh, suite.index[f"{spec.population}.row_index"]),
+                       _read(fh, suite.index[f"{i}.cdf_lower"]), _read(fh, suite.index[f"{i}.cdf_pmf"]))
 
 
 class _SuiteStore:
-    """What the three exporters read of the suite, stored model by model as each fit ends.
+    """What the residual export reads of the suite, stored model by model as each fit ends.
 
-    ``suite.bin`` holds raw arrays back to back, per model in suite order:
-    the fit's arrays but the fitted means, the response and source rows of
-    its sample (its dv and population) where the sample first appears, and
-    for a converged fit its ``count_cdf_bounds``, the seed-free half of its
-    quantile residuals.  ``add`` then drops the fitted means.  The caller
-    writes ``suite.bin`` through an atomic writer, so it stays a temp file
-    until the suite ends.  ``finish`` then writes ``suite.json``: per model
-    its label, outcome fields and scalar fit fields, and the
-    ``name -> [dtype, shape, offset]`` index, byte count and sha256 of
-    ``suite.bin``.  Poisson fits are not kept.
+    ``suite.bin`` holds raw arrays back to back: the source rows of each
+    population where its first design appears, and for a converged model
+    its ``count_cdf_bounds``, the seed-free half of its quantile residuals.
+    ``add`` then drops the fitted means.  The caller writes ``suite.bin``
+    through an atomic writer, so it stays a temp file until the suite ends.
+    ``finish`` then writes ``suite.json``: each model's ``fits.json`` entry,
+    the ``name -> [dtype, shape, offset]`` index and byte count of
+    ``suite.bin``, and one sha256 over ``suite.bin``, the entries and the index.
     """
 
     def __init__(self, fh) -> None:
@@ -228,15 +241,8 @@ class _SuiteStore:
         self.size += array.nbytes
 
     def add(self, i: int, r: HypothesisResult) -> None:
-        if r.fit is not None:
-            for f in dc_fields(FitResult):
-                if f.name != "mu_hat" and isinstance(value := getattr(r.fit, f.name), np.ndarray):
-                    self.put(f"{i}.{f.name}", value)
-        if r.y is not None:
-            sample = _sample(r)
-            if f"{sample}.y" not in self.index:
-                self.put(f"{sample}.y", r.y)
-                self.put(f"{sample}.row_index", r.row_index)
+        if r.row_index is not None and (rows := f"{r.spec.population}.row_index") not in self.index:
+            self.put(rows, r.row_index)
         if r.converged:
             lower, pmf = count_cdf_bounds(r.y, r.fit.mu_hat, r.fit.theta)
             self.put(f"{i}.cdf_lower", lower)
@@ -244,18 +250,10 @@ class _SuiteStore:
         if r.fit is not None:
             r.fit.mu_hat = np.empty(0)
 
-    def finish(self, directory: Path, results: list[HypothesisResult]) -> None:
+    def finish(self, directory: Path, entries: list[dict]) -> None:
         """Write ``suite.json`` for the whole ``suite.bin``, and remove an older version's ``suite.npz``."""
-        models = []
-        for r in results:
-            entry: dict = {"label": r.spec.label, **{k: getattr(r, k) for k in _OUTCOME_FIELDS}}
-            if r.fit is not None:
-                entry["fit"] = {f.name: value for f in dc_fields(FitResult)
-                                if not isinstance(value := getattr(r.fit, f.name), np.ndarray)}
-            if r.y is not None:
-                entry["sample"] = _sample(r)
-            models.append(entry)
-        write_json(directory / "suite.json", {"models": models, "arrays": self.index, "bytes": self.size,
+        self.digest.update(_canonical(entries, self.index))
+        write_json(directory / "suite.json", {"models": entries, "arrays": self.index, "bytes": self.size,
                                               "sha256": self.digest.hexdigest()})
         (directory / "suite.npz").unlink(missing_ok=True)  # the zip store that suite.bin replaced
 
@@ -263,46 +261,39 @@ class _SuiteStore:
 def load_suite(directory: str | Path) -> SuiteResult:
     """The suite ``run_hypothesis_suite`` stored in ``directory``, for the three exporters.
 
-    Raises on a missing or foreign file, a ``suite.bin`` of another size or
-    sha256, an entry that is not a plain numeric array inside it (nothing is
-    unpickled), and converged bounds missing or not one per row of their
-    sample.  The bounds stay on disk until exported.  Fits come back with
-    empty fitted means.
+    Raises on a missing or foreign file, an index entry that is not a plain
+    numeric array inside ``suite.bin`` (nothing is unpickled), converged
+    bounds missing or not one per source row of their population, and a
+    ``suite.bin`` of another size or a sha256 over it, the model entries
+    and the index other than the one recorded.  It reads no array: the
+    rows and bounds stay on disk until exported.
     """
     directory = Path(directory)
     path = directory / "suite.bin"
     doc = json.loads((directory / "suite.json").read_text())
     models, index = doc["models"], doc["arrays"]
-    specs = {spec.label: spec for spec in all_model_specs()}
-    if [m["label"] for m in models] != list(specs):
+    specs = all_model_specs()
+    if [(m["hypothesis"], m["dv"]) for m in models] != [(s.hypothesis, s.dv) for s in specs]:
         raise ValueError(f"{directory}: the cached models are not the suite's 34")
     digest = hashlib.sha256()
     with open(path, "rb") as fh:
         for block in iter(lambda: fh.read(1 << 20), b""):
             digest.update(block)
-        if (size := fh.tell()) != doc["bytes"] or digest.hexdigest() != doc["sha256"]:
-            raise ValueError(f"{path}: not the {doc['bytes']} bytes that suite.json records")
-        for name, (dtype, shape, offset) in index.items():
-            dtype = np.dtype(dtype)
-            if dtype.kind not in "biufc" or not 0 <= offset <= offset + dtype.itemsize * math.prod(shape) <= size:
-                raise ValueError(f"{path}: {name} is not a plain numeric array inside the file")
-        arrays = {name: _read(fh, entry) for name, entry in index.items() if ".cdf_" not in name}
-    results = []
-    for i, m in enumerate(models):
-        r = HypothesisResult(specs[m["label"]], **{k: m[k] for k in _OUTCOME_FIELDS})
-        if "fit" in m:
-            fit_arrays = {"mu_hat": np.empty(0)}
-            fit_arrays.update((name.split(".", 1)[1], a) for name, a in arrays.items()
-                              if name.startswith(f"{i}."))
-            r.fit = FitResult(**m["fit"], **fit_arrays)
-        if "sample" in m:
-            r.y, r.row_index = arrays[f"{m['sample']}.y"], arrays[f"{m['sample']}.row_index"]
-        if r.converged:
-            for name in (f"{i}.cdf_lower", f"{i}.cdf_pmf"):  # a missing one raises KeyError
-                if tuple(index[name][1]) != r.y.shape:
-                    raise ValueError(f"{path}: {name} does not hold one value per row of {r.spec.label}")
-        results.append(r)
-    return SuiteResult(results, store=path, index=index)
+        size = fh.tell()
+    for name, (dtype, shape, offset) in index.items():
+        dtype = np.dtype(dtype)
+        if dtype.kind not in "biufc" or not 0 <= offset <= offset + dtype.itemsize * math.prod(shape) <= size:
+            raise ValueError(f"{path}: {name} is not a plain numeric array inside the file")
+    for i, (spec, m) in enumerate(zip(specs, models)):
+        if _converged(m):
+            rows = index[f"{spec.population}.row_index"][1]  # a missing entry raises KeyError
+            for name in (f"{i}.cdf_lower", f"{i}.cdf_pmf"):
+                if index[name][1] != rows:
+                    raise ValueError(f"{path}: {name} does not hold one value per row of {spec.label}")
+    digest.update(_canonical(models, index))
+    if size != doc["bytes"] or digest.hexdigest() != doc["sha256"]:
+        raise ValueError(f"{path}: not the {doc['bytes']} bytes, models and index that suite.json records")
+    return SuiteResult(models, store=path, index=index)
 
 
 RESULTS_HEADER = [
@@ -312,13 +303,14 @@ RESULTS_HEADER = [
 
 
 def results_rows(suite: SuiteResult) -> list[list]:
-    rows = []
-    for r in suite.results:
-        beta, se, lo, hi = r.iv_stats()
+    rows, nan = [], float("nan")
+    for e in suite.entries:
+        fit = e.get("fit", {})
+        iv = fit["coefficients"][e["iv"]] if fit else {}
         rows.append([
-            r.spec.hypothesis, r.spec.dv, beta, se, lo, hi, r.p_raw, r.p_bh,
-            r.irr, r.ame, r.fit.ll if r.fit is not None else float("nan"),
-            r.mcfadden, r.dispersion_stat, r.converged, r.accepted,
+            e["hypothesis"], e["dv"], *(iv.get(k, nan) for k in ("beta", "se", "ci_low", "ci_high")),
+            e["p_raw"], e["p_bh"], e["irr"], e["ame"], fit.get("ll", nan),
+            e["mcfadden_r2"], e["dispersion_stat"], _converged(e), e["status"] == ACCEPTED,
         ])
     return rows
 
@@ -328,20 +320,8 @@ def export_results_csv(suite: SuiteResult, path: str | Path) -> None:
 
 
 def export_fits_json(suite: SuiteResult, path: str | Path, seed: int = 0, config_echo: dict | None = None) -> None:
-    doc = {
-        "alpha": ALPHA,
-        "seed": seed,
-        "config": config_echo or {},
-        "fits": {},
-    }
-    for r in suite.results:
-        entry: dict = {k: getattr(r, k) for k in _OUTCOME_FIELDS}  # write_json sorts the keys
-        entry.update(hypothesis=r.spec.hypothesis, dv=r.spec.dv, rq=r.spec.rq, iv=r.spec.iv, cvs=list(r.spec.cvs),
-                     population=r.spec.population, mcfadden_r2=entry.pop("mcfadden"))
-        if r.fit is not None:
-            entry["fit"] = r.fit.to_dict()
-        doc["fits"][r.spec.label] = entry
-    write_json(path, doc)
+    fits = {spec.label: entry for spec, entry in zip(all_model_specs(), suite.entries)}
+    write_json(path, {"alpha": ALPHA, "seed": seed, "config": config_echo or {}, "fits": fits})
 
 
 def export_quantile_residuals(suite: SuiteResult, path: str | Path, seed: int = 0) -> None:
@@ -353,8 +333,6 @@ def export_quantile_residuals(suite: SuiteResult, path: str | Path, seed: int = 
     """
     with atomic_writer(path) as fh:
         fh.write("hypothesis,row,quantile_residual\n")
-        for _, r, lower, pmf in _cdf_bounds(suite):
+        for label, rows, lower, pmf in _cdf_bounds(suite):
             resid = randomized_quantile_residuals(lower, pmf, seed)
-            label = r.spec.label
-            fh.write("".join([f"{label},{i},{v!r}\n"
-                              for i, v in zip(r.row_index.tolist(), resid.tolist())]))
+            fh.write("".join([f"{label},{i},{v!r}\n" for i, v in zip(rows.tolist(), resid.tolist())]))

@@ -1002,14 +1002,14 @@ def test_incomplete_cached_bounds_refit(stats_out, fits, caplog, damage, members
     assert len(fits) == 2 * fitted
 
 
-def _first_bound(suite) -> np.ndarray:
+def _first_bounds(suite, k: int) -> np.ndarray:
+    """Item ``k`` of the first converged model's ``(label, source rows, lower, pmf)``."""
     with contextlib.closing(smellstab.stats.suite._cdf_bounds(suite)) as bounds:
-        return next(bounds)[2]
+        return next(bounds)[k]
 
 
-@pytest.mark.parametrize("array_of", [_first_bound,
-                                      lambda suite: next(r.fit.beta for r in suite.results if r.converged)],
-                         ids=["bound", "fit"])
+@pytest.mark.parametrize("array_of", [functools.partial(_first_bounds, k=2), functools.partial(_first_bounds, k=1)],
+                         ids=["bound", "rows"])
 def test_flipped_byte_in_stats_cache_refits(stats_out, fits, caplog, array_of):
     """One flipped byte inside a stored array is a miss, found before any output is rewritten."""
     rows = simulate_observation_rows(10, 80, seed=41)  # bounds of 800 rows: more than one 4 KiB read
@@ -1027,6 +1027,44 @@ def test_flipped_byte_in_stats_cache_refits(stats_out, fits, caplog, array_of):
     assert [r.levelname for r in caplog.records if "stats cache" in r.getMessage()] == ["WARNING"]
     assert _stats(stats_out, seed=5) == cold  # the rewritten cache is read again
     assert len(fits) == 2 * fitted
+
+
+@pytest.mark.parametrize("edit", ["p_raw", "beta", "swapped_bounds"])
+def test_edited_stats_cache_entry_refits(stats_out, fits, caplog, edit):
+    """An edited number in ``suite.json`` is a miss, not a value in an output."""
+    cold = _stats(stats_out, seed=5)
+    fitted = len(fits)
+    path = stats_out / "stats" / "suite.json"
+    doc = json.loads(path.read_text())
+    model = doc["models"][0]
+    if edit == "p_raw":
+        model["p_raw"], model["status"] = 0.5, "accepted"
+    elif edit == "beta":
+        model["fit"]["coefficients"][model["iv"]]["beta"] += 1.0
+    else:  # both entries stay plain arrays of one value per row, inside the file
+        i = _first_converged_model(stats_out)
+        lower, pmf = doc["arrays"][f"{i}.cdf_lower"], doc["arrays"][f"{i}.cdf_pmf"]
+        lower[2], pmf[2] = pmf[2], lower[2]
+    path.write_text(json.dumps(doc))
+    assert _stats(stats_out, seed=5) == cold
+    assert len(fits) == 2 * fitted
+    assert [r.levelname for r in caplog.records if "stats cache" in r.getMessage()] == ["WARNING"]
+
+
+@pytest.mark.parametrize("smelly", [False, True], ids=["both_populations", "no_non_smelly"])
+def test_stats_cache_stores_rows_per_population_and_bounds_per_converged_model(stats_out, smelly):
+    if smelly:
+        header, rows = read_csv(stats_out / "dataset.csv")
+        write_csv(stats_out / "dataset.csv", header,
+                  [[r[c] if c != "IsSmelly" else "true" for c in header] for r in rows])
+    _stats(stats_out, seed=5)
+    doc = json.loads((stats_out / "stats" / "suite.json").read_text())
+    models = doc["models"]
+    populations = {m["population"] for m in models if "fit" in m}
+    converged = [i for i, m in enumerate(models) if "fit" in m and m["fit"]["converged"]]
+    assert populations == ({"all"} if smelly else {"all", "non_smelly"})
+    assert sorted(doc["arrays"]) == sorted([f"{p}.row_index" for p in populations]
+                                           + [f"{i}.{b}" for i in converged for b in ("cdf_lower", "cdf_pmf")])
 
 
 _opened: list[str] | None = None  # the names of the files opened while a test records them

@@ -14,10 +14,11 @@ from smellstab.io_utils import parse_csv, read_csv, write_csv
 from smellstab.pipeline import PipelineConfig, run_stats
 from smellstab.stats import ALPHA, BINARY, all_model_specs, run_hypothesis_suite
 from smellstab.stats.design import FAMILY_SIZES, DesignError, column_table, prepare_design, spec_columns
+from smellstab.stats.fitbase import FitResult
 from smellstab.stats.glm import fit_negbin_glm
 from smellstab.stats.suite import (
-    ACCEPTED, INCONCLUSIVE, REJECTED, export_fits_json, export_quantile_residuals, export_results_csv,
-    load_suite, results_rows,
+    ACCEPTED, INCONCLUSIVE, REJECTED, HypothesisResult, export_fits_json, export_quantile_residuals,
+    export_results_csv, load_suite, results_rows,
 )
 
 import stats_oracle
@@ -494,11 +495,11 @@ def _edit_entry(directory, name, field, value):
 
 def test_load_suite_unpickles_nothing(tmp_path, monkeypatch):
     run_hypothesis_suite(simulate_observation_rows(6, 40, seed=42), tmp_path)
-    _edit_entry(tmp_path, "0.beta", 0, "|O")
+    _edit_entry(tmp_path, "all.row_index", 0, "|O")
     unpickled = []
     for name in ("load", "loads"):
         monkeypatch.setattr(pickle, name, lambda *args, **kwargs: unpickled.append(args))
-    with pytest.raises(ValueError, match="0.beta is not a plain numeric array"):
+    with pytest.raises(ValueError, match="all.row_index is not a plain numeric array"):
         load_suite(tmp_path)
     assert unpickled == []
 
@@ -507,8 +508,22 @@ def test_load_suite_unpickles_nothing(tmp_path, monkeypatch):
 def test_load_suite_refuses_an_entry_outside_the_file(tmp_path, where):
     run_hypothesis_suite(simulate_observation_rows(6, 40, seed=42), tmp_path)
     doc = json.loads((tmp_path / "suite.json").read_text())
-    dtype, shape, _ = doc["arrays"]["0.beta"]
+    dtype, shape, _ = doc["arrays"]["all.row_index"]
     nbytes = np.dtype(dtype).itemsize * int(np.prod(shape))
-    _edit_entry(tmp_path, "0.beta", 2, doc["bytes"] - nbytes + 1 if where == "past_end" else -1)
-    with pytest.raises(ValueError, match="0.beta is not a plain numeric array inside the file"):
+    _edit_entry(tmp_path, "all.row_index", 2, doc["bytes"] - nbytes + 1 if where == "past_end" else -1)
+    with pytest.raises(ValueError, match="all.row_index is not a plain numeric array inside the file"):
         load_suite(tmp_path)
+
+
+def test_load_suite_builds_no_fit_and_reads_no_array(tmp_path, monkeypatch):
+    """A cache hit checks the index and the checksum; the exports read the rows and bounds from disk."""
+    stored = run_hypothesis_suite(simulate_observation_rows(6, 40, seed=42), tmp_path)
+    built = []
+    for cls in (FitResult, HypothesisResult):
+        monkeypatch.setattr(cls, "__init__", lambda self, *args, **kwargs: built.append(type(self)))
+    for name in ("fromfile", "frombuffer", "load", "memmap"):
+        monkeypatch.setattr(np, name, lambda *args, _name=name, **kwargs: built.append(_name))
+    loaded = load_suite(tmp_path)
+    assert built == []
+    assert loaded.results is None
+    assert json.dumps(loaded.entries, sort_keys=True) == json.dumps(stored.entries, sort_keys=True)
