@@ -1,9 +1,10 @@
 """Method-body analysis: resolved accesses, calls, creations, casts.
 
 One scan per member body produces everything downstream consumers need:
-dependency sites for the graph and the raw ingredients of the method metric
-suite (cyclomatic count, nesting, accessed variables, foreign-data accesses,
-called methods).  The scanner is a pragmatic statement-level recursive
+dependency sites, sent to the graph's edge counts as the scan meets them,
+and the raw ingredients of the method metric suite (cyclomatic count,
+nesting, accessed variables, foreign-data accesses, called methods), kept
+as ``BodyFacts``.  The scanner is a pragmatic statement-level recursive
 descent; expressions are walked as receiver chains rather than parsed into
 precedence trees, which is sufficient for call/create/cast/use extraction.
 Every scan reads the file's token columns through a lenient ``_Cursor``:
@@ -16,7 +17,8 @@ never raises.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from collections.abc import Callable
+from dataclasses import dataclass
 
 from .lexer import KIND_BY_FIRST_CHAR, PRIMITIVE_TYPES, TokenSpan, kind_of
 from .model import ArtifactId, ArtifactKind, MethodDecl, RelationKind, TypeDecl, external_artifact
@@ -29,28 +31,55 @@ _STATEMENT_KEYWORDS = {
 }
 
 
-@dataclass
+_NONE: frozenset = frozenset()
+
+# where a scan sends each dependency site it meets: (relation, target)
+SiteSink = Callable[[RelationKind, ArtifactId], None]
+
+
+@dataclass(frozen=True, slots=True)
 class BodyFacts:
+    """What the metric suite reads of one member body.  Each empty set is the one shared ``frozenset()``."""
+
     cyclo: int = 1
     max_nesting: int = 0
-    accessed_vars: set[str] = dc_field(default_factory=set)  # distinct variable identities
-    own_fields: set[ArtifactId] = dc_field(default_factory=set)
-    foreign_fields: set[ArtifactId] = dc_field(default_factory=set)  # direct + accessor-mediated
-    direct_own_fields: set[ArtifactId] = dc_field(default_factory=set)  # declared on own family
-    base_protected_used: set[ArtifactId] = dc_field(default_factory=set)
-    internal_calls: set[ArtifactId] = dc_field(default_factory=set)
-    sites: list[tuple[RelationKind, ArtifactId]] = dc_field(default_factory=list)
+    accessed_vars: frozenset[str] = _NONE  # distinct variable identities
+    own_fields: frozenset[ArtifactId] = _NONE
+    foreign_fields: frozenset[ArtifactId] = _NONE  # direct + accessor-mediated
+    direct_own_fields: frozenset[ArtifactId] = _NONE  # declared on own family
+    base_protected_used: frozenset[ArtifactId] = _NONE
+    internal_calls: frozenset[ArtifactId] = _NONE
+
+
+NO_BODY_FACTS = BodyFacts(cyclo=0)  # an abstract or bodiless member's facts, shared by all of them
+
+
+def _frozen(s: set) -> frozenset:
+    return frozenset(s) if s else _NONE
 
 
 class _Scanner:
-    def __init__(self, resolver: Resolver, scope: TypeDecl, type_params: frozenset[str]):
+    def __init__(self, resolver: Resolver, scope: TypeDecl, type_params: frozenset[str], sink: SiteSink):
         self.r = resolver
         self.scope = scope
         self.own_top = resolver.top_level_of(scope.id.qualified_name)
         self.type_params = type_params
-        self.facts = BodyFacts()
+        self.sink = sink
+        self.cyclo = 1
+        self.max_nesting = 0
+        self.accessed_vars: set[str] = set()
+        self.own_fields: set[ArtifactId] = set()
+        self.foreign_fields: set[ArtifactId] = set()
+        self.direct_own_fields: set[ArtifactId] = set()
+        self.base_protected_used: set[ArtifactId] = set()
+        self.internal_calls: set[ArtifactId] = set()
         self.scopes: list[dict[str, str]] = [{}]  # name -> raw declared type ("" unknown)
         self.protected_base = resolver.protected_base_members(scope)
+
+    def facts(self) -> BodyFacts:
+        return BodyFacts(self.cyclo, self.max_nesting, _frozen(self.accessed_vars), _frozen(self.own_fields),
+                         _frozen(self.foreign_fields), _frozen(self.direct_own_fields),
+                         _frozen(self.base_protected_used), _frozen(self.internal_calls))
 
     # -- bookkeeping ----------------------------------------------------------
 
@@ -71,7 +100,7 @@ class _Scanner:
 
     def site(self, kind: RelationKind, target: ArtifactId | None) -> None:
         if target is not None:
-            self.facts.sites.append((kind, target))
+            self.sink(kind, target)
 
     def resolve_type(self, raw: str) -> ArtifactId | None:
         return self.r.resolve_type_name(raw, self.scope, self.type_params)
@@ -87,27 +116,27 @@ class _Scanner:
 
     def record_field_access(self, fdecl) -> None:
         declaring = fdecl.declaring_type.qualified_name
-        self.facts.accessed_vars.add(fdecl.id.qualified_name)
+        self.accessed_vars.add(fdecl.id.qualified_name)
         self.site(RelationKind.USE, fdecl.id)
         if self.r.is_own_type(self.scope, declaring):
-            self.facts.own_fields.add(fdecl.id)
+            self.own_fields.add(fdecl.id)
             if self.r.top_level_of(declaring) == self.own_top:
-                self.facts.direct_own_fields.add(fdecl.id)
+                self.direct_own_fields.add(fdecl.id)
             if fdecl.id in self.protected_base:
-                self.facts.base_protected_used.add(fdecl.id)
+                self.base_protected_used.add(fdecl.id)
         else:
-            self.facts.foreign_fields.add(fdecl.id)
+            self.foreign_fields.add(fdecl.id)
 
     def record_call(self, mdecl: MethodDecl) -> None:
-        self.facts.internal_calls.add(mdecl.id)
+        self.internal_calls.add(mdecl.id)
         self.site(RelationKind.CALL, mdecl.id)
         if mdecl.id in self.protected_base:
-            self.facts.base_protected_used.add(mdecl.id)
+            self.base_protected_used.add(mdecl.id)
         declaring = mdecl.declaring_type.qualified_name
         if mdecl.is_accessor and mdecl.accessor_field and not self.r.is_own_type(self.scope, declaring):
             backing = self.r.field_lookup(self.r.corpus.type_decl(declaring), mdecl.accessor_field)
             if backing is not None:
-                self.facts.foreign_fields.add(backing.id)
+                self.foreign_fields.add(backing.id)
 
     # -- statements -----------------------------------------------------------
 
@@ -119,7 +148,7 @@ class _Scanner:
         self.pop()
 
     def statement(self, c: _Cursor, depth: int) -> None:
-        self.facts.max_nesting = max(self.facts.max_nesting, depth)
+        self.max_nesting = max(self.max_nesting, depth)
         v = c.peek()
         if v is None:
             return
@@ -137,13 +166,13 @@ class _Scanner:
             return
         if v == "while":
             c.next()
-            self.facts.cyclo += 1
+            self.cyclo += 1
             self.paren_expr(c)
             self.statement(c, depth + 1)
             return
         if v == "do":
             c.next()
-            self.facts.cyclo += 1
+            self.cyclo += 1
             self.statement(c, depth + 1)
             if c.at("while"):
                 c.next()
@@ -207,7 +236,7 @@ class _Scanner:
 
     def if_statement(self, c: _Cursor, depth: int) -> None:
         c.expect("if")
-        self.facts.cyclo += 1
+        self.cyclo += 1
         self.paren_expr(c)
         self.statement(c, depth + 1)
         if c.at("else"):
@@ -219,7 +248,7 @@ class _Scanner:
 
     def for_statement(self, c: _Cursor, depth: int) -> None:
         c.expect("for")
-        self.facts.cyclo += 1
+        self.cyclo += 1
         self.push()
         if c.at("("):  # a 'for' with no header, as at the window's end, has only its statement
             c.next()
@@ -265,7 +294,7 @@ class _Scanner:
         while not c.eof() and not c.at("}"):
             if c.at("case"):
                 c.next()
-                self.facts.cyclo += 1
+                self.cyclo += 1
                 self.expr(c, (":", "->"))
             elif c.at("default"):
                 c.next()
@@ -301,7 +330,7 @@ class _Scanner:
         self.pop()
         while c.at("catch"):
             c.next()
-            self.facts.cyclo += 1
+            self.cyclo += 1
             self.push()
             if c.at("("):
                 c.next()
@@ -422,7 +451,7 @@ class _Scanner:
                 c.i += 1
                 continue
             if v in ("&&", "||", "?"):
-                self.facts.cyclo += 1
+                self.cyclo += 1
                 if v == "?":
                     ternary += 1
                 c.i += 1
@@ -637,7 +666,7 @@ class _Scanner:
             else:
                 local = self.local_type(name)
                 if local is not None:
-                    self.facts.accessed_vars.add(f"${name}")
+                    self.accessed_vars.add(f"${name}")
                     ctx_type, ctx_external = self.type_context(local)
                 else:
                     fdecl = self.r.find_visible_field(self.scope, name)
@@ -653,7 +682,7 @@ class _Scanner:
                             ctx_external = resolved.qualified_name
                         else:
                             # unknown bare name (static import?): count the access
-                            self.facts.accessed_vars.add(f"${name}")
+                            self.accessed_vars.add(f"${name}")
                             ctx_external = ""
         while True:
             if c.at("::"):
@@ -732,31 +761,22 @@ class _Scanner:
         return self.r.corpus.type_decl(resolved.qualified_name), None
 
 
-def scan_member_body(
-    resolver: Resolver,
-    scope: TypeDecl,
-    member: MethodDecl,
-) -> BodyFacts:
-    """Analyze a method/constructor body; abstract members get empty facts."""
-    type_params = frozenset(member.type_params)
-    scanner = _Scanner(resolver, scope, type_params)
+def scan_member_body(resolver: Resolver, scope: TypeDecl, member: MethodDecl, sink: SiteSink) -> BodyFacts:
+    """Analyze a method/constructor body, sending its sites to ``sink``; bodiless members get ``NO_BODY_FACTS``."""
+    if member.body is None:
+        return NO_BODY_FACTS
+    scanner = _Scanner(resolver, scope, frozenset(member.type_params), sink)
     for raw_type, name in member.params:
         scanner.declare(name, raw_type)
-    if member.body is None:
-        scanner.facts.cyclo = 0
-        return scanner.facts
     scanner.scan_block(_Cursor.over(member.body, strict=False))
-    return scanner.facts
+    return scanner.facts()
 
 
-def scan_initializer(resolver: Resolver, scope: TypeDecl, span: TokenSpan) -> BodyFacts:
-    scanner = _Scanner(resolver, scope, frozenset())
-    scanner.scan_block(_Cursor.over(span, strict=False))
-    return scanner.facts
+def scan_initializer(resolver: Resolver, scope: TypeDecl, span: TokenSpan, sink: SiteSink) -> None:
+    """Send an initializer block's sites to ``sink``."""
+    _Scanner(resolver, scope, frozenset(), sink).scan_block(_Cursor.over(span, strict=False))
 
 
-def scan_expression(resolver: Resolver, scope: TypeDecl, span: TokenSpan) -> BodyFacts:
-    """Scan a bare initializer expression (field initializers)."""
-    scanner = _Scanner(resolver, scope, frozenset())
-    scanner.expr_run(_Cursor.over(span, strict=False))
-    return scanner.facts
+def scan_expression(resolver: Resolver, scope: TypeDecl, span: TokenSpan, sink: SiteSink) -> None:
+    """Send a bare initializer expression's (a field initializer's) sites to ``sink``."""
+    _Scanner(resolver, scope, frozenset(), sink).expr_run(_Cursor.over(span, strict=False))

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Iterator
 
-from .bodyscan import BodyFacts, scan_expression, scan_initializer, scan_member_body
+from .bodyscan import BodyFacts, SiteSink, scan_expression, scan_initializer, scan_member_body
 from .model import (
     ArtifactId,
     ArtifactKind,
@@ -38,7 +38,7 @@ from .model import (
 from .resolve import Resolver
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class DependencyEdge:
     relation: RelationKind
     source: ArtifactId
@@ -82,11 +82,15 @@ class _EdgeAccumulator:
     def __init__(self) -> None:
         self.counts: dict[tuple[RelationKind, ArtifactId, ArtifactId], int] = {}
 
-    def add(self, relation: RelationKind, source: ArtifactId, target: ArtifactId | None, n: int = 1) -> None:
+    def add(self, relation: RelationKind, source: ArtifactId, target: ArtifactId | None) -> None:
         if target is None:
             return
         key = (relation, source, target)
-        self.counts[key] = self.counts.get(key, 0) + n
+        self.counts[key] = self.counts.get(key, 0) + 1
+
+    def sink(self, source: ArtifactId) -> SiteSink:
+        """``add`` with ``source`` bound: where a body scan sends each site as it meets it."""
+        return lambda relation, target: self.add(relation, source, target)
 
     def build(self) -> DependencyGraph:
         g = DependencyGraph(
@@ -129,16 +133,12 @@ def _type_edges(
         for arg in f.type_args:
             acc.add(RelationKind.USE, f.id, resolver.resolve_type_name(arg, t))
         if f.initializer:
-            init_facts = scan_expression(resolver, t, f.initializer)
-            for relation, target in init_facts.sites:
-                acc.add(relation, f.id, target)
+            scan_expression(resolver, t, f.initializer, acc.sink(f.id))
     for m in list(t.methods) + list(t.constructors):
         acc.add(RelationKind.CONTAIN, tid, m.id)
         _member_edges(resolver, acc, t, m, facts)
     for init_tokens in t.initializers:
-        init_facts = scan_initializer(resolver, t, init_tokens)
-        for relation, target in init_facts.sites:
-            acc.add(relation, tid, target)
+        scan_initializer(resolver, t, init_tokens, acc.sink(tid))
 
 
 def _member_edges(
@@ -159,10 +159,7 @@ def _member_edges(
         acc.add(RelationKind.USE, m.id, resolver.resolve_type_name(arg, t, tp))
     for thrown in m.throws:
         acc.add(RelationKind.THROWS, m.id, resolver.resolve_type_name(thrown, t, tp))
-    body_facts = scan_member_body(resolver, t, m)
-    facts[m.id] = body_facts
-    for relation, target in body_facts.sites:
-        acc.add(relation, m.id, target)
+    facts[m.id] = scan_member_body(resolver, t, m, acc.sink(m.id))
 
 
 def efferent_neighbors(

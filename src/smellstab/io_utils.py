@@ -1,7 +1,8 @@
 """Deterministic CSV/JSON writers with config-echo sidecars.
 
 Every writer replaces its target atomically: a crash mid-write leaves the
-previous file intact, never a truncated one.
+previous file intact, never a truncated one.  Each encodes onto the file as
+it goes, row by row or JSON chunk by chunk, and never holds the whole text.
 """
 
 from __future__ import annotations
@@ -43,11 +44,6 @@ def atomic_writer(path: str | Path, mode: str = "w"):
         raise
 
 
-def write_text(path: str | Path, text: str) -> None:
-    with atomic_writer(path) as fh:
-        fh.write(text)
-
-
 def write_csv(path: str | Path, header: list[str], rows: Iterable[list]) -> None:
     with atomic_writer(path) as fh:
         w = csv.writer(fh, lineterminator="\n")
@@ -64,8 +60,11 @@ def write_meta(path: str | Path, *, config_echo: dict, extra: dict | None = None
     write_json(str(path) + ".meta.json", meta)
 
 
-def write_json(path: str | Path, doc: dict) -> None:
-    write_text(path, json.dumps(doc, indent=1, sort_keys=True) + "\n")
+def write_json(path: str | Path, doc: dict, end: str = "\n") -> None:
+    """``doc`` as indented JSON with sorted keys, then ``end``, encoded straight onto the file."""
+    with atomic_writer(path) as fh:
+        json.dump(doc, fh, indent=1, sort_keys=True)
+        fh.write(end)
 
 
 def read_csv(path: str | Path) -> tuple[list[str], list[dict[str, str]]]:

@@ -15,13 +15,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .bodyscan import BodyFacts
+from .bodyscan import NO_BODY_FACTS, BodyFacts
 from .graph import DomainError
 from .model import ArtifactId, ArtifactKind, MethodDecl, SourceCorpus, TypeDecl
 from .resolve import Resolver
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class MethodMetrics:
     loc: int
     cyclo: int
@@ -36,7 +36,7 @@ class MethodMetrics:
     cc: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassMetrics:
     loc: int
     wmc: int
@@ -80,7 +80,7 @@ def build_metrics_context(corpus: SourceCorpus, facts: dict[ArtifactId, BodyFact
 
 def compute_method_metrics(ctx: MetricsContext, method: ArtifactId) -> MethodMetrics:
     m = ctx.corpus.declaration(method)
-    f = ctx.facts.get(method, BodyFacts(cyclo=0))
+    f = ctx.facts.get(method, NO_BODY_FACTS)
     if m.body is None:
         return MethodMetrics(0, 0, 0, 0, 0, 1.0, 0, 0, 0.0, 0, 0)
     top_of = ctx.corpus.enclosing_class
@@ -132,7 +132,7 @@ def compute_class_metrics(ctx: MetricsContext, cls: ArtifactId) -> ClassMetrics:
     if decl.enclosing is not None:
         raise DomainError(f"class metrics are defined on top-level classes: {cls}")
     methods, ctors, fields = _attributed(decl)
-    cyclo_of = {m.id: ctx.facts.get(m.id, BodyFacts(cyclo=0)).cyclo for m in methods}
+    cyclo_of = {m.id: ctx.facts.get(m.id, NO_BODY_FACTS).cyclo for m in methods}
     wmc = sum(cyclo_of.values())
     nom = len(methods)
     amw = wmc / nom if nom else 0.0

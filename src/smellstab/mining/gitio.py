@@ -28,7 +28,7 @@ def _git(repo: str | Path, *args: str, stdin: bytes = b"") -> bytes:
     return proc.stdout
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChainEntry:
     commit: str
     timestamp: int
@@ -92,7 +92,7 @@ def first_parent_chain(repo: str | Path, branch: str) -> list[ChainEntry]:
     return entries
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class FileChange:
     status: str  # git's one-letter status: A, D, M, T, ...
     path: str

@@ -9,7 +9,6 @@ external artifacts with an empty project id -- kept, never silently dropped.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 from enum import Enum
 from typing import Iterator, Optional
@@ -42,7 +41,7 @@ class RelationKind(str, Enum):
     IMPLEMENT = "implement"
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class ArtifactId:
     project: str
     qualified_name: str
@@ -66,7 +65,7 @@ def external_artifact(name: str, kind: ArtifactKind = ArtifactKind.CLASS, signat
     return ArtifactId(EXTERNAL_PROJECT, name, kind, signature)
 
 
-@dataclass
+@dataclass(slots=True)
 class FieldDecl:
     id: ArtifactId
     declaring_type: ArtifactId
@@ -78,7 +77,7 @@ class FieldDecl:
     initializer: Optional[TokenSpan] = None  # the tokens after '=', None without one
 
 
-@dataclass
+@dataclass(slots=True)
 class MethodDecl:
     id: ArtifactId
     declaring_type: ArtifactId
@@ -99,7 +98,7 @@ class MethodDecl:
     loc: int = 0  # logical lines strictly inside the body braces
 
 
-@dataclass
+@dataclass(slots=True)
 class TypeDecl:
     id: ArtifactId
     is_interface: bool
@@ -246,7 +245,9 @@ class SourceCorpus:
 
     # -- serialization (schema v1; deterministic byte-for-byte) --------------
 
-    def to_json(self) -> str:
+    def json_doc(self) -> dict:
+        """The document ``corpus.json`` holds, as ``io_utils.write_json`` writes it."""
+
         def type_obj(t: TypeDecl) -> dict:
             return {
                 "qualified_name": t.id.qualified_name,
@@ -272,7 +273,7 @@ class SourceCorpus:
                 "nested": [type_obj(n) for n in t.nested_types],
             }
 
-        doc = {
+        return {
             "schema_version": 1,
             "project": self.project,
             "snapshot_commit": self.snapshot_commit,
@@ -280,4 +281,3 @@ class SourceCorpus:
             "diagnostics": [{"file": d.file, "message": d.message} for d in sorted(
                 self.diagnostics, key=lambda d: (d.file, d.message))],
         }
-        return json.dumps(doc, indent=1, sort_keys=True)

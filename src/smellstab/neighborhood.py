@@ -17,7 +17,7 @@ from .model import ArtifactId, RelationKind, SourceCorpus
 from .smells import SmellInstance
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ClassObservation:
     project: str
     focal: ArtifactId

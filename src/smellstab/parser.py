@@ -27,7 +27,7 @@ class JavaSyntaxError(ValueError):
         self.line = line
 
 
-@dataclass
+@dataclass(slots=True)
 class TypeRef:
     name: str  # dotted raw name, generics erased, "" for none
     args: tuple[str, ...] = ()  # flattened raw names referenced in type arguments
@@ -37,7 +37,7 @@ class TypeRef:
 NO_TYPE = TypeRef("")
 
 
-@dataclass
+@dataclass(slots=True)
 class RawField:
     name: str
     type_ref: TypeRef
@@ -45,7 +45,7 @@ class RawField:
     initializer: TokenSpan | None
 
 
-@dataclass
+@dataclass(slots=True)
 class RawMethod:
     name: str
     is_constructor: bool
@@ -57,7 +57,7 @@ class RawMethod:
     body: TokenSpan | None
 
 
-@dataclass
+@dataclass(slots=True)
 class RawType:
     name: str
     kind: str  # class | interface | enum | record | annotation

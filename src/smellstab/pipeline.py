@@ -27,7 +27,7 @@ from . import __version__ as _version
 from .bodyscan import BodyFacts
 from .corpus import ingest_corpus
 from .graph import extract_dependencies
-from .io_utils import parse_csv, read_csv, write_csv, write_json, write_meta, write_text
+from .io_utils import parse_csv, read_csv, write_csv, write_json, write_meta
 from .manifest import DEFAULT_PROJECT_LIMIT, ProjectManifestEntry, Rejection, filter_manifest, load_manifest
 from .metrics import ClassMetrics, MethodMetrics, build_metrics_context, compute_class_metrics, compute_method_metrics
 from .mining import (
@@ -288,17 +288,17 @@ def analyze_project(entry: ProjectManifestEntry, config: PipelineConfig,
 
     def compute(_key: str) -> None:
         corpus = load_corpus()
-        write_text(out / "corpus.json", corpus.to_json())
+        write_json(out / "corpus.json", corpus.json_doc(), end="")
         graph, facts = extract_dependencies(corpus)
-        write_csv(out / "edges.csv", EDGES_HEADER, [
+        write_csv(out / "edges.csv", EDGES_HEADER, (
             [e.relation.value, e.source.kind.value, str(e.source), e.target.kind.value, str(e.target),
              e.site_count] for e in graph.edges
-        ])
+        ))
         method_metrics, class_metrics = metric_tables(corpus, facts)
-        write_csv(out / "metrics_method.csv", METHOD_METRICS_HEADER, sorted((
+        write_csv(out / "metrics_method.csv", METHOD_METRICS_HEADER, (
             [entry.repo, mid.qualified_name, mid.signature, corpus.enclosing_class(mid).qualified_name,
-             *(getattr(mm, name) for name in METHOD_METRICS_HEADER[4:])]
-            for mid, mm in method_metrics.items()), key=lambda r: (r[1], r[2])))
+             *(getattr(method_metrics[mid], name) for name in METHOD_METRICS_HEADER[4:])]
+            for mid in sorted(method_metrics, key=lambda mid: (mid.qualified_name, mid.signature))))
         write_meta(out / "metrics_method.csv", config_echo=echo)
         write_csv(out / "metrics_class.csv", CLASS_METRICS_HEADER, [
             [entry.repo, cid.qualified_name, *(getattr(cm, name) for name in CLASS_METRICS_HEADER[2:])]
@@ -316,8 +316,7 @@ def analyze_project(entry: ProjectManifestEntry, config: PipelineConfig,
                           "diagnostics": [f"{d.file}: {d.message}" for d in smell_diags]})
 
         observations = build_all_observations(corpus, graph, smells)
-        write_csv(out / "observations.csv", OBSERVATION_HEADER,
-                  [observation_row(o) for o in observations])
+        write_csv(out / "observations.csv", OBSERVATION_HEADER, (observation_row(o) for o in observations))
         write_meta(out / "observations.csv", config_echo=echo)
 
     _cached_stage(out, echo, compute, lambda _key: _outputs_present(out, ANALYZE_OUTPUTS))
@@ -460,6 +459,7 @@ def run_pipeline(config: PipelineConfig, stages: tuple[str, ...] = ("analyze", "
         return None
 
     if config.workers > 1:
+        code_digest()  # functools.cache would let each worker's first stage key compute it again
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
             failures = list(pool.map(per_project, accepted))
     else:

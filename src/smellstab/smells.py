@@ -40,7 +40,7 @@ class SmellType(str, Enum):
 _METHOD_LEVEL = frozenset({SmellType.FE, SmellType.BM, SmellType.DICO, SmellType.IC, SmellType.SS})
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class SmellInstance:
     smell: SmellType
     host: ArtifactId  # the method for method-level, the class for class-level

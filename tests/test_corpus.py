@@ -3,6 +3,7 @@ import gc
 import pytest
 
 from smellstab.corpus import ingest_corpus
+from smellstab.io_utils import write_json
 from smellstab.lexer import tokenize
 from smellstab.model import ArtifactKind, CorpusLookupError
 
@@ -88,14 +89,14 @@ def test_enclosing_class_unknown_artifact():
         corpus.enclosing_class(ArtifactId("fix", "Nope", ArtifactKind.CLASS))
 
 
-def test_reingest_is_byte_identical():
+def test_reingest_is_byte_identical(tmp_path):
     files = {
         "a/X.java": "package a; class X { int f; void m() { f = f + 1; } }",
         "a/Y.java": "package a; interface Y { int K = 1; }",
     }
-    c1 = build_corpus(files)
-    c2 = build_corpus(files)
-    assert c1.to_json() == c2.to_json()
+    for name in ("c1.json", "c2.json"):
+        write_json(tmp_path / name, build_corpus(files).json_doc(), end="")
+    assert (tmp_path / "c1.json").read_bytes() == (tmp_path / "c2.json").read_bytes()
 
 
 def test_referential_closure():

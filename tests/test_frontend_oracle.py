@@ -78,17 +78,24 @@ def _oracle_parse(text: str):
     return unit
 
 
-def _oracle_scan_member_body(resolver, scope, member):
+def _fed(facts, sink):
+    """The oracle scan's facts, once each of its sites has gone to ``sink`` in the order it met them."""
+    for relation, target in facts.sites:
+        sink(relation, target)
+    return facts
+
+
+def _oracle_scan_member_body(resolver, scope, member, sink):
     body = None if member.body is None else member.body.tokens
-    return bodyscan_oracle.scan_member_body(resolver, scope, dataclasses.replace(member, body=body))
+    return _fed(bodyscan_oracle.scan_member_body(resolver, scope, dataclasses.replace(member, body=body)), sink)
 
 
-def _oracle_scan_initializer(resolver, scope, span):
-    return bodyscan_oracle.scan_initializer(resolver, scope, span.tokens)
+def _oracle_scan_initializer(resolver, scope, span, sink):
+    _fed(bodyscan_oracle.scan_initializer(resolver, scope, span.tokens), sink)
 
 
-def _oracle_scan_expression(resolver, scope, span):
-    return bodyscan_oracle.scan_expression(resolver, scope, span.tokens)
+def _oracle_scan_expression(resolver, scope, span, sink):
+    _fed(bodyscan_oracle.scan_expression(resolver, scope, span.tokens), sink)
 
 
 def _oracle_front_end(stack: ExitStack) -> None:
@@ -132,9 +139,26 @@ def _budgeted(peek, steps: int):
     return counted
 
 
+def _recording(adds: list):
+    """``_EdgeAccumulator.add`` that first appends each call's relation, source and target to ``adds``."""
+    add = graph_module._EdgeAccumulator.add
+
+    def recorded(self, relation, source, target):
+        adds.append((relation, source, target))
+        add(self, relation, source, target)
+
+    return recorded
+
+
 def _outcome(files: dict[str, str], oracle: bool) -> list:
-    """Everything the front end hands on, or the exception that stopped it."""
+    """Everything the front end hands on, or the exception that stopped it.
+
+    Past the edges come every site in the order the edge counts took it, and
+    each member's body facts, field by field.
+    """
+    adds: list = []
     with ExitStack() as stack:
+        stack.enter_context(mock.patch.object(graph_module._EdgeAccumulator, "add", _recording(adds)))
         if oracle:
             # the oracle loops forever on a stray delimiter in an argument
             # list, an array initializer or a try's resources: f(a; b)
@@ -145,12 +169,14 @@ def _outcome(files: dict[str, str], oracle: bool) -> list:
             corpus = ingest_corpus(files, "s0", project="fix")
         except Exception as exc:
             return ["ingest", type(exc).__name__, str(exc)]
-        out = [corpus.to_json(), [(d.file, d.message) for d in corpus.diagnostics], _token_runs(corpus)]
+        out = [json.dumps(corpus.json_doc(), sort_keys=True), [(d.file, d.message) for d in corpus.diagnostics],
+               _token_runs(corpus)]
         try:
             graph, facts = extract_dependencies(corpus)
         except Exception as exc:
             return out + ["graph", type(exc).__name__, str(exc)]
-        return out + [graph.edges, {k: vars(v) for k, v in facts.items()}]
+        names = [f.name for f in dataclasses.fields(bodyscan.BodyFacts)]
+        return out + [graph.edges, (adds, {k: [getattr(v, n) for n in names] for k, v in facts.items()})]
 
 
 def _agrees(files: dict[str, str]) -> list | None:

@@ -9,6 +9,7 @@ import re
 import shutil
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -854,6 +855,25 @@ def test_code_change_invalidates_every_stage(tmp_path, fixture_projects, monkeyp
     monkeypatch.setattr(smellstab.pipeline, "code_digest", lambda: "0" * 64)
     run_pipeline(config)
     assert set(calls) == {"ingest_corpus", "mine_window", "fit_negbin_random_intercept"}
+
+
+def test_code_digest_is_computed_once_under_thread_workers(tmp_path, fixture_projects, monkeypatch):
+    """Each worker's first stage key asks for the digest at once.  A slow
+    first computation lets a second thread past ``functools.cache`` unless the
+    digest is ready before the pool starts."""
+    computed = []
+
+    def slow_digest():
+        computed.append(1)
+        time.sleep(0.2)
+        return real()
+
+    real = smellstab.pipeline.code_digest.__wrapped__
+    monkeypatch.setattr(smellstab.pipeline, "code_digest", functools.cache(slow_digest))
+    manifest = _write_manifest(tmp_path / "manifest.jsonl", fixture_projects)
+    config = PipelineConfig(manifest=str(manifest), output_dir=str(tmp_path / "out"), workers=2)
+    assert len(run_pipeline(config, stages=("analyze",)).accepted) == 2
+    assert len(computed) == 1
 
 
 # -- the stats stage's fit cache ---------------------------------------------------
