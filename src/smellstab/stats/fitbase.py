@@ -3,8 +3,9 @@
 Every fit maximizes a log-likelihood whose gradient and Hessian are exact,
 ``obj(x) -> (ll, grad, hess)``, by projected Newton: parameters pinned at a
 bound with the gradient pushing outward are held there, and the others take
-a Newton step on their block of the Hessian, clipped to the bounds and
-halved until the log-likelihood does not fall.  A block that is not
+a Newton step on their block of the Hessian, shortened so that no parameter
+moves by more than ``_MAX_STEP``, clipped to the bounds and halved until the
+log-likelihood does not fall.  A block that is not
 negative definite gets Levenberg damping on a fixed schedule.  The fit
 converges when the free-gradient inf-norm is under 1e-5 and the last step
 changed the log-likelihood by less than 1e-8 relative, within 500 steps.
@@ -123,6 +124,12 @@ def _active_mask(grad: np.ndarray, x: np.ndarray, bounds) -> np.ndarray:
 
 # Levenberg damping tried in turn, as multiples of the largest diagonal entry
 _DAMPING = (0.0, 1e-8, 1e-6, 1e-4, 1e-2, 1.0, 1e2)
+# Longest Newton step in any one parameter, before halving (Dennis & Schnabel's
+# maxstep).  Every parameter of the NB2 fits is on a log scale, so one step
+# changes none by more than a factor e^2.  Uncapped, the first log sigma2 step
+# on overdispersed counts overshot by several units, and the halvings of the
+# next step landed on the bound one after another.
+_MAX_STEP = 2.0
 _MAX_HALVINGS = 25
 
 
@@ -164,11 +171,14 @@ def maximize(obj, x0: np.ndarray, bounds=None) -> MaximizeOutcome:
         if step_free is None:
             message = "no damping makes the Hessian negative definite and finite"
             break
-        if np.max(np.abs(step_free)) < 1e-10:
+        longest = float(np.max(np.abs(step_free)))
+        if longest < 1e-10:
             rel_change = 0.0  # at a stationary point already
             if gnorm >= GRAD_TOL:
                 message = "Newton step vanished before the gradient did"
             break
+        if longest > _MAX_STEP:
+            step_free = step_free * (_MAX_STEP / longest)
         step = np.zeros_like(x)
         step[free] = step_free
         scale = 1.0

@@ -10,7 +10,7 @@ import numpy as np
 
 from .design import DesignMatrix
 from .fitbase import FitResult, covariance_from_hessian, maximize
-from .kernels import Counts, as_counts, nb2_row_curvature, nb2_row_terms
+from .kernels import Counts, as_counts, nb2_row_terms
 
 ETA_CAP = 30.0  # |eta| bound of every log link
 _BETA_CAP = 30.0
@@ -103,9 +103,8 @@ def negbin_objective(y, X: np.ndarray):
         beta = params[:p]
         theta = float(np.exp(params[p]))
         eta = np.clip(X @ beta, -ETA_CAP, ETA_CAP)
-        ll, a, b, _c, lth, ath, _bth = nb2_row_terms(counts, eta, theta)
+        ll, a, lth, lthth, (b, _c, _d, ath, *_) = nb2_row_terms(counts, eta, theta)
         grad_log_theta = theta * float(lth.sum())
-        lthth = nb2_row_curvature(counts, eta, theta)[2]
         hess = np.empty((p + 1, p + 1))
         hess[:p, :p] = -(X.T * b) @ X
         hess[:p, p] = hess[p, :p] = theta * (X.T @ ath)

@@ -14,7 +14,7 @@ gradient g_phi and Hessian g_phiphi' + g_uphi g_uphi'/H (a Schur
 complement).  The -log(H)/2 part needs the total first and second
 derivatives of h(phi) = H(u(phi), phi), which bring in the second
 derivatives of the mode and the per-row NB2 derivatives up to d4/deta4
-(``kernels.nb2_row_curvature``).
+(``kernels.nb2_row_terms``).
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import numpy as np
 from .design import DesignMatrix
 from .fitbase import FitResult
 from .glm import ETA_CAP, fit_nb2, fit_negbin_glm
-from .kernels import as_counts, inner_modes, nb2_row_curvature, nb2_row_terms
+from .kernels import as_counts, inner_modes, nb2_row_terms
 
 _LOG_S2_BOUNDS = (-12.0, 8.0)
 
@@ -69,11 +69,9 @@ class _LaplaceObjective:
         u = inner_modes(self.y, eta_fix, theta, s2, self.groups, self.u)
         self.u = u
         eta = eta_fix + u[self.groups]
-        ll_row, a, b, c, lth, ath, bth = nb2_row_terms(self.counts, eta, theta)
-        d, cth, lthth, athth, bthth = nb2_row_curvature(self.counts, eta, theta)
         XT, rows = self.XT, self._rows
-        for i, values in enumerate((b, c, d, ath, bth, cth, athth, bthth)):
-            rows[i] = values
+        ll_row, a, lth, lthth, (b, c, d, ath, bth, cth, _athth, _bthth) = nb2_row_terms(
+            self.counts, eta, theta, out=rows[:8])
         for i, values in enumerate((b, c, d)):
             np.multiply(XT, values, out=rows[8 + i * p : 8 + (i + 1) * p])
         sums = self._segsum(rows)

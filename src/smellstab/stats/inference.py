@@ -273,12 +273,11 @@ def count_cdf_bounds(y, mu: np.ndarray, theta: float) -> tuple[np.ndarray, np.nd
     lower = np.zeros(y.size)
     some = np.flatnonzero(y >= 1)
     ys, ms, pmfs = y[some], mu[some], pmf[some]
-    thetas = np.full(some.size, theta)
     p, one_minus_p = theta / (theta + ms), ms / (theta + ms)
     # I_p(theta, y) where p < (theta+1)/(theta+y+2), else 1 - I_{1-p}(y, theta)
     small = p * (theta + ys + 2.0) < theta + 1.0
-    direct = _continued_fraction(_beta_term, (thetas[small], ys[small], p[small]))
-    complement = _continued_fraction(_beta_term, (ys[~small], thetas[~small], one_minus_p[~small]))
+    direct = _continued_fraction(lambda n, b, x: _beta_term(n, theta, b, x), (ys[small], p[small]))
+    complement = _continued_fraction(lambda n, a, x: _beta_term(n, a, theta, x), (ys[~small], one_minus_p[~small]))
     lower[some[small]] = ys[small] / theta * pmfs[small] * direct
     lower[some[~small]] = 1.0 - pmfs[~small] * complement
     return lower, pmf

@@ -1,12 +1,12 @@
 """Hot numeric kernels for the NB2 mixed-model likelihood.
 
-Three kernels dominate fit runtime:
+Two kernels dominate fit runtime:
 
-* ``nb2_row_terms``     -- per-row log-pmf value and the eta/theta
-                           derivatives the gradient needs,
-* ``nb2_row_curvature`` -- the higher derivatives the exact Hessian adds,
-* ``inner_modes``       -- per-group Newton solve for the Laplace mode of
-                           the random intercept.
+* ``nb2_row_terms`` -- per-row log-pmf value and every eta/theta derivative
+                       the gradient and the exact Hessian need, from one
+                       ``mu`` and ``q`` per call,
+* ``inner_modes``   -- per-group Newton solve for the Laplace mode of the
+                       random intercept.
 
 The NB2 log-pmf with log link, ``mu = exp(eta)``, ``q = theta + mu``::
 
@@ -116,42 +116,48 @@ def as_counts(y) -> Counts:
     return y if isinstance(y, Counts) else Counts(y)
 
 
-def nb2_row_terms(y, eta, theta):
-    """Per-row ll, a, b, c, lth, ath, bth; ``y`` is a ``Counts`` or an array of counts."""
+def nb2_row_terms(y, eta, theta, out=None):
+    """Per-row NB2 terms: ``(ll, a, lth, lthth, rows)``, with ``rows`` = b, c, d, ath, bth, cth, athth, bthth.
+
+    ``rows`` is an ``(8, n)`` array, ``out`` when given; ``y`` is a ``Counts``
+    or an array of counts.  Each term takes the same rounded operations, in the
+    same order, as its formula above, so sharing ``mu``, ``q`` and the other
+    parts between terms changes no bit of any.
+    """
     counts = as_counts(y)
     y = counts.y
     theta = float(theta)
+    rows = np.empty((8, y.size)) if out is None else out
+    b, c, d, ath, bth, cth, athth, bthth = rows
     mu = np.exp(eta)
     q = theta + mu
+    q2 = q * q
+    q3 = q2 * q
     yt = y + theta
+    yt_mu = yt * mu
+    yt_theta_mu = yt * theta * mu
+    mu_y = mu - y
     log1p_mu_theta = np.log1p(mu / theta)  # log(q/th), exact where th >> mu
     ll = counts.log_rising(theta) - counts.log_factorial + y * eta - yt * log1p_mu_theta
-    a = y - yt * mu / q
-    b = yt * theta * mu / (q * q)
-    c = -yt * theta * mu * (theta - mu) / (q * q * q)
-    lth = counts.digamma_step(theta) - log1p_mu_theta + (mu - y) / q
-    ath = -mu / q + yt * mu / (q * q)
-    bth = (y + 2.0 * theta) * mu / (q * q) - 2.0 * yt * theta * mu / (q * q * q)
-    return ll, a, b, c, lth, ath, bth
-
-
-def nb2_row_curvature(y, eta, theta):
-    """Per-row d, cth, lthth, athth, bthth; ``y`` is a ``Counts`` or an array of counts."""
-    counts = as_counts(y)
-    y = counts.y
-    theta = float(theta)
-    mu = np.exp(eta)
-    q = theta + mu
-    yt = y + theta
+    a = y - yt_mu / q
+    np.divide(yt_theta_mu, q2, out=b)
+    np.divide(yt_theta_mu * (theta - mu), q3, out=c)
+    np.negative(c, out=c)
+    lth = counts.digamma_step(theta) - log1p_mu_theta + mu_y / q
     r = mu / q
+    np.subtract(yt_mu / q2, r, out=ath)
+    np.subtract((y + 2.0 * theta) * mu / q2, 2.0 * yt_theta_mu / q3, out=bth)
+    r2, r6 = 2.0 * r, 6.0 * r
+    one_2r = 1.0 - r2
     s = r * (1.0 - r)
-    quartic = 1.0 - 6.0 * r + 6.0 * r * r
-    d = -yt * s * quartic
-    cth = -s * (1.0 - 2.0 * r) + yt * quartic * r / q
+    quartic = 1.0 - r6 + r6 * r
+    np.multiply(yt * s, quartic, out=d)
+    np.negative(d, out=d)
+    np.subtract(yt * quartic * r / q, s * one_2r, out=cth)
     lthth = counts.trigamma_step(theta) + (mu * mu + theta * y) / (theta * q * q)
-    athth = 2.0 * r * (mu - y) / (q * q)
-    bthth = -2.0 * r * (1.0 - 2.0 * r) / q + 2.0 * yt * r * (1.0 - 3.0 * r) / (q * q)
-    return d, cth, lthth, athth, bthth
+    np.divide(r2 * mu_y, q2, out=athth)
+    np.subtract(yt * r2 * (1.0 - 3.0 * r) / q2, r2 * one_2r / q, out=bthth)
+    return ll, a, lth, lthth, rows
 
 
 def inner_modes(y, eta_fix, theta, sigma2, groups, u0):
@@ -164,13 +170,14 @@ def inner_modes(y, eta_fix, theta, sigma2, groups, u0):
     n_groups = u0.size
     u = u0.copy()
     active = np.ones(n_groups, dtype=bool)
+    yt = y + theta
+    yt_theta = yt * theta
     for _ in range(_MAX_NEWTON):
         eta = eta_fix + u[groups]
         mu = np.exp(eta)
         q = theta + mu
-        yt = y + theta
         a = y - yt * mu / q
-        b = yt * theta * mu / (q * q)
+        b = yt_theta * mu / (q * q)
         ga = np.bincount(groups, weights=a, minlength=n_groups) - u / sigma2
         gb = np.bincount(groups, weights=b, minlength=n_groups) + 1.0 / sigma2
         step = np.clip(ga / gb, -_STEP_CAP, _STEP_CAP)

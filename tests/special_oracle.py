@@ -59,6 +59,15 @@ def nb2_row_curvature(y, eta, theta):
     return d, cth, lthth, athth, bthth
 
 
+def row_terms(y, eta, theta, out=None):
+    """The two above in the layout of the program's ``nb2_row_terms``: ``(ll, a, lth, lthth, rows)``."""
+    ll, a, b, c, lth, ath, bth = nb2_row_terms(y, eta, theta)
+    d, cth, lthth, athth, bthth = nb2_row_curvature(y, eta, theta)
+    rows = np.empty((8, a.size)) if out is None else out
+    rows[:] = b, c, d, ath, bth, cth, athth, bthth
+    return ll, a, lth, lthth, rows
+
+
 def poisson_loglik(y, eta) -> float:
     y = _y(y)
     return float(np.sum(y * eta - np.exp(eta) - gammaln(y + 1.0)))
@@ -93,11 +102,9 @@ def scipy_special():
     """Run every fit, p-value and residual export on the scipy path while the block is open."""
     with ExitStack() as stack:
         for module, name, value in (
-            (glm, "nb2_row_terms", nb2_row_terms),
-            (glm, "nb2_row_curvature", nb2_row_curvature),
+            (glm, "nb2_row_terms", row_terms),
             (glm, "poisson_loglik", poisson_loglik),
-            (glmm, "nb2_row_terms", nb2_row_terms),
-            (glmm, "nb2_row_curvature", nb2_row_curvature),
+            (glmm, "nb2_row_terms", row_terms),
             (inference, "normal_cdf", normal_cdf),
             (suite, "count_cdf_bounds", count_cdf_bounds),
             (suite, "randomized_quantile_residuals", randomized_quantile_residuals),

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.stats import nbinom
 
+import laplace_oracle
 import nb_fit_oracle
 import smellstab.stats.suite
 from fit_oracle import oracle_fits
@@ -12,9 +13,12 @@ from simulate import simulate_nb_glmm_design, simulate_observation_rows
 from smellstab.stats import (
     FitResult, fit_negbin_glm, fit_negbin_random_intercept, fit_poisson, null_design, run_hypothesis_suite,
 )
+from smellstab.stats import fitbase, glm, glmm
 from smellstab.stats.fitbase import GRAD_TOL, numerical_hessian
-from smellstab.stats.glmm import _LaplaceObjective
-from smellstab.stats.kernels import inner_modes, nb2_row_curvature, nb2_row_terms
+from smellstab.stats.glmm import _LOG_S2_BOUNDS, _LaplaceObjective
+from smellstab.stats.kernels import inner_modes, nb2_row_terms
+
+ROW_NAMES = ("b", "c", "d", "ath", "bth", "cth", "athth", "bthth")
 
 
 def test_recovery_20x200():
@@ -83,12 +87,18 @@ def test_single_project_falls_back_with_warning():
     assert fit.converged
 
 
+def _terms(y, eta, theta) -> dict[str, np.ndarray]:
+    """``nb2_row_terms`` by name."""
+    ll, a, lth, lthth, rows = nb2_row_terms(y, eta, theta)
+    return dict(zip(ROW_NAMES, rows), ll=ll, a=a, lth=lth, lthth=lthth)
+
+
 def test_row_terms_match_scipy_and_finite_differences():
     rng = np.random.default_rng(17)
     y = rng.poisson(3.0, size=400).astype(float)
     eta = rng.normal(0.5, 0.4, size=400)
     theta, h = 1.7, 1e-5
-    ll, a, b, _c, lth, _ath, _bth = nb2_row_terms(y, eta, theta)
+    ll, a, lth, _lthth, (b, *_) = nb2_row_terms(y, eta, theta)
     mu = np.exp(eta)
     np.testing.assert_allclose(ll, nbinom.logpmf(y, theta, theta / (theta + mu)), rtol=1e-12)
     ll_up, ll_down = nb2_row_terms(y, eta + h, theta)[0], nb2_row_terms(y, eta - h, theta)[0]
@@ -103,12 +113,12 @@ def test_row_curvature_matches_finite_differences():
     y = rng.poisson(3.0, size=400).astype(float)
     eta = rng.normal(0.5, 0.8, size=400)
     theta, h = 1.7, 1e-6
-    d, cth, lthth, athth, bthth = nb2_row_curvature(y, eta, theta)
-    up, down = nb2_row_terms(y, eta + h, theta), nb2_row_terms(y, eta - h, theta)
-    np.testing.assert_allclose(d, (up[3] - down[3]) / (2 * h), rtol=1e-6, atol=1e-8)
-    up, down = nb2_row_terms(y, eta, theta + h), nb2_row_terms(y, eta, theta - h)
-    for exact, k in ((cth, 3), (lthth, 4), (athth, 5), (bthth, 6)):
-        np.testing.assert_allclose(exact, (up[k] - down[k]) / (2 * h), rtol=1e-6, atol=1e-8)
+    terms = _terms(y, eta, theta)
+    up, down = _terms(y, eta + h, theta), _terms(y, eta - h, theta)
+    np.testing.assert_allclose(terms["d"], (up["c"] - down["c"]) / (2 * h), rtol=1e-6, atol=1e-8)
+    up, down = _terms(y, eta, theta + h), _terms(y, eta, theta - h)
+    for name, of in (("cth", "c"), ("lthth", "lth"), ("athth", "ath"), ("bthth", "bth")):
+        np.testing.assert_allclose(terms[name], (up[of] - down[of]) / (2 * h), rtol=1e-6, atol=1e-8)
 
 
 def test_inner_modes_solve_stationarity():
@@ -225,3 +235,114 @@ def test_suite_on_the_driver_equals_the_oracle_bitwise(monkeypatch, n_projects, 
         _assert_same_fit(r.fit, o.fit, r.spec.label)
         for name in smellstab.stats.suite._OUTCOME_FIELDS:
             assert _same(getattr(r, name), getattr(o, name)), (r.spec.label, name)
+
+
+# -- the Newton step cap ------------------------------------------------------------
+
+
+def _record_fits(monkeypatch) -> list:
+    """``(objective, every point it was evaluated at, outcome)`` of each NB2 maximization from here on."""
+    calls = []
+
+    def recording(obj, x0, bounds=None):
+        points = []
+
+        def traced(x):
+            points.append(x.copy())
+            return obj(x)
+
+        out = fitbase.maximize(traced, x0, bounds)
+        calls.append((obj, points, out))
+        return out
+
+    monkeypatch.setattr(glm, "maximize", recording)
+    return calls
+
+
+def test_overdispersed_null_suite_fits_in_eight_evaluations(monkeypatch):
+    # uncapped, the first step threw log sigma2 of 14 ChS fits from -2.3 to +1.6..+4.6; the halvings of
+    # the next step landed on the bound at -12, and those fits took 15-30 evaluations
+    calls = _record_fits(monkeypatch)
+    suite = run_hypothesis_suite(simulate_observation_rows(8, 50, seed=10_015))
+    assert len(calls) >= 34
+    assert max(out.evaluations for _obj, _points, out in calls) <= 8
+    for obj, points, out in calls:
+        if isinstance(obj, _LaplaceObjective) and not out.active[-1]:
+            assert min(x[-1] for x in points) > _LOG_S2_BOUNDS[0]
+    assert sum(r.fit.evaluations for r in suite.results) <= 221  # 426 uncapped
+
+
+_CAP_CASES = {
+    **{f"criterion-11-{seed}": dict(n_projects=8, per_project=50, seed=seed) for seed in range(10_000, 10_020)},
+    # overdispersed like ChS, with many projects: 238 evaluations capped, 597 uncapped
+    "overdispersed-100-projects": dict(n_projects=100, per_project=40, seed=4242, theta=0.5, sigma2=0.5),
+}
+
+
+@pytest.mark.parametrize("case", _CAP_CASES.values(), ids=_CAP_CASES.keys())
+def test_capped_steps_reach_the_uncapped_optimum(monkeypatch, case):
+    rows = simulate_observation_rows(**case)
+    capped = run_hypothesis_suite(rows)
+    monkeypatch.setattr(fitbase, "_MAX_STEP", math.inf)
+    uncapped = run_hypothesis_suite(rows)
+    assert [r.status for r in capped.results] == [r.status for r in uncapped.results]
+    for r, o in zip(capped.results, uncapped.results):
+        assert abs(r.p_bh - o.p_bh) <= 1e-6, r.spec.label
+        if o.converged:
+            assert np.max(np.abs(r.fit.beta - o.fit.beta) / o.fit.se) <= 1e-6, r.spec.label
+
+
+# -- one row kernel per evaluation, against the two it replaced, bit for bit ------------
+
+
+def _assert_bitwise(new, old, where="") -> None:
+    assert len(new) == len(old), where
+    for k, (a, b) in enumerate(zip(new, old)):
+        a, b = np.asarray(a), np.asarray(b)
+        assert (a.dtype, a.shape) == (b.dtype, b.shape) and a.tobytes() == b.tobytes(), (where, k)
+
+
+@pytest.mark.parametrize("theta", [1e-2, 1.7, math.exp(14.0)])
+def test_row_kernels_equal_the_oracle_bitwise(theta):
+    rng = np.random.default_rng(37)
+    y = np.concatenate([rng.poisson(2.0, 300), rng.integers(0, 5000, 50), np.zeros(20)]).astype(float)
+    eta = rng.uniform(-30.0, 30.0, y.size)
+    ll, a, lth, lthth, (b, c, d, ath, bth, cth, athth, bthth) = nb2_row_terms(y, eta, theta)
+    _assert_bitwise((ll, a, b, c, lth, ath, bth, d, cth, lthth, athth, bthth),
+                    laplace_oracle.nb2_row_terms(y, eta, theta) + laplace_oracle.nb2_row_curvature(y, eta, theta))
+    groups = np.sort(rng.integers(0, 12, y.size))
+    _assert_bitwise(inner_modes(y, eta / 10.0, theta, 0.3, groups, np.zeros(12)),
+                    laplace_oracle.inner_modes(y, eta / 10.0, theta, 0.3, groups, np.zeros(12)))
+    design, _ = simulate_nb_glmm_design(6, 30, [0.5, -0.3], 0.25, 1.5, seed=5)
+    new = _LaplaceObjective(design.y, design.X, design.groups, design.n_groups)
+    old = laplace_oracle.LaplaceObjective(design.y, design.X, design.groups, design.n_groups)
+    for log_sigma2 in (np.log(0.3), -12.0, 8.0):  # warm-started modes carry over
+        params = np.array([0.8, 0.45, -0.2, np.log(theta), log_sigma2])
+        _assert_bitwise(new(params), old(params), log_sigma2)
+        _assert_bitwise([new.u], [old.u], log_sigma2)
+
+
+def test_laplace_objective_equals_the_oracle_bitwise_at_every_iterate(monkeypatch):
+    checked = []
+
+    class Checked(_LaplaceObjective):
+        def __call__(self, params):
+            start = self.u
+            new = super().__call__(params)
+            modes, self.u = self.u, start
+            old = laplace_oracle.LaplaceObjective.__call__(self, params)
+            _assert_bitwise((*new, modes), (*old, self.u), len(checked))
+            checked.append(params)
+            return new
+
+    rows = simulate_observation_rows(8, 50, seed=10_015)
+    monkeypatch.setattr(glmm, "_LaplaceObjective", Checked)
+    capped = run_hypothesis_suite(rows)
+    monkeypatch.setattr(fitbase, "_MAX_STEP", math.inf)
+    uncapped = run_hypothesis_suite(rows)
+    assert len(checked) >= sum(r.fit.evaluations for suite in (capped, uncapped) for r in suite.results)
+    # uncapped and on the old objective, the suite is the one fitted before the cap, bit for bit
+    monkeypatch.setattr(glmm, "_LaplaceObjective", laplace_oracle.LaplaceObjective)
+    before = run_hypothesis_suite(rows)
+    for r, o in zip(uncapped.results, before.results):
+        _assert_same_fit(r.fit, o.fit, r.spec.label)
