@@ -30,7 +30,6 @@ class FitResult:
     names: list[str]
     beta: np.ndarray
     se: np.ndarray
-    cov: np.ndarray
     ll: float
     converged: bool
     n_obs: int
@@ -41,7 +40,7 @@ class FitResult:
     u_hat: np.ndarray | None = None
     message: str = ""
     grad_norm: float = float("nan")  # free-gradient inf-norm at the end
-    iterations: int = 0  # this and the next two: Newton fits only (not the Poisson IRLS)
+    iterations: int = 0  # accepted Newton steps
     evaluations: int = 0
     pinned: list[str] = field(default_factory=list)  # parameters held at a bound
 
@@ -111,15 +110,9 @@ class MaximizeOutcome:
     message: str = ""
 
 
-def _active_mask(grad: np.ndarray, x: np.ndarray, bounds) -> np.ndarray:
+def _active_mask(grad: np.ndarray, x: np.ndarray, lo: np.ndarray, hi: np.ndarray) -> np.ndarray:
     """Parameters pinned at a bound with the gradient pushing outward."""
-    active = np.zeros(x.size, dtype=bool)
-    for i, (lo, hi) in enumerate(bounds):
-        if lo is not None and x[i] <= lo + 1e-9 and grad[i] < 0:
-            active[i] = True
-        if hi is not None and x[i] >= hi - 1e-9 and grad[i] > 0:
-            active[i] = True
-    return active
+    return ((x <= lo + 1e-9) & (grad < 0)) | ((x >= hi - 1e-9) & (grad > 0))
 
 
 # Levenberg damping tried in turn, as multiples of the largest diagonal entry
@@ -160,7 +153,7 @@ def maximize(obj, x0: np.ndarray, bounds=None) -> MaximizeOutcome:
     rel_change = float("inf")
     message = ""
     while iterations < MAX_ITER:
-        free = ~_active_mask(grad, x, bounds)
+        free = ~_active_mask(grad, x, lo, hi)
         if not free.any():
             rel_change = 0.0
             break
@@ -196,7 +189,7 @@ def maximize(obj, x0: np.ndarray, bounds=None) -> MaximizeOutcome:
         else:
             message = "line search found no step that keeps the log-likelihood"
             break
-    active = _active_mask(grad, x, bounds)
+    active = _active_mask(grad, x, lo, hi)
     free = ~active
     gnorm = float(np.max(np.abs(grad[free]))) if free.any() else 0.0
     converged = bool(np.isfinite(ll)) and gnorm < GRAD_TOL and rel_change < REL_LL_TOL
@@ -205,21 +198,19 @@ def maximize(obj, x0: np.ndarray, bounds=None) -> MaximizeOutcome:
     return MaximizeOutcome(x, ll, grad, -hess, converged, active, gnorm, iterations, evaluations, message)
 
 
-def covariance_from_hessian(hessian: np.ndarray, active: np.ndarray | None = None) -> tuple[np.ndarray, bool]:
+def covariance_from_hessian(hessian: np.ndarray, active: np.ndarray) -> np.ndarray:
     """Invert the observed information over the free parameters.
 
     Bound-pinned parameters get zero rows/columns (their uncertainty is not
     identified at the boundary); degeneracy falls back to the pseudo-inverse.
     """
     k = hessian.shape[0]
-    free = np.ones(k, dtype=bool) if active is None else ~active
+    free = ~active
     sub = hessian[np.ix_(free, free)]
     try:
         cov_free = np.linalg.inv(sub)
-        ok = bool(np.all(np.diag(cov_free) > 0))
     except np.linalg.LinAlgError:
         cov_free = np.linalg.pinv(sub)
-        ok = False
     cov = np.zeros((k, k))
     cov[np.ix_(free, free)] = cov_free
-    return cov, ok
+    return cov

@@ -20,9 +20,19 @@ from smellstab.stats.fitbase import (
     MAX_ITER,
     REL_LL_TOL,
     MaximizeOutcome,
-    _active_mask,
     numerical_hessian,
 )
+
+
+def _active_mask(grad: np.ndarray, x: np.ndarray, bounds) -> np.ndarray:
+    """Parameters pinned at a bound with the gradient pushing outward."""
+    active = np.zeros(x.size, dtype=bool)
+    for i, (lo, hi) in enumerate(bounds):
+        if lo is not None and x[i] <= lo + 1e-9 and grad[i] < 0:
+            active[i] = True
+        if hi is not None and x[i] >= hi - 1e-9 and grad[i] > 0:
+            active[i] = True
+    return active
 
 
 def maximize(obj, x0: np.ndarray, bounds=None) -> MaximizeOutcome:
@@ -96,7 +106,7 @@ def maximize(obj, x0: np.ndarray, bounds=None) -> MaximizeOutcome:
 def oracle_fits():
     """Run every GLM and GLMM fit on the oracle path while the block is open.
 
-    Both NB2 models maximize through ``glm.fit_nb2``.
+    All three models maximize through ``glm._fit``.
     """
     saved = glm.maximize
     glm.maximize = maximize

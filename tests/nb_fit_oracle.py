@@ -44,7 +44,7 @@ def fit_negbin_glm(design: DesignMatrix) -> FitResult:
     theta = float(np.exp(log_theta))
     eta = np.clip(X @ beta, -_ETA_CAP, _ETA_CAP)
     mu = np.exp(eta)
-    cov_full, _ = covariance_from_hessian(out.hessian, out.active)
+    cov_full = covariance_from_hessian(out.hessian, out.active)
     cov = cov_full[:p, :p]  # beta block of the full inverse (theta uncertainty included)
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     cov_ok = bool(np.all(se[:p] > 0))
@@ -53,7 +53,6 @@ def fit_negbin_glm(design: DesignMatrix) -> FitResult:
         names=list(design.names),
         beta=beta,
         se=se[:p],
-        cov=cov,
         ll=out.ll,
         converged=out.converged and cov_ok and bool(y.sum() > 0),
         n_obs=n,
@@ -94,7 +93,7 @@ def fit_negbin_random_intercept(design: DesignMatrix, start: FitResult | None = 
     beta = out.x[:p]
     theta = float(np.exp(out.x[p]))
     sigma2 = float(np.exp(out.x[p + 1]))
-    cov_full, _ = covariance_from_hessian(out.hessian, out.active)
+    cov_full = covariance_from_hessian(out.hessian, out.active)
     cov = cov_full[:p, :p]
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
     cov_ok = bool(np.all(se > 0))
@@ -106,7 +105,6 @@ def fit_negbin_random_intercept(design: DesignMatrix, start: FitResult | None = 
         names=list(design.names),
         beta=beta,
         se=se,
-        cov=cov,
         ll=out.ll,
         converged=out.converged and cov_ok and bool(y.sum() > 0),
         n_obs=n,

@@ -2,15 +2,19 @@ import numpy as np
 import pytest
 from scipy.special import gammaln
 
-from simulate import nb2_draw
+import poisson_oracle
+from fit_oracle import _active_mask as loop_active_mask
+from simulate import nb2_draw, simulate_observation_rows
 from smellstab.stats import (
     DesignMatrix,
     DispersionError,
     dispersion_statistic,
     fit_negbin_glm,
     fit_poisson,
+    run_hypothesis_suite,
 )
-from smellstab.stats.fitbase import GRAD_TOL, maximize, numerical_hessian
+from smellstab.stats import glm, suite
+from smellstab.stats.fitbase import GRAD_TOL, _active_mask, maximize, numerical_hessian
 from smellstab.stats.glm import negbin_objective
 
 
@@ -130,6 +134,19 @@ def test_newton_polish_converges_at_large_log_likelihood():
     assert out.converged and np.max(np.abs(out.grad)) < GRAD_TOL
 
 
+def test_active_mask_equals_the_loop_it_replaced():
+    rng = np.random.default_rng(3)
+    bounds = [(None, None), (-30.0, 30.0), (-6.0, 14.0), (None, 5.0), (-12.0, None)] * 40
+    lo = np.array([-np.inf if b is None else b for b, _ in bounds])
+    hi = np.array([np.inf if b is None else b for _, b in bounds])
+    for _ in range(20):
+        offset = rng.choice([0.0, 5e-10, 1e-9, 2e-9, 1.0], size=len(bounds))  # on, within 1e-9 of, or off a bound
+        x = np.where(rng.random(len(bounds)) < 0.5, lo + offset, hi - offset)
+        x = np.where(np.isfinite(x), x, 0.0)
+        grad = rng.choice([-1.0, 0.0, 1.0], size=len(bounds))
+        np.testing.assert_array_equal(_active_mask(grad, x, lo, hi), loop_active_mask(grad, x, bounds))
+
+
 def test_negbin_glm_hessian_matches_finite_differences():
     rng = np.random.default_rng(43)
     n = 500
@@ -141,3 +158,61 @@ def test_negbin_glm_hessian_matches_finite_differences():
     _ll, _grad, hess = obj(params)
     fd = numerical_hessian(lambda z: obj(z)[1], params)
     np.testing.assert_allclose(hess, fd, rtol=1e-5)
+
+
+# -- the Poisson fit on the Newton maximizer against the IRLS loop it replaced ----------
+
+def _oracle_designs() -> dict[str, DesignMatrix]:
+    """The designs of the Poisson tests above, two singular ones and the 38 Poisson fits of a suite."""
+    rng = np.random.default_rng(5)
+    y = rng.poisson(3.0, size=4000)
+    designs = {"intercept-only": _design(y, np.ones((y.size, 1)))}
+    rng = np.random.default_rng(11)
+    x1, x2 = rng.normal(size=2000), rng.normal(size=2000)
+    y = rng.poisson(np.exp(0.8 + 0.4 * x1 - 0.25 * x2))
+    designs["three-columns"] = _design(y, np.column_stack([np.ones(2000), x1, x2]))
+    designs["all-zero"] = _design(np.zeros(50), np.ones((50, 1)))
+    designs["saturated"] = _design([2.0, 4.0, 8.0], np.column_stack([np.ones(3), [1.0, 2.0, 3.0]]))
+    designs["df-0"] = _design([1.0, 2.0], np.column_stack([np.ones(2), [0.0, 1.0]]))
+    rng = np.random.default_rng(31)
+    x = rng.normal(size=300)
+    y = rng.poisson(np.exp(0.5 + 0.3 * x))
+    designs["zero-iv-column"] = _design(y, np.column_stack([np.ones(300), x, np.zeros(300)]))
+    designs["collinear-pair"] = _design(y, np.column_stack([np.ones(300), x, 2.0 * x]))
+    recorded = []
+
+    def recording(design, fit=glm.fit_poisson):
+        recorded.append(design)
+        return fit(design)
+
+    with pytest.MonkeyPatch.context() as mp:  # the full models' fits in the suite, the null models' in glm
+        mp.setattr(suite, "fit_poisson", recording)
+        mp.setattr(glm, "fit_poisson", recording)
+        run_hypothesis_suite(simulate_observation_rows(8, 50, seed=10_015))
+    assert len(recorded) == 38
+    return designs | {f"suite-{i}": d for i, d in enumerate(recorded)}
+
+
+def _dispersion(fit, design) -> float:
+    try:
+        return dispersion_statistic(fit, design)
+    except DispersionError:
+        return float("nan")
+
+
+def test_newton_poisson_fits_match_the_irls_oracle():
+    # measured: |dbeta|/SE <= 1.9e-8 (IRLS stops at a relative ll change of 1e-10), dispersion
+    # 1.7e-10 of max(1, stat), the new ll at most 3.8e-16 relative below the old, 1-5 evaluations.
+    # Bounds: 5x, 5x, 25x and +2.
+    for name, design in _oracle_designs().items():
+        new, old = fit_poisson(design), poisson_oracle.fit_poisson(design)
+        assert new.converged == old.converged, name
+        if not old.converged:
+            continue
+        assert np.max(np.abs(new.beta - old.beta) / old.se) <= 1e-7, name
+        d_new, d_old = _dispersion(new, design), _dispersion(old, design)
+        assert np.isnan(d_new) == np.isnan(d_old), name
+        if not np.isnan(d_old):
+            assert abs(d_new - d_old) <= 1e-9 * max(1.0, d_old), name
+        assert new.ll >= old.ll - 1e-14 * max(1.0, abs(old.ll)), name
+        assert new.evaluations <= 7, name

@@ -245,6 +245,8 @@ def _record_fits(monkeypatch) -> list:
     calls = []
 
     def recording(obj, x0, bounds=None):
+        if glm._LOG_THETA_BOUNDS not in bounds:  # a Poisson fit: no log theta
+            return fitbase.maximize(obj, x0, bounds)
         points = []
 
         def traced(x):

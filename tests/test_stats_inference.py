@@ -22,10 +22,9 @@ from smellstab.stats.fitbase import FitResult
 
 
 def _fit_with(beta, se, names):
-    k = len(beta)
     return FitResult(
         model="nb_glm", names=names, beta=np.array(beta, dtype=float),
-        se=np.array(se, dtype=float), cov=np.eye(k), ll=-10.0, converged=True,
+        se=np.array(se, dtype=float), ll=-10.0, converged=True,
         n_obs=10, mu_hat=np.ones(10),
     )
 
@@ -135,7 +134,7 @@ def test_ame_continuous_matches_finite_difference():
 def test_ame_binary_hand_computed_three_rows():
     fit = FitResult(
         model="nb_glm", names=["Intercept", "IsSmelly"],
-        beta=np.array([0.1, 0.7]), se=np.array([0.1, 0.1]), cov=np.eye(2),
+        beta=np.array([0.1, 0.7]), se=np.array([0.1, 0.1]),
         ll=-5.0, converged=True, n_obs=3, mu_hat=np.ones(3),
     )
     design = DesignMatrix(
