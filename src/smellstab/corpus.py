@@ -124,7 +124,7 @@ def ingest_corpus(
     same-named types is kept.
     """
     corpus = SourceCorpus(project=project, snapshot_commit=snapshot)
-    seen_qnames: set[str] = set()
+    declared: dict[str, list[TypeDecl]] = {}
     for rel in sorted(files, key=lambda r: PurePosixPath(r).parts):
         if any(fnmatch(rel, pattern) for pattern in path_excludes):
             continue
@@ -134,22 +134,15 @@ def ingest_corpus(
             corpus.diagnostics.append(Diagnostic(rel, f"parse failure: {exc}"))
             continue
         corpus.file_contexts[rel] = FileContext(unit.package, dict(unit.imports), unit.wildcard_imports)
-        stem = PurePosixPath(rel).stem
-        file_types: list[TypeDecl] = []
-        for raw in unit.types:
-            decl = _build_type(raw, project, unit.package, rel, unit.package)
-            if decl.id.qualified_name in seen_qnames:
-                corpus.diagnostics.append(
-                    Diagnostic(rel, f"duplicate type {decl.id.qualified_name}; keeping first")
-                )
-                continue
-            seen_qnames.add(decl.id.qualified_name)
-            corpus.types.append(decl)
-            file_types.append(decl)
-        if file_types:
-            primary = next((t for t in file_types if t.id.simple_name == stem), file_types[0])
-            corpus.primary_type_of_file[rel] = primary.id.qualified_name
+        declared[rel] = [_build_type(raw, project, unit.package, rel, unit.package) for raw in unit.types]
+        corpus.types.extend(declared[rel])
     corpus.finalize()
+    for rel, decls in declared.items():
+        kept = [t for t in decls if corpus.type_decl(t.id.qualified_name) is t]
+        if kept:
+            stem = PurePosixPath(rel).stem
+            corpus.primary_type_of_file[rel] = next(
+                (t for t in kept if t.id.simple_name == stem), kept[0]).id.qualified_name
     # One resolver serves both passes: the first resolves only type names,
     # which never read supertypes, so no ancestor is cached before they are set.
     resolver = Resolver(corpus)

@@ -27,9 +27,9 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .bodyscan import BodyFacts, SiteSink, scan_expression, scan_initializer, scan_member_body
-from .model import (
+from .model import (  # DomainError is re-exported for callers that import it from here
     ArtifactId,
-    ArtifactKind,
+    DomainError,
     MethodDecl,
     RelationKind,
     SourceCorpus,
@@ -55,10 +55,6 @@ def _edge_order(e: DependencyEdge) -> tuple:
     s, t = e.source, e.target
     return (e.relation, s.project, s.qualified_name, s.kind, s.signature,
             t.project, t.qualified_name, t.kind, t.signature, e.site_count)
-
-
-class DomainError(ValueError):
-    pass
 
 
 @dataclass
@@ -171,11 +167,7 @@ def efferent_neighbors(
     itself and external artifacts are excluded; interfaces count when
     targeted.
     """
-    if focal.kind != ArtifactKind.CLASS or focal.is_external:
-        raise DomainError(f"focal artifact must be an internal class: {focal}")
-    decl = corpus.type_decl(focal.qualified_name)
-    if decl.is_interface or decl.enclosing is not None:
-        raise DomainError(f"focal artifact must be a top-level class: {focal}")
+    decl = corpus.top_level_class(focal)
     out = {corpus.enclosing_class(e.target) for e in graph.out_edges(decl) if not e.external}
     out.discard(focal)
     return out

@@ -16,8 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .bodyscan import NO_BODY_FACTS, BodyFacts
-from .graph import DomainError
-from .model import ArtifactId, ArtifactKind, MethodDecl, SourceCorpus, TypeDecl
+from .model import ArtifactId, MethodDecl, SourceCorpus, TypeDecl
 from .resolve import Resolver
 
 
@@ -124,13 +123,7 @@ def _attributed(decl: TypeDecl) -> tuple[list[MethodDecl], list[MethodDecl], lis
 
 
 def compute_class_metrics(ctx: MetricsContext, cls: ArtifactId) -> ClassMetrics:
-    if cls.kind != ArtifactKind.CLASS or cls.is_external:
-        raise DomainError(f"class metrics need an internal class: {cls}")
-    decl = ctx.corpus.type_decl(cls.qualified_name)
-    if decl.is_interface:
-        raise DomainError(f"class metrics are undefined for interfaces: {cls}")
-    if decl.enclosing is not None:
-        raise DomainError(f"class metrics are defined on top-level classes: {cls}")
+    decl = ctx.corpus.top_level_class(cls)
     methods, ctors, fields = _attributed(decl)
     cyclo_of = {m.id: ctx.facts.get(m.id, NO_BODY_FACTS).cyclo for m in methods}
     wmc = sum(cyclo_of.values())

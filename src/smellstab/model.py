@@ -114,7 +114,7 @@ class TypeDecl:
     constructors: list[MethodDecl] = field(default_factory=list)
     nested_types: list["TypeDecl"] = field(default_factory=list)
     initializers: list[TokenSpan] = field(default_factory=list)
-    enclosing: Optional[ArtifactId] = None  # enclosing top-level type for nested types
+    parent: Optional[ArtifactId] = None  # the type this one is declared directly in; None at top level
     loc: int = 0
 
     def all_nested(self) -> Iterator["TypeDecl"]:
@@ -161,6 +161,10 @@ class CorpusLookupError(KeyError):
     pass
 
 
+class DomainError(ValueError):
+    pass
+
+
 @dataclass
 class SourceCorpus:
     """Immutable (by convention) resolved snapshot model."""
@@ -178,32 +182,37 @@ class SourceCorpus:
     def finalize(self) -> None:
         """Index every declaration once; call once after all types are attached.
 
-        A declaration whose identity an earlier one holds is dropped with a
-        diagnostic, keeping the first, as ingest does for top-level types.  A
-        type's identity is its qualified name, which a top-level type holds
-        before any nested one; a member's is its ``ArtifactId``.
+        This is the only code that decides how types nest and which of two
+        declarations is kept.  A declaration whose identity an earlier one
+        holds is dropped with a diagnostic, keeping the first: of two
+        top-level types, the one added first (the sort by name is stable);
+        inside a type, the one declared first.  A type's identity is its
+        qualified name, which a top-level type holds before any nested one;
+        a member's is its ``ArtifactId``.
         """
         self.types.sort(key=lambda t: t.id.qualified_name)
         self._decl_by_qname.clear()
         self._decls.clear()
         for top in self.types:
             self._decl_by_qname.setdefault(top.id.qualified_name, top)
-        self.types = [top for top in self.types if self._claim(top, top)]
+        self.types = [top for top in self.types if self._claim(top, None)]
 
-    def _claim(self, decl: Declaration, top: TypeDecl) -> bool:
+    def _claim(self, decl: Declaration, owner: TypeDecl | None) -> bool:
+        """Index ``decl``, declared directly in ``owner`` (None at top level), unless its identity is held."""
         aid = decl.id
         is_type = isinstance(decl, TypeDecl)
         held = (self._decl_by_qname.setdefault(aid.qualified_name, decl) is not decl) if is_type else aid in self._decls
         if held:
-            self.diagnostics.append(Diagnostic(top.file, f"duplicate {aid.kind.value} {aid}; keeping first"))
+            file = (owner or decl).file
+            self.diagnostics.append(Diagnostic(file, f"duplicate {aid.kind.value} {aid}; keeping first"))
             return False
-        self._decls[aid] = (decl, top.id)
+        self._decls[aid] = (decl, aid if owner is None else self._decls[owner.id][1])
         if is_type:
-            decl.enclosing = None if decl is top else top.id
-            decl.fields = [f for f in decl.fields if self._claim(f, top)]
-            decl.methods = [m for m in decl.methods if self._claim(m, top)]
-            decl.constructors = [c for c in decl.constructors if self._claim(c, top)]
-            decl.nested_types = [t for t in decl.nested_types if self._claim(t, top)]
+            decl.parent = None if owner is None else owner.id
+            decl.fields = [f for f in decl.fields if self._claim(f, decl)]
+            decl.methods = [m for m in decl.methods if self._claim(m, decl)]
+            decl.constructors = [c for c in decl.constructors if self._claim(c, decl)]
+            decl.nested_types = [t for t in decl.nested_types if self._claim(t, decl)]
         return True
 
     def type_decl(self, qualified_name: str) -> TypeDecl:
@@ -233,6 +242,13 @@ class SourceCorpus:
             return self._decls[artifact][1]
         except KeyError:
             raise CorpusLookupError(f"unknown artifact: {artifact}") from None
+
+    def top_level_class(self, artifact: ArtifactId) -> TypeDecl:
+        """The declaration of ``artifact``; DomainError unless it is a top-level class of this corpus."""
+        decl, top = self._decls.get(artifact, (None, None))
+        if top != artifact or artifact.kind != ArtifactKind.CLASS:
+            raise DomainError(f"not a top-level class of this corpus: {artifact}")
+        return decl
 
     def iter_methods(self) -> Iterator[tuple[TypeDecl, MethodDecl]]:
         """All methods and constructors of all (possibly nested) types."""

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graph import DependencyGraph, DomainError, efferent_neighbors
+from .graph import DependencyGraph, efferent_neighbors
 from .model import ArtifactId, RelationKind, SourceCorpus
 from .smells import SmellInstance
 
@@ -139,9 +139,7 @@ def build_observation(
     smells: list[SmellInstance],
     neighbors: set[ArtifactId] | None = None,
 ) -> ClassObservation:
-    decl = corpus.type_decl(focal.qualified_name)
-    if decl.is_interface or decl.enclosing is not None:
-        raise DomainError(f"observations are defined on top-level classes: {focal}")
+    decl = corpus.top_level_class(focal)
     if neighbors is None:
         neighbors = efferent_neighbors(graph, corpus, focal)
     is_smelly, n_foc, var_foc = focal_smell_stats(focal, smells)

@@ -30,20 +30,12 @@ class Resolver:
 
     # -- scope structure ------------------------------------------------------
 
-    def parent_type(self, t: TypeDecl) -> TypeDecl | None:
-        qn = t.id.qualified_name
-        if "." not in qn:
-            return None
-        parent = qn.rsplit(".", 1)[0]
-        return self.corpus.type_decl(parent) if self.corpus.has_type(parent) else None
-
     def scope_chain(self, t: TypeDecl) -> list[TypeDecl]:
-        """``t`` and its lexically enclosing types, innermost first."""
+        """``t`` and the types it is declared in, innermost first."""
         chain = [t]
-        cur = self.parent_type(t)
-        while cur is not None:
-            chain.append(cur)
-            cur = self.parent_type(cur)
+        while t.parent is not None:
+            t = self.corpus.declaration(t.parent)
+            chain.append(t)
         return chain
 
     def internal_ancestors(self, t: TypeDecl) -> list[TypeDecl]:
@@ -73,7 +65,7 @@ class Resolver:
 
     def top_level_of(self, qualified_name: str) -> str:
         t = self.corpus.type_decl(qualified_name)
-        return (t.enclosing or t.id).qualified_name
+        return qualified_name if t.parent is None else self.corpus.enclosing_class(t.id).qualified_name
 
     # -- type names -----------------------------------------------------------
 
@@ -232,5 +224,4 @@ class Resolver:
         return out
 
     def declaring_type_of_member(self, member: ArtifactId) -> TypeDecl:
-        qn = member.qualified_name.rsplit(".", 1)[0]
-        return self.corpus.type_decl(qn)
+        return self.corpus.type_decl(self.corpus.declaration(member).declaring_type.qualified_name)

@@ -106,16 +106,21 @@ def _fit(design: DesignMatrix, objective, model: str, beta0: np.ndarray,
     out = maximize(objective, np.concatenate([beta0, starts]), [(-_BETA_CAP, _BETA_CAP)] * p + list(bounds))
     cov = covariance_from_hessian(out.hessian, out.active)[:p, :p]
     se = np.sqrt(np.maximum(np.diag(cov), 0.0))
+    # reasons that make even a fit the maximizer converged on unusable
+    reasons = [] if y.sum() > 0 else ["all-zero response"]
+    zero_se = [name for name, s in zip(design.names, se) if not s > 0]
+    if zero_se:
+        reasons.append(f"zero standard error for {', '.join(zero_se)}")
     fit = FitResult(
         model=model,
         names=list(design.names),
         beta=out.x[:p],
         se=se,
         ll=out.ll,
-        converged=out.converged and bool(np.all(se > 0)) and bool(y.sum() > 0),
+        converged=out.converged and not reasons,
         n_obs=n,
         mu_hat=np.empty(0),
-        message=out.message,
+        message=out.message or "; ".join(reasons),
         grad_norm=out.grad_norm,
         iterations=out.iterations,
         evaluations=out.evaluations,

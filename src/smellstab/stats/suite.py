@@ -107,7 +107,7 @@ def _fit_model(spec: ModelSpec, table: ColumnTable, null_cache: dict, samples: d
     fit = fit_negbin_random_intercept(design, poisson)
     res.fit = fit
     if not fit.converged:
-        res.note = f"fit not converged: {fit.message}".strip()
+        res.note = f"fit not converged: {fit.message}"
         return res
     if key not in null_cache:
         null_fit = fit_negbin_random_intercept(null_design(design))

@@ -45,7 +45,6 @@ def synth_corpus(seed: int) -> tuple[SourceCorpus, DependencyGraph, list[SmellIn
             nested.methods.append(MethodDecl(
                 id=ArtifactId("syn", f"{cname}.Nest.nm", ArtifactKind.METHOD),
                 declaring_type=nid, visibility="public"))
-            nested.enclosing = tid
             t.nested_types.append(nested)
         corpus.types.append(t)
     corpus.finalize()

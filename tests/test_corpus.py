@@ -41,7 +41,8 @@ def test_nested_class_back_references_top_level():
     outer = corpus.types[0]
     inner = outer.nested_types[0]
     assert inner.id.qualified_name == "Outer.Inner"
-    assert inner.enclosing == outer.id
+    assert inner.parent == outer.id
+    assert corpus.enclosing_class(inner.id) == outer.id
 
 
 def test_parse_failure_is_diagnostic_not_fatal():

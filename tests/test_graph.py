@@ -9,7 +9,7 @@ import pytest
 from smellstab.bodyscan import NO_BODY_FACTS, BodyFacts
 from smellstab.corpus import ingest_corpus
 from smellstab.graph import DependencyGraph, DomainError, efferent_neighbors, extract_dependencies
-from smellstab.model import ArtifactId, ArtifactKind, RelationKind
+from smellstab.model import ArtifactId, ArtifactKind, RelationKind, external_artifact
 from smellstab.resolve import Resolver
 
 from javafix import FIG1_FILES, FIG2_CASE_A_FILES, FIG2_CASE_B_FILES, SMELL_FIXTURES, TEN_RELATIONS_FILES
@@ -141,10 +141,14 @@ def test_interface_counts_as_neighbor(analyzed_factory):
 def test_focal_must_be_top_level_class(analyzed_factory):
     corpus, graph, _ = analyzed_factory({
         "I.java": "interface I {}",
-        "C.java": "class C {}",
+        "C.java": "class C { int f; class N {} }",
     })
-    with pytest.raises(DomainError):
-        efferent_neighbors(graph, corpus, corpus.type_decl("I").id)
+    c = corpus.type_decl("C")
+    assert efferent_neighbors(graph, corpus, c.id) == set()
+    for not_top_class in (corpus.type_decl("I").id, _aid("I", ArtifactKind.CLASS), corpus.type_decl("C.N").id,
+                          c.fields[0].id, external_artifact("C"), _aid("Nope", ArtifactKind.CLASS)):
+        with pytest.raises(DomainError, match="not a top-level class of this corpus"):
+            efferent_neighbors(graph, corpus, not_top_class)
 
 
 def test_determinism_identical_edge_multiset(analyzed_factory):
@@ -212,6 +216,19 @@ def test_type_name_resolution_order(analyzed_factory):
     assert uses["p.B.l"] == "q.Local"
     assert uses["D.h"] == "Helper"
     assert uses["D.o"] == "q.Other"
+
+
+def test_a_package_name_is_no_enclosing_type(analyzed_factory):
+    """A default-package class ``p`` does not enclose ``p.B``, so B's bare ``x`` is not ``p.x``."""
+    corpus, graph, _ = analyzed_factory({
+        "p.java": "class p { static int x; }",
+        "p/B.java": "package p; public class B { int f() { return x; } }",
+    })
+    b = corpus.type_decl("p.B")
+    assert [t.id for t in Resolver(corpus).scope_chain(b)] == [b.id]
+    assert [e for e in graph.edges if corpus.enclosing_class(e.source) == b.id
+            and e.target.qualified_name in ("p", "p.x")] == []
+    assert efferent_neighbors(graph, corpus, b.id) == set()
 
 
 def test_finalize_orders_edges_as_the_dataclass_order(analyzed_factory):

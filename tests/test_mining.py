@@ -286,6 +286,25 @@ def test_non_ascii_path_is_mined(git_repo_factory):
     assert outcomes == {"Café": (1, 1)}
 
 
+def test_a_class_declared_in_two_files_is_refused_once_and_mined_along_the_first(git_repo_factory):
+    """Only finalize refuses the second ``p.A``; its file has no primary type, so no lineage starts there."""
+    repo = git_repo_factory()
+    repo.write("p/A.java", "package p;\nclass A {\n    int a;\n}\n")
+    repo.write("q/A.java", "package p;\nclass A {\n    int b;\n}\n")
+    snapshot = repo.commit_all("snapshot", EPOCH)
+    repo.write("p/A.java", "package p;\nclass A {\n    int a;\n    int c;\n}\n")
+    repo.write("q/A.java", "package p;\nclass A {\n    int b;\n    int d;\n    int e;\n}\n")
+    repo.commit_all("edit both", EPOCH + DAY)
+    corpus = snapshot_corpus(repo, snapshot, "dup")
+    assert [(d.file, d.message) for d in corpus.diagnostics] == [("q/A.java", "duplicate class p.A; keeping first")]
+    assert corpus.primary_type_of_file == {"p/A.java": "p.A"}
+    window = make_window(repo.path, snapshot, "main")
+    result = mine_window(repo.path, window, corpus)
+    assert_same_as_oracle(repo, window, corpus, result)
+    assert [(q, lineage.timeline) for q, lineage in result.lineages.items()] == [("p.A", [("", "p/A.java")])]
+    assert {o.focal.qualified_name: (o.chf, o.chs) for o in aggregate_stability(result)} == {"p.A": (1, 1)}
+
+
 def test_carriage_returns_end_lines_for_analysis_and_mining(git_repo_factory):
     corpus, result = _one_edit(git_repo_factory, "Cr.java", b"class Cr {\r    int a;\r}\r",
                                b"class Cr {\r    int a;\r    int b;\r}\r")

@@ -49,6 +49,20 @@ def test_all_zero_response_flags_nonconvergence():
     assert not fit.converged
 
 
+@pytest.mark.parametrize("fit_model", [fit_poisson, fit_negbin_glm])
+def test_a_converged_maximizer_overruled_by_the_fit_names_why(fit_model):
+    """A zero SE or an all-zero response makes the fit unconverged, and its message says which."""
+    rng = np.random.default_rng(3)
+    x = rng.normal(size=200)
+    y = rng.poisson(np.exp(0.5 + 0.3 * x))
+    unused_iv = fit_model(_design(y, np.column_stack([np.ones(200), x, np.zeros(200)]), ["Intercept", "x", "z"]))
+    assert not unused_iv.converged and list(unused_iv.se[:2] > 0) == [True, True] and unused_iv.se[2] == 0
+    assert unused_iv.message == "zero standard error for z"
+    no_counts = fit_model(_design(np.zeros(200), np.column_stack([np.ones(200), x])))
+    assert not no_counts.converged and no_counts.pinned[:1] == ["Intercept"]
+    assert no_counts.message == "all-zero response; zero standard error for Intercept"
+
+
 def test_poisson_recovery_within_3_se():
     rng = np.random.default_rng(11)
     n = 2000
