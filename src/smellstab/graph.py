@@ -27,14 +27,7 @@ from dataclasses import dataclass, field
 from typing import Iterator
 
 from .bodyscan import BodyFacts, SiteSink, scan_expression, scan_initializer, scan_member_body
-from .model import (  # DomainError is re-exported for callers that import it from here
-    ArtifactId,
-    DomainError,
-    MethodDecl,
-    RelationKind,
-    SourceCorpus,
-    TypeDecl,
-)
+from .model import ArtifactId, MethodDecl, RelationKind, SourceCorpus, TypeDecl
 from .resolve import Resolver
 
 

@@ -175,14 +175,6 @@ def tokenize(text: str) -> TokenSpan:
     return TokenSpan(tuple(values), lines, 0, len(values))
 
 
-def logical_loc(text: str) -> int:
-    """Count lines that carry at least one token (not blank, not comment-only).
-
-    Total on any input; a part-code part-comment line counts once.
-    """
-    return len(logical_lines(text))
-
-
 def logical_lines(text: str, memo: dict[str, tuple[str | None, bool]] | None = None) -> list[str]:
     """Canonical text of each logical line, in order.
 

@@ -59,12 +59,11 @@ class MetricsContext:
 
     corpus: SourceCorpus
     facts: dict[ArtifactId, BodyFacts]
-    resolver: Resolver = None  # type: ignore[assignment]
+    resolver: Resolver = field(init=False)
     _callers: dict[ArtifactId, set[ArtifactId]] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
-        if self.resolver is None:
-            self.resolver = Resolver(self.corpus)
+        self.resolver = Resolver(self.corpus)
         for caller, f in self.facts.items():
             for target in f.internal_calls:
                 self._callers.setdefault(target, set()).add(caller)

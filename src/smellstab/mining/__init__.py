@@ -1,42 +1,1 @@
-from .gitio import BlobReader, GitError, archive_snapshot, branch_head, first_parent_chain, show_blob
-from .miner import (
-    DELETED,
-    EXCLUDED_MERGE,
-    EXCLUDED_SPLIT,
-    TRACKED,
-    ClassLineage,
-    CommitRecord,
-    MiningConfigError,
-    MiningResult,
-    ObservationWindow,
-    StabilityOutcome,
-    activity_summary,
-    aggregate_stability,
-    enumerate_window_commits,
-    make_window,
-    mine_window,
-)
-
-__all__ = [
-    "BlobReader",
-    "GitError",
-    "archive_snapshot",
-    "branch_head",
-    "first_parent_chain",
-    "show_blob",
-    "DELETED",
-    "EXCLUDED_MERGE",
-    "EXCLUDED_SPLIT",
-    "TRACKED",
-    "ClassLineage",
-    "CommitRecord",
-    "MiningConfigError",
-    "MiningResult",
-    "ObservationWindow",
-    "StabilityOutcome",
-    "activity_summary",
-    "aggregate_stability",
-    "enumerate_window_commits",
-    "make_window",
-    "mine_window",
-]
+"""Mine stage: git reads (``gitio``) and the class-lineage history miner (``miner``)."""

@@ -76,11 +76,7 @@ def focal_smell_stats(
     return (len(mine) > 0, len(mine), variety)
 
 
-def efferent_smell_stats(
-    focal: ArtifactId,
-    neighbors: set[ArtifactId],
-    smells: list[SmellInstance],
-) -> tuple[bool, int, int]:
+def efferent_smell_stats(neighbors: set[ArtifactId], smells: list[SmellInstance]) -> tuple[bool, int, int]:
     theirs = [s for s in smells if s.enclosing in neighbors]
     variety = len({s.smell for s in theirs})
     return (len(theirs) > 0, len(theirs), variety)
@@ -143,7 +139,7 @@ def build_observation(
     if neighbors is None:
         neighbors = efferent_neighbors(graph, corpus, focal)
     is_smelly, n_foc, var_foc = focal_smell_stats(focal, smells)
-    has_eff, n_eff, var_eff = efferent_smell_stats(focal, neighbors, smells)
+    has_eff, n_eff, var_eff = efferent_smell_stats(neighbors, smells)
     has_coup = efferent_coupling_flag(is_smelly, has_eff)
     has_int, n_int, inten, _pairs = efferent_interactions(focal, graph, corpus, smells, neighbors)
     obs = ClassObservation(

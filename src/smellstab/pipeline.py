@@ -30,15 +30,17 @@ from .graph import extract_dependencies
 from .io_utils import parse_csv, read_csv, write_csv, write_json, write_meta
 from .manifest import DEFAULT_PROJECT_LIMIT, ProjectManifestEntry, Rejection, filter_manifest, load_manifest
 from .metrics import ClassMetrics, MethodMetrics, build_metrics_context, compute_class_metrics, compute_method_metrics
-from .mining import (
+from .mining.gitio import archive_snapshot, branch_head
+from .mining.miner import (
+    ACTIVITY_HEADER,
+    DEFAULT_RENAME_THRESHOLD,
+    DEFAULT_SPLIT_THRESHOLD,
+    DEFAULT_WINDOW_DAYS,
     activity_summary,
     aggregate_stability,
-    archive_snapshot,
-    branch_head,
     make_window,
     mine_window,
 )
-from .mining.miner import ACTIVITY_HEADER, DEFAULT_RENAME_THRESHOLD, DEFAULT_SPLIT_THRESHOLD, DEFAULT_WINDOW_DAYS
 from .model import ArtifactId, SourceCorpus
 from .neighborhood import OBSERVATION_HEADER, build_all_observations, observation_row
 from .smells import (

@@ -17,13 +17,13 @@ import pytest
 from smellstab.corpus import ingest_corpus
 from smellstab.graph import efferent_neighbors
 from smellstab.io_utils import read_csv
-from smellstab.mining import (
+from smellstab.mining.gitio import archive_snapshot
+from smellstab.mining.miner import (
     DELETED,
     EXCLUDED_MERGE,
     EXCLUDED_SPLIT,
     TRACKED,
     aggregate_stability,
-    archive_snapshot,
     make_window,
     mine_window,
 )
@@ -31,17 +31,11 @@ from smellstab.model import ArtifactId, ArtifactKind, RelationKind
 from smellstab.neighborhood import build_observation, efferent_interactions
 from smellstab.pipeline import PipelineConfig, run_pipeline
 from smellstab.smells import SmellInstance, SmellType
-from smellstab.stats import (
-    bh_adjust,
-    dispersion_statistic,
-    effect_sizes,
-    fit_negbin_random_intercept,
-    fit_poisson,
-    fit_quality,
-    predict_mu,
-    run_hypothesis_suite,
-)
 from smellstab.stats.design import DesignMatrix
+from smellstab.stats.glm import dispersion_statistic, fit_poisson
+from smellstab.stats.glmm import fit_negbin_random_intercept
+from smellstab.stats.inference import bh_adjust, effect_sizes, fit_quality, predict_mu
+from smellstab.stats.suite import run_hypothesis_suite
 
 import test_mining as mining_fix
 from testkit import EPOCH, build_analyzed, detect
@@ -286,7 +280,8 @@ def test_criterion_12_end_to_end_determinism(tmp_path, git_repo_factory):
         for run in ("one", "two"):
             config = PipelineConfig(manifest=str(manifest),
                                     output_dir=str(tmp_path / run), seed=5)
-            run_pipeline(config)
+            with pytest.warns(UserWarning, match="single project: falling back"):
+                run_pipeline(config)
             outputs.append({
                 name: (Path(config.output_dir) / name).read_bytes()
                 for name in ("dataset.csv", "results.csv")

@@ -8,8 +8,8 @@ import pytest
 
 from smellstab.bodyscan import NO_BODY_FACTS, BodyFacts
 from smellstab.corpus import ingest_corpus
-from smellstab.graph import DependencyGraph, DomainError, efferent_neighbors, extract_dependencies
-from smellstab.model import ArtifactId, ArtifactKind, RelationKind, external_artifact
+from smellstab.graph import DependencyGraph, efferent_neighbors, extract_dependencies
+from smellstab.model import ArtifactId, ArtifactKind, DomainError, RelationKind, external_artifact
 from smellstab.resolve import Resolver
 
 from javafix import FIG1_FILES, FIG2_CASE_A_FILES, FIG2_CASE_B_FILES, SMELL_FIXTURES, TEN_RELATIONS_FILES

@@ -5,7 +5,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import lexer_oracle
-from smellstab.lexer import kind_of, logical_lines, logical_loc, tokenize
+from smellstab.lexer import kind_of, logical_lines, tokenize
 
 
 def _tokens(text: str) -> list[tuple[str, str, int]]:
@@ -15,37 +15,37 @@ def _tokens(text: str) -> list[tuple[str, str, int]]:
 
 
 def test_empty_region_is_zero():
-    assert logical_loc("") == 0
+    assert len(logical_lines("")) == 0
 
 
 def test_blank_and_comment_lines_excluded():
     text = "int a;\n\nint b;\n// comment only\nint c;\n\n/* block */\n"
-    assert logical_loc(text) == 3
+    assert len(logical_lines(text)) == 3
 
 
 def test_mixed_code_comment_line_counts_once():
-    assert logical_loc("int x = 1; // init") == 1
+    assert len(logical_lines("int x = 1; // init")) == 1
 
 
 def test_block_comment_spanning_lines():
     text = "int a;\n/* one\n   two\n   three */\nint b;\n"
-    assert logical_loc(text) == 2
+    assert len(logical_lines(text)) == 2
 
 
 def test_javadoc_excluded():
     text = "/** doc\n * @param x\n */\nvoid m() {}\n"
-    assert logical_loc(text) == 1
+    assert len(logical_lines(text)) == 1
 
 
 def test_string_containing_comment_markers_is_code():
     text = 'String s = "// not a comment";\n'
-    assert logical_loc(text) == 1
+    assert len(logical_lines(text)) == 1
 
 
 def test_comment_after_code_then_code_line():
     text = "int a; /* start\n still comment */ int b;\n"
     # line 2 has the token `int b;` after the comment closes
-    assert logical_loc(text) == 2
+    assert len(logical_lines(text)) == 2
 
 
 def test_tokenize_line_numbers():

@@ -1,7 +1,7 @@
 import pytest
 
-from smellstab.graph import DomainError
 from smellstab.metrics import build_metrics_context, compute_class_metrics, compute_method_metrics
+from smellstab.model import DomainError
 
 
 def _method_id(corpus, type_name, method_name):

@@ -12,23 +12,18 @@ import smellstab.mining.gitio
 import smellstab.mining.miner
 from smellstab.corpus import ingest_corpus
 from smellstab.lexer import logical_lines
-from smellstab.mining import (
+from smellstab.mining.gitio import BlobReader, GitError, archive_snapshot, branch_head, first_parent_chain, show_blob
+from smellstab.mining.miner import (
     DELETED,
     EXCLUDED_MERGE,
     EXCLUDED_SPLIT,
     TRACKED,
-    BlobReader,
-    GitError,
     MiningConfigError,
     activity_summary,
     aggregate_stability,
-    archive_snapshot,
-    branch_head,
     enumerate_window_commits,
-    first_parent_chain,
     make_window,
     mine_window,
-    show_blob,
 )
 
 import miner_oracle

@@ -62,7 +62,6 @@ def test_focal_smell_stats():
 
 
 def test_efferent_smell_stats_union_variety():
-    focal = ArtifactId("p", "F", ArtifactKind.CLASS)
     n1 = ArtifactId("p", "N1", ArtifactKind.CLASS)
     n2 = ArtifactId("p", "N2", ArtifactKind.CLASS)
     smells = [
@@ -70,13 +69,13 @@ def test_efferent_smell_stats_union_variety():
         SmellInstance(SmellType.FE, ArtifactId("p", "N2.a", ArtifactKind.METHOD), n2),
         SmellInstance(SmellType.FE, ArtifactId("p", "N2.b", ArtifactKind.METHOD), n2),
     ]
-    assert efferent_smell_stats(focal, {n1, n2}, smells) == (True, 3, 2)
-    assert efferent_smell_stats(focal, set(), smells) == (False, 0, 0)
+    assert efferent_smell_stats({n1, n2}, smells) == (True, 3, 2)
+    assert efferent_smell_stats(set(), smells) == (False, 0, 0)
     same_type = [
         SmellInstance(SmellType.GC, n1, n1),
         SmellInstance(SmellType.GC, n2, n2),
     ]
-    assert efferent_smell_stats(focal, {n1, n2}, same_type) == (True, 2, 1)
+    assert efferent_smell_stats({n1, n2}, same_type) == (True, 2, 1)
 
 
 def test_coupling_flag_truth_table():

@@ -40,8 +40,7 @@ from smellstab.pipeline import (
     stage_inputs,
 )
 from smellstab.smells import ThresholdConfig, detect_smells_with_diagnostics
-from smellstab.stats import run_hypothesis_suite
-from smellstab.stats.suite import RESULTS_HEADER
+from smellstab.stats.suite import RESULTS_HEADER, run_hypothesis_suite
 
 import stats_oracle
 from simulate import simulate_observation_rows

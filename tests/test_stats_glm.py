@@ -5,17 +5,11 @@ from scipy.special import gammaln
 import poisson_oracle
 from fit_oracle import _active_mask as loop_active_mask
 from simulate import nb2_draw, simulate_observation_rows
-from smellstab.stats import (
-    DesignMatrix,
-    DispersionError,
-    dispersion_statistic,
-    fit_negbin_glm,
-    fit_poisson,
-    run_hypothesis_suite,
-)
 from smellstab.stats import glm, suite
+from smellstab.stats.design import DesignMatrix
 from smellstab.stats.fitbase import GRAD_TOL, _active_mask, maximize, numerical_hessian
-from smellstab.stats.glm import negbin_objective
+from smellstab.stats.glm import DispersionError, dispersion_statistic, fit_negbin_glm, fit_poisson, negbin_objective
+from smellstab.stats.suite import run_hypothesis_suite
 
 
 def _design(y, X, names=None):

@@ -10,13 +10,13 @@ import nb_fit_oracle
 import smellstab.stats.suite
 from fit_oracle import oracle_fits
 from simulate import simulate_nb_glmm_design, simulate_observation_rows
-from smellstab.stats import (
-    FitResult, fit_negbin_glm, fit_negbin_random_intercept, fit_poisson, null_design, run_hypothesis_suite,
-)
 from smellstab.stats import fitbase, glm, glmm
-from smellstab.stats.fitbase import GRAD_TOL, numerical_hessian
-from smellstab.stats.glmm import _LOG_S2_BOUNDS, _LaplaceObjective
+from smellstab.stats.design import null_design
+from smellstab.stats.fitbase import GRAD_TOL, FitResult, numerical_hessian
+from smellstab.stats.glm import fit_negbin_glm, fit_poisson
+from smellstab.stats.glmm import _LOG_S2_BOUNDS, _LaplaceObjective, fit_negbin_random_intercept
 from smellstab.stats.kernels import inner_modes, nb2_row_terms
+from smellstab.stats.suite import run_hypothesis_suite
 
 ROW_NAMES = ("b", "c", "d", "ath", "bth", "cth", "athth", "bthth")
 

@@ -6,19 +6,19 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from simulate import simulate_nb_glmm_design
-from smellstab.stats import (
+from smellstab.stats.design import DesignMatrix
+from smellstab.stats.fitbase import FitResult
+from smellstab.stats.glmm import fit_negbin_random_intercept
+from smellstab.stats.inference import (
     InferenceError,
     bh_adjust,
     count_cdf_bounds,
     effect_sizes,
-    fit_negbin_random_intercept,
     fit_quality,
     one_sided_p,
     predict_mu,
     randomized_quantile_residuals,
 )
-from smellstab.stats.design import DesignMatrix
-from smellstab.stats.fitbase import FitResult
 
 
 def _fit_with(beta, se, names):
@@ -165,8 +165,8 @@ def test_mcfadden_signal_exceeds_noise():
     noise = rng.poisson(np.exp(0.5 + 0.0 * x)).astype(float)
 
     def r2_of(y):
-        from smellstab.stats import fit_poisson
         from smellstab.stats.design import null_design
+        from smellstab.stats.glm import fit_poisson
 
         design = DesignMatrix(
             y=y, X=np.column_stack([np.ones(n), x]), names=["Intercept", "x1"],

@@ -19,9 +19,9 @@ from scipy.special import digamma, gammaln, ndtr, ndtri, polygamma
 
 import special_oracle
 from simulate import simulate_observation_rows
-from smellstab.stats import run_hypothesis_suite
 from smellstab.stats.inference import count_cdf_bounds, normal_cdf, normal_quantile, randomized_quantile_residuals
 from smellstab.stats.kernels import Counts, nb2_row_terms
+from smellstab.stats.suite import run_hypothesis_suite
 
 THETA_BOUND = math.exp(14.0)
 log_thetas = st.floats(min_value=math.log(1e-3), max_value=14.0)

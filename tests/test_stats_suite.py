@@ -12,13 +12,14 @@ from hypothesis import strategies as st
 from simulate import simulate_observation_rows
 from smellstab.io_utils import parse_csv, read_csv, write_csv
 from smellstab.pipeline import PipelineConfig, run_stats
-from smellstab.stats import ALPHA, BINARY, all_model_specs, run_hypothesis_suite
-from smellstab.stats.design import FAMILY_SIZES, DesignError, column_table, prepare_design, spec_columns
+from smellstab.stats.design import (
+    BINARY, FAMILY_SIZES, DesignError, all_model_specs, column_table, prepare_design, spec_columns,
+)
 from smellstab.stats.fitbase import FitResult
 from smellstab.stats.glm import fit_negbin_glm
 from smellstab.stats.suite import (
-    ACCEPTED, INCONCLUSIVE, REJECTED, HypothesisResult, export_fits_json, export_quantile_residuals,
-    export_results_csv, load_suite, results_rows,
+    ACCEPTED, ALPHA, INCONCLUSIVE, REJECTED, HypothesisResult, export_fits_json, export_quantile_residuals,
+    export_results_csv, load_suite, results_rows, run_hypothesis_suite,
 )
 
 import stats_oracle
@@ -94,7 +95,7 @@ def test_verdict_rule_pure_function(beta, p, converged):
 
 
 def test_bh_family_of_four_all_p_004():
-    from smellstab.stats import bh_adjust
+    from smellstab.stats.inference import bh_adjust
 
     adjusted = bh_adjust([0.04, 0.04, 0.04, 0.04])
     np.testing.assert_allclose(adjusted, [0.04] * 4, atol=1e-15)
