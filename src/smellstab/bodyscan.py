@@ -21,8 +21,8 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 from .lexer import KIND_BY_FIRST_CHAR, PRIMITIVE_TYPES, TokenSpan, kind_of
-from .model import ArtifactId, ArtifactKind, MethodDecl, RelationKind, TypeDecl, external_artifact
-from .parser import TypeRef, _Cursor, _parse_type_args, _skip_annotation, parse_type_ref
+from .model import ArtifactId, ArtifactKind, FieldDecl, MethodDecl, RelationKind, TypeDecl, external_artifact
+from .parser import NO_TYPE, TypeRef, _Cursor, _parse_type_args, _skip_annotation, parse_type_ref
 from .resolve import Resolver
 
 _STATEMENT_KEYWORDS = {
@@ -56,6 +56,15 @@ NO_BODY_FACTS = BodyFacts(cyclo=0)  # an abstract or bodiless member's facts, sh
 
 def _frozen(s: set) -> frozenset:
     return frozenset(s) if s else _NONE
+
+
+def _skip_local_modifiers(c: _Cursor) -> None:
+    """Step over each ``final`` and whole annotation before a local's or a catch parameter's type."""
+    while c.at("final") or c.at("@"):
+        if c.at("@"):
+            _skip_annotation(c)
+        else:
+            c.next()
 
 
 class _Scanner:
@@ -105,27 +114,11 @@ class _Scanner:
     def resolve_type(self, raw: str) -> ArtifactId | None:
         return self.r.resolve_type_name(raw, self.scope, self.type_params)
 
-    def use_type(self, ref: TypeRef | None) -> ArtifactId | None:
-        if ref is None:
-            return None
-        target = self.resolve_type(ref.name)
-        self.site(RelationKind.USE, target)
+    def use_type(self, relation: RelationKind, ref: TypeRef) -> None:
+        """Record a named type as a ``relation`` site (USE, CREATE or CAST), and each of its type arguments as a USE."""
+        self.site(relation, self.resolve_type(ref.name))
         for arg in ref.args:
             self.site(RelationKind.USE, self.resolve_type(arg))
-        return target
-
-    def record_field_access(self, fdecl) -> None:
-        declaring = fdecl.declaring_type.qualified_name
-        self.accessed_vars.add(fdecl.id.qualified_name)
-        self.site(RelationKind.USE, fdecl.id)
-        if self.r.is_own_type(self.scope, declaring):
-            self.own_fields.add(fdecl.id)
-            if self.r.top_level_of(declaring) == self.own_top:
-                self.direct_own_fields.add(fdecl.id)
-            if fdecl.id in self.protected_base:
-                self.base_protected_used.add(fdecl.id)
-        else:
-            self.foreign_fields.add(fdecl.id)
 
     def record_call(self, mdecl: MethodDecl) -> None:
         self.internal_calls.add(mdecl.id)
@@ -334,14 +327,13 @@ class _Scanner:
             self.push()
             if c.at("("):
                 c.next()
-                while c.at("final") or c.at("@"):
-                    c.next()
+                _skip_local_modifiers(c)
                 names: list[str] = []
                 while True:
                     ref = parse_type_ref(c)
                     if ref is None:
                         break
-                    self.use_type(ref)
+                    self.use_type(RelationKind.USE, ref)
                     names.append(ref.name)
                     if c.at("|"):
                         c.next()
@@ -362,11 +354,7 @@ class _Scanner:
     def try_local_decl(self, c: _Cursor, stops: tuple[str, ...] = (";",)) -> bool:
         """Attempt ``[final] Type name [= init][, name2 ...]``; False restores."""
         start = c.i
-        while c.at("final") or c.at("@"):
-            if c.at("@"):
-                _skip_annotation(c)
-            else:
-                c.next()
+        _skip_local_modifiers(c)
         ref = parse_type_ref(c)
         if ref is None or not c.at_ident():
             c.i = start
@@ -378,7 +366,7 @@ class _Scanner:
         ):
             c.i = start
             return False
-        self.use_type(ref)
+        self.use_type(RelationKind.USE, ref)
         self.declare(c.next(), ref.name)
         while True:
             while c.at("[") and c.at("]", 1):
@@ -460,7 +448,7 @@ class _Scanner:
                 c.i += 1
                 ref = parse_type_ref(c)
                 if ref is not None:
-                    self.use_type(ref)
+                    self.use_type(RelationKind.USE, ref)
                     if c.at_ident():  # pattern variable
                         self.declare(c.next(), ref.name)
                 continue
@@ -484,20 +472,13 @@ class _Scanner:
         ref = parse_type_ref(c)
         if ref is None:
             return
-        if c.at("("):
-            target = self.resolve_type(ref.name)
-            self.site(RelationKind.CREATE, target)
-            for arg in ref.args:
-                self.site(RelationKind.USE, self.resolve_type(arg))
-            self.scan_list(c, "(", ")")
-            if c.at("{"):  # anonymous class body
-                self.anonymous_body(c)
-        else:
-            self.use_type(ref)  # array creation
-            while c.at("["):
-                self.paren_expr(c, "[", "]")
-            if c.at("{"):
-                self.scan_list(c, "{", "}")
+        if not c.at("("):
+            self.use_type(RelationKind.USE, ref)  # array creation: expr scans its [..] and {..}
+            return
+        self.use_type(RelationKind.CREATE, ref)
+        self.scan_list(c, "(", ")")
+        if c.at("{"):  # anonymous class body
+            self.anonymous_body(c)
 
     def anonymous_body(self, c: _Cursor) -> None:
         """Scan an anonymous class body, member by member.
@@ -551,28 +532,30 @@ class _Scanner:
         if c.at(")"):
             c.next()
         if c.at("->"):
-            c.next()
-            self.push()
-            self.lambda_params(inner)
-            if c.at("{"):
-                self.block(c, 0)
-            else:
-                self.expr(c, (",", ")", ";"))
-            self.pop()
+            self.lambda_body(c, lambda: self.lambda_params(inner))
             return
-        cast_target = self.as_cast_target(inner, c.peek())
-        if cast_target is not None:
-            self.site(RelationKind.CAST, cast_target[0])
-            for arg in cast_target[1]:
-                self.site(RelationKind.USE, self.resolve_type(arg))
-            return
-        self.expr_run(inner)
+        ref = self.as_cast_target(inner, c.peek())
+        if ref is None:
+            self.expr_run(inner)
+        elif ref is not NO_TYPE:
+            self.use_type(RelationKind.CAST, ref)
+
+    def lambda_body(self, c: _Cursor, declare_params: Callable[[], None]) -> None:
+        """Scan ``-> body`` in a scope of its own, where ``declare_params`` has declared the lambda's parameters."""
+        c.next()  # the '->'
+        self.push()
+        declare_params()
+        if c.at("{"):
+            self.block(c, 0)
+        else:
+            self.expr(c, (",", ")", ";"))
+        self.pop()
 
     def lambda_params(self, hc: _Cursor) -> None:
         while not hc.eof():
             ref = parse_type_ref(hc)
             if ref is not None and hc.at_ident():
-                self.use_type(ref)
+                self.use_type(RelationKind.USE, ref)
                 self.declare(hc.next(), ref.name)
             elif hc.at_ident():
                 self.declare(hc.next(), "")
@@ -581,8 +564,8 @@ class _Scanner:
             if hc.at(","):
                 hc.next()
 
-    def as_cast_target(self, inner: _Cursor, nxt: str | None):
-        """Classify ``( inner )`` as a cast; None when it reads as grouping."""
+    def as_cast_target(self, inner: _Cursor, nxt: str | None) -> TypeRef | None:
+        """The type of ``( inner )`` read as a cast, ``NO_TYPE`` for a primitive one; None when it reads as grouping."""
         if nxt is None or inner.eof():
             return None
         starts_operand = (
@@ -596,17 +579,14 @@ class _Scanner:
         if ref is None or not hc.eof():
             return None
         if ref.name in PRIMITIVE_TYPES:
-            return (None, ())  # primitive cast: consume, no artifact
+            return NO_TYPE  # primitive cast: consume, no artifact
         if "." not in ref.name and not ref.args and ref.dims == 0:
             if self.local_type(ref.name) is not None:
                 return None  # (x) copy of a local, not a cast
             target = self.resolve_type(ref.name)
-            if target is None:
-                return None
-            if target.is_external and not ref.name[:1].isupper():
-                return None  # lowercase unknown simple name: grouping
-            return (target, ref.args)
-        return (self.resolve_type(ref.name), ref.args)
+            if target is None or (target.is_external and not ref.name[:1].isupper()):
+                return None  # no artifact, or a lowercase unknown simple name: grouping
+        return ref
 
     # -- receiver chains ------------------------------------------------------
 
@@ -627,16 +607,14 @@ class _Scanner:
             sup = self.scope.superclass
             if c.at("("):
                 argc = self.scan_list(c, "(", ")")
-                if sup is not None and not sup.is_external:
-                    target = self.r.constructor_lookup(self.r.corpus.type_decl(sup.qualified_name), argc)
+                if sup is not None:
+                    target = None if sup.is_external else self.r.constructor_lookup(
+                        self.r.corpus.type_decl(sup.qualified_name), argc)
                     if target is not None:
                         self.record_call(target)
                     else:
                         self.site(RelationKind.CALL, external_artifact(
                             f"{sup.qualified_name}.<init>", ArtifactKind.CONSTRUCTOR))
-                elif sup is not None:
-                    self.site(RelationKind.CALL, external_artifact(
-                        f"{sup.qualified_name}.<init>", ArtifactKind.CONSTRUCTOR))
                 return
             if sup is not None and not sup.is_external:
                 ctx_type = self.r.corpus.type_decl(sup.qualified_name)
@@ -645,24 +623,11 @@ class _Scanner:
         else:
             name = head
             if c.at("->"):  # single-parameter lambda
-                c.next()
-                self.push()
-                self.declare(name, "")
-                if c.at("{"):
-                    self.block(c, 0)
-                else:
-                    self.expr(c, (",", ")", ";"))
-                self.pop()
+                self.lambda_body(c, lambda: self.declare(name, ""))
                 return
             if c.at("("):
                 argc = self.scan_list(c, "(", ")")
-                target = self.r.find_visible_method(self.scope, name, argc)
-                if target is not None:
-                    self.record_call(target)
-                    ctx_type, ctx_external = self.result_context(target)
-                else:
-                    self.site(RelationKind.CALL, external_artifact(name, ArtifactKind.METHOD))
-                    ctx_external = ""
+                ctx_type, ctx_external = self.call(self.r.find_visible_method(self.scope, name, argc), name)
             else:
                 local = self.local_type(name)
                 if local is not None:
@@ -671,9 +636,7 @@ class _Scanner:
                 else:
                     fdecl = self.r.find_visible_field(self.scope, name)
                     if fdecl is not None:
-                        self.record_field_access(fdecl)
-                        ctx_type, ctx_external = self.type_context(
-                            fdecl.type_name, scope=self.r.declaring_type_of_member(fdecl.id))
+                        ctx_type, ctx_external = self.field_access(fdecl)
                     else:
                         resolved = self.resolve_type(name)
                         if resolved is not None and not resolved.is_external:
@@ -717,14 +680,8 @@ class _Scanner:
             if c.at("("):
                 argc = self.scan_list(c, "(", ")")
                 if ctx_type is not None:
-                    target = self.r.method_lookup(ctx_type, seg, argc)
-                    if target is not None:
-                        self.record_call(target)
-                        ctx_type, ctx_external = self.result_context(target)
-                    else:
-                        self.site(RelationKind.CALL, external_artifact(
-                            f"{ctx_type.id.qualified_name}.{seg}", ArtifactKind.METHOD))
-                        ctx_type, ctx_external = None, ""
+                    ctx_type, ctx_external = self.call(
+                        self.r.method_lookup(ctx_type, seg, argc), f"{ctx_type.id.qualified_name}.{seg}")
                 else:
                     base = f"{ctx_external}." if ctx_external else ""
                     self.site(RelationKind.CALL, external_artifact(f"{base}{seg}", ArtifactKind.METHOD))
@@ -732,9 +689,7 @@ class _Scanner:
             if ctx_type is not None:
                 fdecl = self.r.field_lookup(ctx_type, seg)
                 if fdecl is not None:
-                    self.record_field_access(fdecl)
-                    ctx_type, ctx_external = self.type_context(
-                        fdecl.type_name, scope=self.r.declaring_type_of_member(fdecl.id))
+                    ctx_type, ctx_external = self.field_access(fdecl)
                     continue
                 nested = self.r.nested_type_named(ctx_type, seg)
                 if nested is not None:
@@ -743,10 +698,28 @@ class _Scanner:
                 ctx_type, ctx_external = None, ""
             # external context: nothing to record for plain member hops
 
-    def result_context(self, m: MethodDecl) -> tuple[TypeDecl | None, str | None]:
-        if m.is_constructor:
-            return self.r.corpus.type_decl(m.declaring_type.qualified_name), None
+    def call(self, m: MethodDecl | None, external_name: str) -> tuple[TypeDecl | None, str | None]:
+        """Record a call to ``m``, or to ``external_name`` where the lookup found none; the context of its result."""
+        if m is None:
+            self.site(RelationKind.CALL, external_artifact(external_name, ArtifactKind.METHOD))
+            return None, ""
+        self.record_call(m)
         return self.type_context(m.return_type, scope=self.r.declaring_type_of_member(m.id), tp=m.type_params)
+
+    def field_access(self, f: FieldDecl) -> tuple[TypeDecl | None, str | None]:
+        """Record an access to field ``f`` as a USE site and in the metric facts; its value's context."""
+        declaring = f.declaring_type.qualified_name
+        self.accessed_vars.add(f.id.qualified_name)
+        self.site(RelationKind.USE, f.id)
+        if self.r.is_own_type(self.scope, declaring):
+            self.own_fields.add(f.id)
+            if self.r.top_level_of(declaring) == self.own_top:
+                self.direct_own_fields.add(f.id)
+            if f.id in self.protected_base:
+                self.base_protected_used.add(f.id)
+        else:
+            self.foreign_fields.add(f.id)
+        return self.type_context(f.type_name, scope=self.r.declaring_type_of_member(f.id))
 
     def type_context(
         self, raw: str, scope: TypeDecl | None = None, tp: tuple[str, ...] = ()

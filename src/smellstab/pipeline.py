@@ -460,12 +460,9 @@ def run_pipeline(config: PipelineConfig, stages: tuple[str, ...] = ("analyze", "
                     return quarantine_record(entry.repo, stage, exc)
         return None
 
-    if config.workers > 1:
-        code_digest()  # functools.cache would let each worker's first stage key compute it again
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            failures = list(pool.map(per_project, accepted))
-    else:
-        failures = [per_project(entry) for entry in accepted]
+    code_digest()  # functools.cache would let each worker's first stage key compute it again
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        failures = list(pool.map(per_project, accepted))
     for entry, failure in zip(accepted, failures):
         if failure is not None:
             quarantined[entry.repo] = failure

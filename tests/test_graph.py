@@ -321,11 +321,40 @@ def test_super_constructor_call_edges(analyzed_factory):
         "Base.java": "class Base { Base(int n) {} }",
         "Sub.java": "class Sub extends Base { Sub() { super(1); } }",
         "T.java": "class T extends Thread { T() { super(\"t\"); } }",
+        "Own.java": "class Own { Own(int n) {} Own() { this(1); } }",
     })
     assert _internal_edges_from(graph, "Sub.<init>()") == {(RelationKind.CALL, "Base.<init>(int)", 1)}
+    assert _internal_edges_from(graph, "Own.<init>()") == {(RelationKind.CALL, "Own.<init>(int)", 1)}
     t_calls = [e for e in graph.edges if str(e.source) == "T.<init>()"]
     assert [(e.relation, str(e.target), e.target.kind, e.external) for e in t_calls] == [
         (RelationKind.CALL, "Thread.<init>()", ArtifactKind.CONSTRUCTOR, True)]
+
+
+@pytest.mark.parametrize("member, expected", [
+    # a lambda parameter shadows the field q: no USE of A.q, and a typed one resolves q.go(..) through Q
+    ("Object m() { return q -> q.go(1); }", set()),
+    ("Object m() { return q -> { q.go(1); }; }", set()),
+    ("Object m() { return (Q q) -> q.go(1); }", {(RelationKind.USE, "Q", 1), (RelationKind.CALL, "Q.go(int)", 1)}),
+    ("Object m() { return (Q q) -> { q.go(1); }; }", {(RelationKind.USE, "Q", 1), (RelationKind.CALL, "Q.go(int)", 1)}),
+    ("Object m() { long x = 1; return (int) x; }", set()),
+    ("Object m() { return new Cre[q.n]; }", {(RelationKind.USE, "Cre", 1), (RelationKind.USE, "A.q", 1),
+                                             (RelationKind.USE, "Q.n", 1)}),
+    ("Object m() { return new Cre[] { new Cre() }; }", {(RelationKind.USE, "Cre", 1), (RelationKind.CREATE, "Cre", 1)}),
+])
+def test_each_scanner_step_exact_edge_set(analyzed_factory, member, expected):
+    _, graph, _ = analyzed_factory({"A.java": f"class A {{ Q q; {member} }}", "Cre.java": "class Cre {}",
+                                    "Q.java": "class Q { int n; void go(int k) {} }"})
+    assert _internal_edges_from(graph, "A.m()") == expected
+
+
+def test_a_catch_parameter_annotation_is_no_edge(analyzed_factory):
+    corpus, graph, _ = analyzed_factory({
+        "p/A.java": "package p; class A { void m() { try { } catch (@Ann final E e) { e.g(); } } }",
+        "p/Ann.java": "package p; @interface Ann {}",
+        "p/E.java": "package p; class E extends RuntimeException { void g() {} }",
+    })
+    assert {n.qualified_name for n in efferent_neighbors(graph, corpus, corpus.type_decl("p.A").id)} == {"p.E"}
+    assert _internal_edges_from(graph, "p.A.m()") == {(RelationKind.USE, "p.E", 1), (RelationKind.CALL, "p.E.g()", 1)}
 
 
 def test_generic_creation_and_return_type_arguments_are_use_edges(analyzed_factory):
